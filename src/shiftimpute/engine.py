@@ -8,6 +8,11 @@ completed matrix (unless the run is unweighted, which is the identical code
 path with unit weights), standardizes the predictor columns with statistics
 of the rows where the target column is observed, fits on those rows, and
 predicts the rest. Observed cells are never altered.
+
+A run keeps the column means and scales both standardizations need in step
+with the completion (a column step changes one column, so only its entries
+are recomputed), and starts each column's propensity fit from that column's
+fit in the previous sweep.
 """
 
 from __future__ import annotations
@@ -90,6 +95,8 @@ class ColumnDiagnostics:
     train_weighted_mse: float
     mean_abs_update: float
     effective_sample_size: float
+    propensity_n_iter: int          # 0 when no propensity model was fit
+    propensity_converged: bool | None
 
 
 @dataclass(frozen=True)
@@ -142,27 +149,71 @@ def _step_seed(cfg: ImputationConfig, sweep: int, column: int) -> int:
     return int(state[0]) ^ (int(state[1]) << 32)
 
 
-def _standardize_by_rows(predictors: np.ndarray, fit_rows: np.ndarray):
-    mean = predictors[fit_rows].mean(axis=0)
-    std = predictors[fit_rows].std(axis=0)
-    scale = np.where(std > 0, std, 1.0)
-    return (predictors - mean) / scale
+def _mean_scale(values: np.ndarray):
+    """Mean and division-safe population std (1.0 where constant) of a vector."""
+    mean = values.mean()
+    dev = values - mean
+    std = np.sqrt(dev @ dev / values.size)
+    return mean, std if std > 0 else 1.0
 
 
-def _column_step(values, observed, completed, i, cfg, sweep) -> ColumnDiagnostics:
-    """One Algorithm-2 column update; mutates ``completed`` in place."""
-    obs_col = observed[:, i]
-    obs_rows = np.flatnonzero(obs_col)
-    miss_rows = np.flatnonzero(~obs_col)
+class _Scalings:
+    """Per-column (mean, scale) of the current completion, and row sets.
+
+    ``all_rows`` standardizes the propensity design (statistics over every
+    row); ``by_target[i]`` standardizes the regression predictors of target
+    ``i`` (statistics over the rows where ``i`` is observed). After a step
+    overwrites column ``k``, :meth:`refresh` recomputes column ``k``'s
+    entries and nothing else.
+    """
+
+    def __init__(self, completed: np.ndarray, observed: np.ndarray, targets):
+        d = completed.shape[1]
+        self.others = {i: np.delete(np.arange(d), i) for i in targets}
+        self.obs_rows = {i: np.flatnonzero(observed[:, i]) for i in targets}
+        self.miss_rows = {i: np.flatnonzero(~observed[:, i]) for i in targets}
+        self.all_rows = (np.empty(d), np.empty(d))
+        self.by_target = {i: (np.empty(d), np.empty(d)) for i in targets}
+        for k in range(d):
+            self.refresh(completed, k)
+
+    def refresh(self, completed: np.ndarray, k: int) -> None:
+        column = completed[:, k]
+        mean, scale = self.all_rows
+        mean[k], scale[k] = _mean_scale(column)
+        for i, rows in self.obs_rows.items():
+            mean, scale = self.by_target[i]
+            mean[k], scale[k] = _mean_scale(column[rows])
+
+
+def _standardize(block: np.ndarray, stats, cols: np.ndarray) -> np.ndarray:
+    mean, scale = stats
+    out = block - mean[cols]
+    out /= scale[cols]  # in place: one n x (d-1) temporary, not two
+    return out
+
+
+def _column_step(values, observed, completed, i, cfg, sweep, scalings,
+                 init=None):
+    """One Algorithm-2 column update; mutates ``completed`` and ``scalings``.
+
+    ``init`` is the column's propensity model from the previous sweep, if
+    any. Returns the step's diagnostics and this sweep's propensity model.
+    """
+    obs_rows, miss_rows = scalings.obs_rows[i], scalings.miss_rows[i]
+    others = scalings.others[i]
+    block = completed[:, others]
+    propensity = None
     if cfg.weighted:
-        weights = weights_for_column(
-            completed, obs_col, i, l2=cfg.propensity_l2,
+        wv = weights_for_column(
+            completed, observed[:, i], i, l2=cfg.propensity_l2,
             clip_epsilon=cfg.clip_epsilon,
-        ).weights
+            design=_standardize(block, scalings.all_rows, others), init=init,
+        )
+        weights, propensity = wv.weights, wv.propensity
     else:
         weights = np.ones(obs_rows.shape[0])
-    predictors = np.delete(completed, i, axis=1)
-    predictors = _standardize_by_rows(predictors, obs_rows)
+    predictors = _standardize(block, scalings.by_target[i], others)
     x_train = predictors[obs_rows]
     y_train = values[obs_rows, i]
     spec = cfg.regressor.with_seed(_step_seed(cfg, sweep, i))
@@ -173,9 +224,12 @@ def _column_step(values, observed, completed, i, cfg, sweep) -> ColumnDiagnostic
         train_weighted_mse=weighted_mse(model, x_train, y_train, weights),
         mean_abs_update=float(np.mean(np.abs(completed[miss_rows, i] - preds))),
         effective_sample_size=effective_sample_size(weights),
+        propensity_n_iter=0 if propensity is None else propensity.n_iter,
+        propensity_converged=None if propensity is None else propensity.converged,
     )
     completed[miss_rows, i] = preds
-    return diag
+    scalings.refresh(completed, i)
+    return diag, propensity
 
 
 def impute_column_step(ds: MaskedDataset, i: int, cfg: ImputationConfig,
@@ -184,7 +238,9 @@ def impute_column_step(ds: MaskedDataset, i: int, cfg: ImputationConfig,
     if i not in ds.missing_columns():
         raise ValueError(f"column {i} has no missing entries")
     completed = ds.completed.copy()
-    diag = _column_step(ds.data.values, ds.mask.observed, completed, i, cfg, sweep)
+    observed = ds.mask.observed
+    diag, _ = _column_step(ds.data.values, observed, completed, i, cfg, sweep,
+                           _Scalings(completed, observed, [i]))
     return ds.with_completed(completed), diag
 
 
@@ -201,12 +257,19 @@ def impute(ds: MaskedDataset, cfg: ImputationConfig) -> ImputationResult:
     completed = initial_impute(ds).completed.copy()
     values = ds.data.values
     observed = ds.mask.observed
+    scalings = _Scalings(completed, observed, order)
+    # each column's propensity model from the previous sweep; local to this
+    # call so results never depend on what ran before
+    propensities = {}
     per_sweep = []
     for sweep in range(cfg.n_sweeps):
         diags = []
         for i in order:
             try:
-                diags.append(_column_step(values, observed, completed, i, cfg, sweep))
+                diag, propensities[i] = _column_step(
+                    values, observed, completed, i, cfg, sweep, scalings,
+                    propensities.get(i))
+                diags.append(diag)
             except Exception as exc:
                 raise RuntimeError(
                     f"column {i} failed at sweep {sweep}: {exc}"

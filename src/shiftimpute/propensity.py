@@ -9,7 +9,7 @@ model fit on them targets the missing-row distribution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -55,11 +55,16 @@ class PropensityModel:
 
 @dataclass(frozen=True)
 class WeightVector:
-    """Nonnegative importance weights over the observed rows of one column."""
+    """Nonnegative importance weights over the observed rows of one column.
+
+    ``propensity`` is the fitted classifier the weights came from, when there
+    is one.
+    """
 
     weights: np.ndarray
     clip_epsilon: float
     normalized: bool
+    propensity: PropensityModel | None = None
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
@@ -71,17 +76,21 @@ class WeightVector:
 
 
 def _penalized_nll(z, r, coef, l2):
-    # mean Bernoulli NLL, computed from logits for stability
-    nll = np.mean(np.logaddexp(0.0, z) - r * z)
+    # mean Bernoulli NLL from logits; log(1 + e^z) written so exp never overflows
+    nll = np.mean(np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z))) - r * z)
     return nll + 0.5 * l2 * float(coef @ coef)
 
 
-def fit_propensity(x: np.ndarray, r: np.ndarray, l2: float = DEFAULT_L2) -> PropensityModel:
+def fit_propensity(x: np.ndarray, r: np.ndarray, l2: float = DEFAULT_L2,
+                   init: PropensityModel | None = None) -> PropensityModel:
     """Fit p(observed | x) by IRLS on the L2-penalized mean log-likelihood.
 
     The intercept is unpenalized. Converged when the max absolute gradient
     falls below 1e-8 within 100 iterations; otherwise the model is returned
-    with ``converged=False`` rather than failing silently.
+    with ``converged=False`` rather than failing silently. IRLS starts from
+    ``init``'s parameters when given (a fit on nearby data converges in fewer
+    iterations), else from zero. With ``l2 > 0`` the objective is strictly
+    convex in the coefficients, so fewer rows than columns is allowed.
     """
     x = np.asarray(x, dtype=float)
     r = np.asarray(r, dtype=float).ravel()
@@ -90,8 +99,8 @@ def fit_propensity(x: np.ndarray, r: np.ndarray, l2: float = DEFAULT_L2) -> Prop
     n, p = x.shape
     if r.shape[0] != n:
         raise ValueError("label length mismatch")
-    if n < p:
-        raise ValueError(f"need n >= d, got n={n}, d={p}")
+    if n < p and l2 == 0:
+        raise ValueError(f"need n >= d for an unpenalized fit, got n={n}, d={p}")
     if l2 < 0:
         raise ValueError("l2 must be nonnegative")
     ones = r.sum()
@@ -100,30 +109,40 @@ def fit_propensity(x: np.ndarray, r: np.ndarray, l2: float = DEFAULT_L2) -> Prop
 
     design = np.hstack([x, np.ones((n, 1))])
     penalty = np.append(np.full(p, l2), 0.0)
-    beta = np.zeros(p + 1)
-    nll = _penalized_nll(design @ beta, r, beta[:p], l2)
+    if init is None:
+        beta = np.zeros(p + 1)
+    else:
+        beta = np.append(init.coefficients, init.intercept)
+        if beta.shape[0] != p + 1:
+            raise ValueError(
+                f"init has {beta.shape[0] - 1} coefficients, x has {p} columns")
+    # reused for design.T * s each iteration, in the layout that product has
+    scaled_t = np.empty_like(design).T
+    z = design @ beta
+    nll = _penalized_nll(z, r, beta[:p], l2)
     converged = False
     it = 0
     for it in range(1, MAX_ITER + 1):
-        z = design @ beta
         eta = sigmoid(z)
         grad = design.T @ (eta - r) / n + penalty * beta
         if np.max(np.abs(grad)) < GRADIENT_TOL:
             converged = True
             break
         s = np.clip(eta * (1.0 - eta), 1e-12, None)
-        hess = (design.T * s) @ design / n + np.diag(penalty)
+        hess = np.multiply(design.T, s, out=scaled_t) @ design / n + np.diag(penalty)
         step = np.linalg.solve(hess, grad)
         # backtrack if the Newton step overshoots (rare; separable-ish data)
         trial = beta - step
-        trial_nll = _penalized_nll(design @ trial, r, trial[:p], l2)
+        z_trial = design @ trial
+        trial_nll = _penalized_nll(z_trial, r, trial[:p], l2)
         shrink = 0
         while trial_nll > nll + 1e-12 and shrink < 30:
             step *= 0.5
             trial = beta - step
-            trial_nll = _penalized_nll(design @ trial, r, trial[:p], l2)
+            z_trial = design @ trial
+            trial_nll = _penalized_nll(z_trial, r, trial[:p], l2)
             shrink += 1
-        beta, nll = trial, trial_nll
+        beta, nll, z = trial, trial_nll, z_trial
     return PropensityModel(beta[:p].copy(), float(beta[p]), l2, converged, it)
 
 
@@ -147,22 +166,26 @@ def weights_from_propensity(eta: np.ndarray, clip_epsilon: float = DEFAULT_CLIP,
 
 def weights_for_column(completed: np.ndarray, obs_col: np.ndarray, i: int,
                        l2: float = DEFAULT_L2,
-                       clip_epsilon: float = DEFAULT_CLIP) -> WeightVector:
+                       clip_epsilon: float = DEFAULT_CLIP,
+                       design: np.ndarray | None = None,
+                       init: PropensityModel | None = None) -> WeightVector:
     """Array-level core of :func:`estimate_weights`.
 
     ``completed`` is the current n x d completion and ``obs_col`` the
     observedness indicator of column ``i``. The classifier is trained on all
     rows (predictors = standardized completed values of every other column);
-    weights are evaluated at the observed rows only.
+    weights are evaluated at the observed rows only. A caller that already
+    holds those standardized predictors passes them as ``design``; ``init``
+    warm-starts the fit. The returned weights carry the fitted model.
     """
     obs_col = np.asarray(obs_col, dtype=bool)
     if obs_col.all():
         raise ValueError(f"column {i} is fully observed; nothing to reweight")
-    x = np.delete(completed, i, axis=1)
-    x, _ = standardize_values(x)
-    model = fit_propensity(x, obs_col.astype(float), l2)
-    eta_obs = model.predict_proba(x[obs_col])
-    return weights_from_propensity(eta_obs, clip_epsilon)
+    if design is None:
+        design, _ = standardize_values(np.delete(completed, i, axis=1))
+    model = fit_propensity(design, obs_col.astype(float), l2, init=init)
+    eta_obs = model.predict_proba(design[obs_col])
+    return replace(weights_from_propensity(eta_obs, clip_epsilon), propensity=model)
 
 
 def estimate_weights(ds: MaskedDataset, i: int, l2: float = DEFAULT_L2,
@@ -186,11 +209,9 @@ def weight_diagnostics(ds: MaskedDataset, l2: float = DEFAULT_L2,
     """JSON-ready per-column weight diagnostics for every imputable column."""
     out = {}
     for i in ds.missing_columns():
-        obs_col = ds.mask.observed[:, i]
-        x = np.delete(ds.completed, i, axis=1)
-        x, _ = standardize_values(x)
-        model = fit_propensity(x, obs_col.astype(float), l2)
-        wv = weights_from_propensity(model.predict_proba(x[obs_col]), clip_epsilon)
+        wv = weights_for_column(ds.completed, ds.mask.observed[:, i], i,
+                                l2=l2, clip_epsilon=clip_epsilon)
+        model = wv.propensity
         counts, edges = np.histogram(wv.weights, bins=20)
         out[str(i)] = {
             "coefficients": [float(c) for c in model.coefficients],

@@ -250,7 +250,8 @@ def _weighted_sse(sw, swy, swyy):
 def _best_split(x, y, w, rows, features, min_leaf_weight):
     """Scan candidate splits; returns (gain, feature, threshold) or None.
 
-    Candidates are midpoints between consecutive distinct values. Ties break
+    Candidates are midpoints between consecutive distinct values (the left
+    value itself where the midpoint is not below the right one). Ties break
     to the lowest feature index then lowest threshold because features and
     thresholds are scanned ascending and only a strictly larger gain wins.
     """
@@ -280,7 +281,12 @@ def _best_split(x, y, w, rows, features, min_leaf_weight):
             gain = node_sse - _weighted_sse(wl, cwy[t], cwyy[t]) \
                 - _weighted_sse(wr, swy - cwy[t], swyy - cwyy[t])
             if gain > floor and (best is None or gain > best[0]):
-                best = (gain, int(f), 0.5 * (xs[t] + xs[t + 1]))
+                threshold = 0.5 * (xs[t] + xs[t + 1])
+                if not threshold < xs[t + 1]:
+                    # adjacent floats: the midpoint rounds up to the right
+                    # value, and x <= threshold would send every row left
+                    threshold = xs[t]
+                best = (gain, int(f), threshold)
     return best
 
 

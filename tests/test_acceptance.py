@@ -5,15 +5,18 @@ lines; the whole suite is deterministic (fixed seeds everywhere).
 """
 
 import json
+import os
 import subprocess
 import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
+import shiftimpute
 from shiftimpute.benchmark import (
     ExperimentGrid,
     make_benchmark_dataset,
@@ -235,13 +238,17 @@ def test_criterion_7_mechanism_calibration():
 def test_criterion_8_benchmark_determinism(tmp_path):
     grid_path = tmp_path / "grid.json"
     grid_path.write_text(json.dumps(ExperimentGrid().to_dict()))
+    # the CLI subprocesses import the same package this test imported
+    env = dict(os.environ)
+    src = str(Path(shiftimpute.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     outputs = {}
     for jobs in (1, 8):
         out = tmp_path / f"results_jobs{jobs}.csv"
         proc = subprocess.run(
             [sys.executable, "-m", "shiftimpute.cli", "benchmark",
              "--grid", str(grid_path), "--out", str(out), "--jobs", str(jobs)],
-            capture_output=True, text=True, timeout=1800,
+            capture_output=True, text=True, timeout=1800, env=env,
         )
         assert proc.returncode == 0, proc.stderr
         outputs[jobs] = out.read_bytes()

@@ -49,6 +49,10 @@ def test_simulate_mask_impute_metrics_pipeline(tmp_path, truth_csv, capsys):
     np.testing.assert_allclose(out.values[obs], truth.values[obs], atol=1e-12)
     diag = json.loads(diagnostics.read_text())
     assert len(diag["per_sweep"]) == 2
+    for sweep in diag["per_sweep"]:
+        for col in sweep["columns"]:
+            assert col["propensity_n_iter"] > 0
+            assert col["propensity_converged"] is True
     assert set(diag["propensity"]) == {str(c) for c in planted}
 
     report_path = tmp_path / "report.json"

@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import shiftimpute.engine as engine_mod
+from shiftimpute.benchmark import ExperimentGrid, make_benchmark_dataset
 from shiftimpute.data import DataMatrix, MaskMatrix, MaskedDataset
 from shiftimpute.engine import (
     ImputationConfig,
@@ -10,7 +13,7 @@ from shiftimpute.engine import (
     initial_impute,
     visitation_order,
 )
-from shiftimpute.masking import MarSpec, apply_mar_mask
+from shiftimpute.masking import MarSpec, apply_mar_mask, select_random_spec
 from shiftimpute.metrics import rmse_masked, wilcoxon_signed_rank
 from shiftimpute.propensity import WeightVector
 from shiftimpute.regressors import RegressorSpec, fit_weighted_ridge, predict
@@ -205,6 +208,88 @@ class TestImpute:
             assert np.isfinite(col.mean_abs_update)
             n_obs = int(ds.mask.observed[:, 1].sum())
             assert 0 < col.effective_sample_size <= n_obs + 1e-9
+
+
+def paper_cell(weighted=True, seed=0, alpha=3.0):
+    """One cell of the paper's grid: n=5000, d=10, 4 masked columns, ridge."""
+    grid = ExperimentGrid()
+    data = make_benchmark_dataset(5000, 10, seed=0)
+    layout = select_random_spec(data, grid.n_missing_cols, grid.n_predictors,
+                                seed=seed)
+    spec = replace(layout, alpha=alpha, target_missing_rate=grid.missing_rate,
+                   seed=seed + 1)
+    ds, _ = apply_mar_mask(data, spec)
+    cfg = ImputationConfig(regressor=grid.regressor_spec("ridge"),
+                           weighted=weighted, n_sweeps=grid.n_sweeps,
+                           clip_epsilon=grid.clip_epsilon,
+                           propensity_l2=grid.propensity_l2, seed=seed)
+    return ds, cfg
+
+
+class TestColumnStepState:
+    def test_warm_started_sweeps_take_fewer_iterations(self):
+        ds, cfg = paper_cell()
+        result = impute(ds, cfg)
+        iters = [[c.propensity_n_iter for c in s.columns] for s in result.per_sweep]
+        assert np.mean(iters[1:]) < np.mean(iters[0])
+        assert all(c.propensity_converged is True
+                   for s in result.per_sweep for c in s.columns)
+
+    def test_unweighted_steps_record_no_fit(self):
+        ds, cfg = paper_cell(weighted=False)
+        for sweep in impute(ds, cfg).per_sweep:
+            for col in sweep.columns:
+                assert col.propensity_n_iter == 0
+                assert col.propensity_converged is None
+
+    def test_cached_scalings_track_the_completion(self, monkeypatch):
+        ds, cfg = paper_cell()
+        original = engine_mod._column_step
+        steps = []
+
+        def checked_step(*args):
+            out = original(*args)
+            completed, scalings = args[2], args[6]
+
+            def fresh(block):
+                std = block.std(axis=0)
+                return block.mean(axis=0), np.where(std > 0, std, 1.0)
+
+            cached = [scalings.all_rows] + [scalings.by_target[t]
+                                            for t in scalings.obs_rows]
+            expected = [fresh(completed)] + [fresh(completed[rows])
+                                             for rows in scalings.obs_rows.values()]
+            for (mean, scale), (fresh_mean, fresh_scale) in zip(cached, expected):
+                np.testing.assert_allclose(mean, fresh_mean, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(scale, fresh_scale, rtol=0, atol=1e-12)
+            steps.append(args[3])
+            return out
+
+        monkeypatch.setattr(engine_mod, "_column_step", checked_step)
+        impute(ds, cfg)
+        assert len(steps) == cfg.n_sweeps * len(ds.missing_columns())
+
+    def test_warm_state_does_not_leak_between_calls(self):
+        ds, cfg = paper_cell()
+        other, _ = paper_cell(seed=1)
+        first = impute(ds, cfg)
+        impute(other, cfg)
+        second = impute(ds, cfg)
+        assert first.completed.tobytes() == second.completed.tobytes()
+        assert first.per_sweep == second.per_sweep
+
+    def test_fewer_rows_than_columns(self):
+        # 4 rows, 8 columns: the penalized propensity fit is well posed
+        rng = np.random.default_rng(17)
+        observed = np.ones((4, 8), dtype=bool)
+        observed[1, 0] = observed[2, 5] = False
+        ds = make_masked(rng.normal(size=(4, 8)), observed)
+        result = impute(ds, ridge_config(ridge_lambda=1e-3))
+        assert np.all(np.isfinite(result.completed))
+        for sweep in result.per_sweep:
+            for col in sweep.columns:
+                assert col.propensity_converged is True
+                assert np.isfinite(col.effective_sample_size)
 
 
 class TestImputeColumnStep:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +24,17 @@ def gaussian_matrix(n, d, seed=0):
     return DataMatrix(rng.normal(size=(n, d)), tuple(f"c{j}" for j in range(d)))
 
 
+def two_branch_sigmoid(z):
+    """The mask-indexed formula: 1/(1+e^-z) for z >= 0, e^z/(1+e^z) below."""
+    z = np.asarray(z, dtype=float)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
 class TestSigmoid:
     def test_zero(self):
         assert sigmoid(0.0) == 0.5
@@ -37,6 +49,18 @@ class TestSigmoid:
     def test_no_overflow_at_700(self):
         assert 0.0 < sigmoid(-700.0) < 1e-300
         assert sigmoid(700.0) == 1.0  # saturates without warnings/overflow
+
+    def test_bitwise_equal_to_two_branch_formula(self):
+        z = np.concatenate([
+            [0.0, -0.0, 700.0, -700.0, 1e-300, -1e-300],
+            np.random.default_rng(0).normal(size=2000),
+            np.random.default_rng(1).normal(scale=30.0, size=2000),
+        ])
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            got = sigmoid(z)
+        assert got.tobytes() == two_branch_sigmoid(z).tobytes()
+        assert sigmoid(-0.0) == 0.5
 
     @settings(max_examples=100, deadline=None)
     @given(st.floats(-700, 700, allow_nan=False))

@@ -1,6 +1,10 @@
+import json
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import spearmanr
 
@@ -8,12 +12,16 @@ from shiftimpute.data import DataMatrix, MaskMatrix, MaskedDataset, standardize_
 from shiftimpute.engine import initial_impute
 from shiftimpute.masking import MarSpec, apply_mar_mask, sigmoid
 from shiftimpute.propensity import (
+    _penalized_nll,
     effective_sample_size,
     estimate_weights,
     fit_propensity,
     weight_diagnostics,
+    weights_for_column,
     weights_from_propensity,
 )
+
+DATA = Path(__file__).parent / "data"
 
 # clip-then-formula hand oracle: eta=1e-9 clipped to 1e-3, (1 - 1e-3)/1e-3
 CLIPPED_RAW_WEIGHT = 999.0
@@ -56,7 +64,49 @@ class TestFitPropensity:
 
     def test_needs_more_rows_than_columns(self):
         with pytest.raises(ValueError, match="n >= d"):
-            fit_propensity(np.ones((3, 4)), np.array([1.0, 0.0, 1.0]))
+            fit_propensity(np.ones((3, 4)), np.array([1.0, 0.0, 1.0]), l2=0.0)
+
+    def test_penalized_fit_allows_fewer_rows_than_columns(self):
+        # 4 rows, 8 predictors: separable, but the L2 term keeps it well posed
+        completed = np.random.default_rng(9).normal(size=(4, 9))
+        obs_col = np.array([True, False, True, True])
+        wv = weights_for_column(completed, obs_col, 0)
+        assert wv.propensity.converged
+        assert np.all(np.isfinite(wv.propensity.coefficients))
+        assert np.all(np.isfinite(wv.weights)) and wv.weights.shape == (3,)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.floats(-1.0, 1.0), st.floats(0.0, 2.0))
+    def test_warm_start_reaches_cold_optimum(self, seed, shift, jitter):
+        rng = np.random.default_rng(seed)
+        n, p = 400, 3
+        x = rng.normal(size=(n, p))
+        r = (rng.random(n) < sigmoid(x @ rng.normal(size=p) + shift)).astype(float)
+        assume(0 < r.sum() < n)
+        cold = fit_propensity(x, r, l2=1e-3)
+        start = replace(cold,
+                        coefficients=cold.coefficients + jitter * rng.normal(size=p),
+                        intercept=cold.intercept + jitter * rng.normal())
+        warm = fit_propensity(x, r, l2=1e-3, init=start)
+        assert cold.converged and warm.converged
+        np.testing.assert_allclose(warm.coefficients, cold.coefficients,
+                                   rtol=0, atol=1e-6)
+        assert warm.intercept == pytest.approx(cold.intercept, abs=1e-6)
+
+    def test_penalized_nll_matches_logaddexp(self):
+        rng = np.random.default_rng(11)
+        z = np.concatenate([[0.0, -0.0, 700.0, -700.0, 1e-300, -1e-300],
+                            rng.normal(scale=10.0, size=1000)])
+        r = (rng.random(z.size) < 0.5).astype(float)
+        coef = rng.normal(size=3)
+        reference = np.mean(np.logaddexp(0.0, z) - r * z) + 0.5 * 0.1 * coef @ coef
+        assert _penalized_nll(z, r, coef, 0.1) == pytest.approx(reference, rel=1e-14)
+
+    def test_init_width_checked(self):
+        x = np.random.default_rng(10).normal(size=(50, 2))
+        r = np.arange(50) % 2.0
+        with pytest.raises(ValueError, match="init has 3 coefficients"):
+            fit_propensity(x, r, init=fit_propensity(np.hstack([x, x[:, :1]]), r))
 
 
 class TestWeightsFromPropensity:
@@ -170,3 +220,14 @@ class TestDiagnostics:
         n_obs = int(ds.mask.observed[:, 0].sum())
         assert 0 < entry["effective_sample_size"] <= n_obs + 1e-9
         assert sum(entry["weight_histogram"]["counts"]) == n_obs
+
+    def test_dump_unchanged_on_fixed_input(self):
+        # the expected file was written by the re-fitting implementation this
+        # one replaced; the cold fit path must reproduce it byte for byte
+        rng = np.random.default_rng(31)
+        data = DataMatrix(rng.normal(size=(400, 5)), tuple(f"c{j}" for j in range(5)))
+        spec = MarSpec((0, 3), ((1, 2), (2, 4)), alpha=2.0,
+                       target_missing_rate=0.3, seed=32)
+        ds, _ = apply_mar_mask(data, spec)
+        text = json.dumps(weight_diagnostics(initial_impute(ds)), indent=2) + "\n"
+        assert text == (DATA / "weight_diagnostics.json").read_text()

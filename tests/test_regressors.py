@@ -125,6 +125,21 @@ class TestWeightedForest:
         assert root.threshold == pytest.approx(best_thr)
         assert x[11, 0] < root.threshold < x[12, 0]
 
+    def test_adjacent_float_split_keeps_both_children(self):
+        # the midpoint of two neighbouring floats rounds up to the larger one;
+        # a threshold there would send every row left and leave a NaN leaf
+        a = 3.0000000000000004
+        b = float(np.nextafter(a, 4.0))
+        assert 0.5 * (a + b) == b
+        x = np.array([[a]] * 4 + [[b]] * 4)
+        y = np.array([0.0] * 4 + [1.0] * 4)
+        spec = ForestSpec(n_trees=1, max_depth=1, min_leaf_weight=1.0,
+                          feature_subsample=1.0, bootstrap=False, seed=0)
+        model = fit_weighted_forest(x, y, np.ones(8), spec)
+        root = model.trees[0]
+        assert a <= root.threshold < b
+        np.testing.assert_array_equal(predict(model, x), y)
+
     def test_predictions_bounded_by_training_targets(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(200, 4))
