@@ -14,13 +14,10 @@ from .data import (
     DataMatrix,
     MaskedDataset,
     MaskMatrix,
-    destandardize,
     load_csv,
     load_masked_csv,
-    partition_by_column,
     save_csv,
     save_masked_csv,
-    standardize,
 )
 from .engine import (
     ImputationConfig,

@@ -68,11 +68,8 @@ def _cmd_impute(args) -> int:
                 for s in result.per_sweep
             ],
         }
-        if ds.missing_columns():
-            final = ds.with_completed(result.completed)
-            diagnostics["propensity"] = weight_diagnostics(
-                final, l2=cfg.propensity_l2, clip_epsilon=cfg.clip_epsilon
-            )
+        if result.weights:
+            diagnostics["propensity"] = weight_diagnostics(result.weights)
         with open(args.diagnostics, "w", encoding="utf-8") as handle:
             json.dump(diagnostics, handle, indent=2)
     print(f"imputed {len(ds.missing_columns())} columns -> {args.output}")

@@ -1,5 +1,5 @@
-"""Data model: complete matrices, observedness masks, CSV ingestion/emission,
-standardization, and per-column observed/missing row partitioning.
+"""Data model: complete matrices, observedness masks, CSV ingestion/emission
+and column standardization.
 
 A mask is always a separate boolean matrix (True = observed); missing cells are
 never encoded as sentinel values. CSV dialect: comma-separated, '.' decimal,
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -22,9 +23,6 @@ __all__ = [
     "load_masked_csv",
     "save_csv",
     "save_masked_csv",
-    "standardize",
-    "destandardize",
-    "partition_by_column",
 ]
 
 
@@ -177,33 +175,55 @@ def _parse_cell(text: str, row: int, col: int, names=None) -> float:
     return value
 
 
-def _read_rows(path) -> list[list[str]]:
+def _raise_first_error(body, names, allow_missing: bool):
+    """Raise the first bad cell or all-missing row, walking in file order."""
+    for k, row in enumerate(body):
+        cells = [cell.strip() for cell in row]
+        for j, cell in enumerate(cells):
+            if cell or not allow_missing:
+                _parse_cell(cell, k, j, names)
+        if not any(cells):
+            raise ValueError(f"row {k} has every entry missing")
+    raise AssertionError("the parse failed but no cell or row is at fault")
+
+
+def _read_csv(path, has_header: bool, allow_missing: bool):
+    """Parse a CSV into (names, values, observed); missing cells read as 0.0.
+
+    A cell is observed when non-empty after stripping, and is parsed with
+    Python's ``float``; all cells go through one ``fromiter`` call, and only
+    a failure walks the rows again to name the first error.
+    """
     with open(path, newline="", encoding="utf-8") as handle:
-        return [row for row in csv.reader(handle) if row]
-
-
-def _split_header(rows, has_header):
+        rows = [row for row in csv.reader(handle) if row]
     if not rows:
         raise ValueError("empty CSV file")
     width = len(rows[0])
     for k, row in enumerate(rows):
         if len(row) != width:
             raise ValueError(f"ragged CSV: row {k} has {len(row)} cells, expected {width}")
+    names = tuple(f"col{j}" for j in range(width))
     if has_header:
-        names = tuple(cell.strip() for cell in rows[0])
-        return names, rows[1:]
-    return tuple(f"col{j}" for j in range(width)), rows
+        names, rows = tuple(cell.strip() for cell in rows[0]), rows[1:]
+    if not rows:
+        raise ValueError("CSV has a header but no data rows")
+    cells = list(map(str.strip, chain.from_iterable(rows)))
+    observed = np.fromiter(map(bool, cells), bool, len(cells)).reshape(len(rows), width)
+    try:
+        parsed = np.fromiter(map(float, filter(None, cells)), float, int(observed.sum()))
+    except ValueError:
+        parsed = None
+    usable = observed.any(axis=1).all() if allow_missing else observed.all()
+    if parsed is None or not usable or not np.isfinite(parsed).all():
+        _raise_first_error(rows, names, allow_missing)
+    values = np.zeros(observed.shape)
+    values[observed] = parsed
+    return names, values, observed
 
 
 def load_csv(path, has_header: bool = True) -> DataMatrix:
     """Load a complete CSV: every cell must parse as a finite real."""
-    names, body = _split_header(_read_rows(path), has_header)
-    if not body:
-        raise ValueError("CSV has a header but no data rows")
-    values = np.empty((len(body), len(names)))
-    for k, row in enumerate(body):
-        for j, cell in enumerate(row):
-            values[k, j] = _parse_cell(cell.strip(), k, j, names)
+    names, values, _ = _read_csv(path, has_header, allow_missing=False)
     return DataMatrix(values, names)
 
 
@@ -213,44 +233,39 @@ def load_masked_csv(path, has_header: bool = True) -> MaskedDataset:
     Missing cells get a placeholder 0.0 in the data matrix (the mask is the
     source of truth). Rows with no observed entry are rejected.
     """
-    names, body = _split_header(_read_rows(path), has_header)
-    if not body:
-        raise ValueError("CSV has a header but no data rows")
-    values = np.zeros((len(body), len(names)))
-    observed = np.zeros((len(body), len(names)), dtype=bool)
-    for k, row in enumerate(body):
-        for j, cell in enumerate(row):
-            cell = cell.strip()
-            if cell == "":
-                continue
-            values[k, j] = _parse_cell(cell, k, j, names)
-            observed[k, j] = True
-        if not observed[k].any():
-            raise ValueError(f"row {k} has every entry missing")
+    names, values, observed = _read_csv(path, has_header, allow_missing=True)
     return MaskedDataset(DataMatrix(values, names), MaskMatrix(observed))
+
+
+def _write_csv(path, names, values, observed, header: bool) -> None:
+    """Floats by repr, empty fields at missing cells, ``\\r\\n`` after each row.
+
+    Numbers never need quoting, so a row is joined directly: the bytes are
+    those ``csv.writer`` gives, which still writes the header.
+    """
+    def lines():
+        gappy = ~observed.all(axis=1)
+        for row, gap, obs in zip(values.tolist(), gappy.tolist(), observed):
+            cells = map(repr, row)
+            if gap:
+                cells = [cell if o else "" for cell, o in zip(cells, obs.tolist())]
+            yield ",".join(cells) + "\r\n"
+
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        if header:
+            csv.writer(handle).writerow(names)
+        handle.writelines(lines())
 
 
 def save_csv(matrix: DataMatrix, path, header: bool = True) -> None:
     """Write a complete matrix; floats use repr so a round trip is exact."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        if header:
-            writer.writerow(matrix.column_names)
-        for row in matrix.values:
-            writer.writerow([repr(float(v)) for v in row])
+    _write_csv(path, matrix.column_names, matrix.values,
+               np.ones(matrix.values.shape, dtype=bool), header)
 
 
 def save_masked_csv(ds: MaskedDataset, path, header: bool = True) -> None:
     """Write a masked dataset, emitting empty fields at missing cells."""
-    obs = ds.mask.observed
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        if header:
-            writer.writerow(ds.data.column_names)
-        for k, row in enumerate(ds.data.values):
-            writer.writerow(
-                [repr(float(v)) if obs[k, j] else "" for j, v in enumerate(row)]
-            )
+    _write_csv(path, ds.data.column_names, ds.data.values, ds.mask.observed, header)
 
 
 def column_stats(values: np.ndarray) -> ColumnStats:
@@ -269,31 +284,3 @@ def standardize_values(values: np.ndarray, stats: ColumnStats | None = None):
             f"stats cover {stats.mean.shape[0]} columns, matrix has {values.shape[1]}"
         )
     return (values - stats.mean) / stats.scale, stats
-
-
-def standardize(m: DataMatrix, stats: ColumnStats | None = None):
-    """Standardize columns to mean 0, std 1 (constant columns to all zeros).
-
-    Returns the standardized matrix and the stats used; pass the stats back to
-    :func:`destandardize` to invert exactly.
-    """
-    scaled, stats = standardize_values(m.values, stats)
-    return DataMatrix(scaled, m.column_names), stats
-
-
-def destandardize(m: DataMatrix, stats: ColumnStats) -> DataMatrix:
-    """Invert :func:`standardize` with the stats it returned."""
-    if stats.mean.shape[0] != m.n_cols:
-        raise ValueError("stats dimension mismatch")
-    return DataMatrix(m.values * stats.scale + stats.mean, m.column_names)
-
-
-def partition_by_column(ds: MaskedDataset, i: int):
-    """Row indices where column ``i`` is observed and where it is missing.
-
-    Both lists preserve original row order; together they partition the rows.
-    """
-    if not 0 <= i < ds.data.n_cols:
-        raise IndexError(f"column {i} out of range for d={ds.data.n_cols}")
-    col = ds.mask.observed[:, i]
-    return np.flatnonzero(col), np.flatnonzero(~col)

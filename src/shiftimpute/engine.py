@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import MaskedDataset
-from .propensity import DEFAULT_CLIP, DEFAULT_L2, effective_sample_size, weights_for_column
+from .propensity import (DEFAULT_CLIP, DEFAULT_L2, WeightVector,
+                         effective_sample_size, weights_for_column)
 from .regressors import RegressorSpec, fit_regressor, predict, weighted_mse
 
 __all__ = [
@@ -107,9 +108,14 @@ class IterationDiagnostics:
 
 @dataclass(frozen=True)
 class ImputationResult:
+    """The completion, per-sweep diagnostics, and the weights of the last
+    sweep per column with the propensity model they came from (empty when
+    the run is unweighted)."""
+
     completed: np.ndarray
     per_sweep: tuple[IterationDiagnostics, ...]
     config: ImputationConfig
+    weights: dict[int, WeightVector] = field(default_factory=dict)
 
 
 def initial_impute(ds: MaskedDataset) -> MaskedDataset:
@@ -198,12 +204,13 @@ def _column_step(values, observed, completed, i, cfg, sweep, scalings,
     """One Algorithm-2 column update; mutates ``completed`` and ``scalings``.
 
     ``init`` is the column's propensity model from the previous sweep, if
-    any. Returns the step's diagnostics and this sweep's propensity model.
+    any. Returns the step's diagnostics and the weights it fit with (None
+    when unweighted), which carry this sweep's propensity model.
     """
     obs_rows, miss_rows = scalings.obs_rows[i], scalings.miss_rows[i]
     others = scalings.others[i]
     block = completed[:, others]
-    propensity = None
+    wv = propensity = None
     if cfg.weighted:
         wv = weights_for_column(
             completed, observed[:, i], i, l2=cfg.propensity_l2,
@@ -229,7 +236,7 @@ def _column_step(values, observed, completed, i, cfg, sweep, scalings,
     )
     completed[miss_rows, i] = preds
     scalings.refresh(completed, i)
-    return diag, propensity
+    return diag, wv
 
 
 def impute_column_step(ds: MaskedDataset, i: int, cfg: ImputationConfig,
@@ -258,21 +265,24 @@ def impute(ds: MaskedDataset, cfg: ImputationConfig) -> ImputationResult:
     values = ds.data.values
     observed = ds.mask.observed
     scalings = _Scalings(completed, observed, order)
-    # each column's propensity model from the previous sweep; local to this
-    # call so results never depend on what ran before
-    propensities = {}
+    # each column's weights from the previous sweep, whose propensity model
+    # warm-starts the next fit; local to this call so results never depend
+    # on what ran before
+    weights = {}
     per_sweep = []
     for sweep in range(cfg.n_sweeps):
         diags = []
         for i in order:
+            init = weights[i].propensity if i in weights else None
             try:
-                diag, propensities[i] = _column_step(
-                    values, observed, completed, i, cfg, sweep, scalings,
-                    propensities.get(i))
-                diags.append(diag)
+                diag, wv = _column_step(values, observed, completed, i, cfg,
+                                        sweep, scalings, init)
             except Exception as exc:
                 raise RuntimeError(
                     f"column {i} failed at sweep {sweep}: {exc}"
                 ) from exc
+            diags.append(diag)
+            if wv is not None:
+                weights[i] = wv
         per_sweep.append(IterationDiagnostics(sweep, tuple(diags)))
-    return ImputationResult(completed, tuple(per_sweep), cfg)
+    return ImputationResult(completed, tuple(per_sweep), cfg, weights)

@@ -204,13 +204,16 @@ def effective_sample_size(weights: np.ndarray) -> float:
     return float(w.sum()) ** 2 / denom
 
 
-def weight_diagnostics(ds: MaskedDataset, l2: float = DEFAULT_L2,
-                       clip_epsilon: float = DEFAULT_CLIP) -> dict:
-    """JSON-ready per-column weight diagnostics for every imputable column."""
+def weight_diagnostics(weights: dict[int, WeightVector]) -> dict:
+    """JSON-ready diagnostics of per-column weights and the models they came
+    from, in ascending column order; fits nothing.
+
+    ``weights`` is :attr:`ImputationResult.weights` (or any column -> weights
+    mapping whose entries carry their propensity model).
+    """
     out = {}
-    for i in ds.missing_columns():
-        wv = weights_for_column(ds.completed, ds.mask.observed[:, i], i,
-                                l2=l2, clip_epsilon=clip_epsilon)
+    for i in sorted(weights):
+        wv = weights[i]
         model = wv.propensity
         counts, edges = np.histogram(wv.weights, bins=20)
         out[str(i)] = {

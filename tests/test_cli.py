@@ -6,6 +6,7 @@ import pytest
 from shiftimpute.benchmark import make_benchmark_dataset
 from shiftimpute.cli import main
 from shiftimpute.data import load_csv, load_masked_csv, save_csv
+from shiftimpute.engine import ImputationConfig, impute
 
 
 @pytest.fixture
@@ -66,6 +67,50 @@ def test_simulate_mask_impute_metrics_pipeline(tmp_path, truth_csv, capsys):
     assert report["rmse"] > 0
     stdout = capsys.readouterr().out
     assert f'"rmse": {report["rmse"]}' in stdout  # report echoed to stdout
+
+
+@pytest.fixture
+def masked_csv(tmp_path, truth_csv):
+    masked = tmp_path / "masked.csv"
+    assert main(["simulate-mask", "--input", str(truth_csv), "--output", str(masked),
+                 "--mechanism", str(tmp_path / "mech.json"), "--alpha", "2.0",
+                 "--missing-cols", "2", "--predictors", "2", "--seed", "5"]) == 0
+    return masked
+
+
+def _impute_with_diagnostics(tmp_path, masked, config):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    diagnostics = tmp_path / "diag.json"
+    assert main(["impute", "--input", str(masked), "--config", str(config_path),
+                 "--output", str(tmp_path / "completed.csv"),
+                 "--diagnostics", str(diagnostics)]) == 0
+    return json.loads(diagnostics.read_text())
+
+
+def test_unweighted_diagnostics_have_no_propensity(tmp_path, masked_csv):
+    diag = _impute_with_diagnostics(tmp_path, masked_csv,
+                                    {"weighted": False, "n_sweeps": 2})
+    assert "propensity" not in diag
+    assert len(diag["per_sweep"]) == 2
+
+
+def test_diagnostics_report_the_runs_own_propensity_fits(tmp_path, masked_csv):
+    config = {"regressor": {"kind": "ridge"}, "weighted": True, "n_sweeps": 3}
+    diag = _impute_with_diagnostics(tmp_path, masked_csv, config)
+    result = impute(load_masked_csv(masked_csv), ImputationConfig.from_dict(config))
+    assert set(diag["propensity"]) == {str(i) for i in result.weights}
+    for i, wv in result.weights.items():
+        entry = diag["propensity"][str(i)]
+        assert entry["coefficients"] == wv.propensity.coefficients.tolist()
+        assert entry["intercept"] == wv.propensity.intercept
+        assert entry["converged"] == wv.propensity.converged
+        assert sum(entry["weight_histogram"]["counts"]) == wv.weights.size
+    # the dump agrees with the last sweep's per-step record of the same fits
+    last = {c["column"]: c for c in diag["per_sweep"][-1]["columns"]}
+    for i, entry in diag["propensity"].items():
+        assert entry["converged"] == last[int(i)]["propensity_converged"]
+        assert entry["effective_sample_size"] == last[int(i)]["effective_sample_size"]
 
 
 def test_metrics_perfect_imputation(tmp_path, truth_csv):

@@ -242,6 +242,25 @@ class TestColumnStepState:
                 assert col.propensity_n_iter == 0
                 assert col.propensity_converged is None
 
+    def test_result_records_the_last_sweeps_weights(self, monkeypatch):
+        ds, cfg = paper_cell()
+        original = engine_mod._column_step
+        fitted = {}
+
+        def recording_step(*args):
+            diag, wv = original(*args)
+            fitted[args[3]] = wv
+            return diag, wv
+
+        monkeypatch.setattr(engine_mod, "_column_step", recording_step)
+        result = impute(ds, cfg)
+        assert sorted(result.weights) == ds.missing_columns()
+        for i, wv in result.weights.items():
+            assert wv is fitted[i]
+            assert wv.propensity is not None
+            assert wv.weights.size == int(ds.mask.observed[:, i].sum())
+        assert impute(ds, replace(cfg, weighted=False)).weights == {}
+
     def test_cached_scalings_track_the_completion(self, monkeypatch):
         ds, cfg = paper_cell()
         original = engine_mod._column_step
