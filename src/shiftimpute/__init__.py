@@ -23,7 +23,6 @@ from .engine import (
     ImputationConfig,
     ImputationResult,
     impute,
-    impute_column_step,
     initial_impute,
     visitation_order,
 )

@@ -34,7 +34,6 @@ __all__ = [
     "initial_impute",
     "visitation_order",
     "impute",
-    "impute_column_step",
 ]
 
 ASCENDING_MISSING = "ascending_missing_count"
@@ -237,18 +236,6 @@ def _column_step(values, observed, completed, i, cfg, sweep, scalings,
     completed[miss_rows, i] = preds
     scalings.refresh(completed, i)
     return diag, wv
-
-
-def impute_column_step(ds: MaskedDataset, i: int, cfg: ImputationConfig,
-                       sweep: int = 0):
-    """Run a single column update; returns (updated dataset, diagnostics)."""
-    if i not in ds.missing_columns():
-        raise ValueError(f"column {i} has no missing entries")
-    completed = ds.completed.copy()
-    observed = ds.mask.observed
-    diag, _ = _column_step(ds.data.values, observed, completed, i, cfg, sweep,
-                           _Scalings(completed, observed, [i]))
-    return ds.with_completed(completed), diag
 
 
 def impute(ds: MaskedDataset, cfg: ImputationConfig) -> ImputationResult:

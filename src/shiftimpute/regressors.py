@@ -169,6 +169,10 @@ class MlpModel:
     def n_features(self) -> int:
         return self.w_hidden.shape[0]
 
+    @property
+    def params(self):
+        return self.w_hidden, self.b_hidden, self.w_out, self.b_out
+
 
 def _check_xyw(x, y, w):
     x = np.asarray(x, dtype=float)
@@ -353,26 +357,37 @@ def _glorot(rng, fan_in, fan_out, shape):
     return rng.uniform(-limit, limit, size=shape)
 
 
+def _weighted_mean_square(resid, w) -> float:
+    return float((w * resid * resid).sum() / w.sum())
+
+
+def _mlp_forward(params, x):
+    """Hidden activations and predictions of the network ``params`` on ``x``."""
+    w_hidden, b_hidden, w_out, b_out = params
+    hidden = np.tanh(x @ w_hidden + b_hidden)
+    return hidden, hidden @ w_out + b_out
+
+
+def _mlp_gradient(params, x, hidden, resid, w):
+    """Gradients of the weighted MSE in the order of ``params``, given the
+    forward pass ``hidden`` on ``x`` and the residuals ``pred - y``."""
+    dpred = 2.0 * w * resid / w.sum()
+    dhidden = dpred[:, None] * params[2]
+    dhidden *= 1.0 - hidden * hidden
+    return x.T @ dhidden, dhidden.sum(axis=0), hidden.T @ dpred, float(dpred.sum())
+
+
 def mlp_loss_and_gradient(params, x, y, w):
     """Weighted-MSE loss and analytic gradients for one tanh hidden layer.
 
     ``params`` is (w_hidden, b_hidden, w_out, b_out); gradients come back in
-    the same order. Exposed so the analytic gradient can be checked against
-    finite differences.
+    the same order. Exposed so the analytic gradient the fit descends along
+    can be checked against finite differences.
     """
-    w_hidden, b_hidden, w_out, b_out = params
-    sw = w.sum()
-    hidden = np.tanh(x @ w_hidden + b_hidden)
-    pred = hidden @ w_out + b_out
+    hidden, pred = _mlp_forward(params, x)
     resid = pred - y
-    loss = float((w * resid * resid).sum() / sw)
-    dpred = 2.0 * w * resid / sw
-    g_wout = hidden.T @ dpred
-    g_bout = float(dpred.sum())
-    dhidden = np.outer(dpred, w_out) * (1.0 - hidden * hidden)
-    g_whidden = x.T @ dhidden
-    g_bhidden = dhidden.sum(axis=0)
-    return loss, (g_whidden, g_bhidden, g_wout, g_bout)
+    loss = _weighted_mean_square(resid, w)
+    return loss, _mlp_gradient(params, x, hidden, resid, w)
 
 
 def fit_weighted_mlp(x: np.ndarray, y: np.ndarray, w: np.ndarray,
@@ -380,7 +395,9 @@ def fit_weighted_mlp(x: np.ndarray, y: np.ndarray, w: np.ndarray,
     """Mini-batch gradient descent on the weighted MSE; seeded and deterministic.
 
     Zero-weight rows are dropped before batching, so the fit is identical to
-    one on the surviving rows alone. Aborts if the epoch loss exceeds 1e10.
+    one on the surviving rows alone. Each epoch gathers the rows in a fresh
+    random order once and steps on consecutive slices of it; the epoch loss
+    is one forward pass over all rows. Aborts if it exceeds 1e10.
     """
     x, y, w = _check_xyw(x, y, w)
     keep = w > 0
@@ -392,19 +409,24 @@ def fit_weighted_mlp(x: np.ndarray, y: np.ndarray, w: np.ndarray,
     b_hidden = np.zeros(h)
     w_out = _glorot(rng, h, 1, (h,))
     b_out = 0.0
+    lr, size = spec.learning_rate, spec.batch_size
     trace = []
     for _ in range(spec.epochs):
         perm = rng.permutation(n)
-        for start in range(0, n, spec.batch_size):
-            batch = perm[start:start + spec.batch_size]
-            _, grads = mlp_loss_and_gradient(
-                (w_hidden, b_hidden, w_out, b_out), x[batch], y[batch], w[batch]
-            )
-            w_hidden = w_hidden - spec.learning_rate * grads[0]
-            b_hidden = b_hidden - spec.learning_rate * grads[1]
-            w_out = w_out - spec.learning_rate * grads[2]
-            b_out = b_out - spec.learning_rate * grads[3]
-        loss, _ = mlp_loss_and_gradient((w_hidden, b_hidden, w_out, b_out), x, y, w)
+        xp, yp, wp = x[perm], y[perm], w[perm]
+        for start in range(0, n, size):
+            xb = xp[start:start + size]
+            params = (w_hidden, b_hidden, w_out, b_out)
+            hidden, pred = _mlp_forward(params, xb)
+            g_whidden, g_bhidden, g_wout, g_bout = _mlp_gradient(
+                params, xb, hidden, pred - yp[start:start + size],
+                wp[start:start + size])
+            w_hidden -= lr * g_whidden
+            b_hidden -= lr * g_bhidden
+            w_out -= lr * g_wout
+            b_out -= lr * g_bout
+        _, pred = _mlp_forward((w_hidden, b_hidden, w_out, b_out), x)
+        loss = _weighted_mean_square(pred - y, w)
         if not np.isfinite(loss) or loss > DIVERGENCE_LIMIT:
             raise RuntimeError(
                 f"MLP diverged at epoch {len(trace) + 1}: loss={loss!r} "
@@ -431,37 +453,28 @@ def predict(model, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise ValueError("X must be 2-D")
+    if not isinstance(model, (RidgeModel, ForestModel, MlpModel)):
+        raise TypeError(f"not a fitted regressor: {type(model).__name__}")
+    if x.shape[1] != model.n_features:
+        raise ValueError(
+            f"model expects {model.n_features} features, got {x.shape[1]}"
+        )
     if isinstance(model, RidgeModel):
-        if x.shape[1] != model.n_features:
-            raise ValueError(
-                f"model expects {model.n_features} features, got {x.shape[1]}"
-            )
         return x @ model.coefficients + model.intercept
-    if isinstance(model, ForestModel):
-        if x.shape[1] != model.n_features:
-            raise ValueError(
-                f"model expects {model.n_features} features, got {x.shape[1]}"
-            )
-        if x.shape[0] == 0:
-            return np.empty(0)
-        acc = np.zeros(x.shape[0])
-        rows = np.arange(x.shape[0])
-        scratch = np.empty(x.shape[0])
-        for tree in model.trees:
-            _tree_predict(tree, x, rows, scratch)
-            acc += scratch
-        return acc / len(model.trees)
     if isinstance(model, MlpModel):
-        if x.shape[1] != model.n_features:
-            raise ValueError(
-                f"model expects {model.n_features} features, got {x.shape[1]}"
-            )
-        return np.tanh(x @ model.w_hidden + model.b_hidden) @ model.w_out + model.b_out
-    raise TypeError(f"not a fitted regressor: {type(model).__name__}")
+        return _mlp_forward(model.params, x)[1]
+    if x.shape[0] == 0:
+        return np.empty(0)
+    acc = np.zeros(x.shape[0])
+    rows = np.arange(x.shape[0])
+    scratch = np.empty(x.shape[0])
+    for tree in model.trees:
+        _tree_predict(tree, x, rows, scratch)
+        acc += scratch
+    return acc / len(model.trees)
 
 
 def weighted_mse(model, x, y, w) -> float:
     """sum_k w_k (pred_k - y_k)^2 / sum_k w_k for a fitted model."""
     x, y, w = _check_xyw(x, y, w)
-    resid = predict(model, x) - y
-    return float((w * resid * resid).sum() / w.sum())
+    return _weighted_mean_square(predict(model, x) - y, w)

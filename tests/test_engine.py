@@ -1,22 +1,26 @@
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import shiftimpute.engine as engine_mod
 from shiftimpute.benchmark import ExperimentGrid, make_benchmark_dataset
-from shiftimpute.data import DataMatrix, MaskMatrix, MaskedDataset
+from shiftimpute.data import (DataMatrix, MaskMatrix, MaskedDataset,
+                              load_masked_csv, save_csv)
 from shiftimpute.engine import (
     ImputationConfig,
     impute,
-    impute_column_step,
     initial_impute,
     visitation_order,
 )
 from shiftimpute.masking import MarSpec, apply_mar_mask, select_random_spec
 from shiftimpute.metrics import rmse_masked, wilcoxon_signed_rank
 from shiftimpute.propensity import WeightVector
-from shiftimpute.regressors import RegressorSpec, fit_weighted_ridge, predict
+from shiftimpute.regressors import (MlpSpec, RegressorSpec, fit_weighted_ridge,
+                                    predict)
+
+DATA = Path(__file__).parent / "data"
 
 
 def make_masked(values, observed):
@@ -311,38 +315,68 @@ class TestColumnStepState:
                 assert np.isfinite(col.effective_sample_size)
 
 
-class TestImputeColumnStep:
+class TestSingleColumnSweeps:
+    # linear_pair_dataset has missing cells in column 1 only, so each sweep
+    # of impute is one column step on that column
+
     def test_unit_weights_match_plain_least_squares(self):
         ds, _ = linear_pair_dataset(seed=13)
         ds0 = initial_impute(ds)
-        stepped, _ = impute_column_step(ds0, 1, ridge_config(weighted=False))
+        result = impute(ds, ridge_config(weighted=False, n_sweeps=1))
         obs = ds.mask.observed[:, 1]
         x = ds0.completed[:, [0]]
         x_std = (x - x[obs].mean()) / x[obs].std()
         ols = fit_weighted_ridge(x_std[obs], ds.data.values[obs, 1],
                                  np.ones(int(obs.sum())), 1e-8)
-        np.testing.assert_allclose(stepped.completed[~obs, 1],
+        np.testing.assert_allclose(result.completed[~obs, 1],
                                    predict(ols, x_std[~obs]), atol=1e-9)
 
     def test_step_never_touches_observed_cells(self):
         ds, _ = linear_pair_dataset(seed=14)
-        ds0 = initial_impute(ds)
-        stepped, _ = impute_column_step(ds0, 1, ridge_config(weighted=True))
+        result = impute(ds, ridge_config(weighted=True, n_sweeps=1))
         obs = ds.mask.observed
-        assert np.array_equal(stepped.completed[obs], ds.data.values[obs])
+        assert np.array_equal(result.completed[obs], ds.data.values[obs])
 
     def test_repeated_step_is_a_fixed_point(self):
         ds, _ = linear_pair_dataset(seed=15)
-        ds0 = initial_impute(ds)
-        cfg = ridge_config(weighted=False)
-        once, _ = impute_column_step(ds0, 1, cfg)
-        twice, _ = impute_column_step(once, 1, cfg)
-        assert np.max(np.abs(twice.completed - once.completed)) < 1e-8
+        once = impute(ds, ridge_config(weighted=False, n_sweeps=1)).completed
+        twice = impute(ds, ridge_config(weighted=False, n_sweeps=2)).completed
+        assert np.max(np.abs(twice - once)) < 1e-8
 
-    def test_column_without_missing_rejected(self):
-        ds, _ = linear_pair_dataset(seed=16)
-        with pytest.raises(ValueError, match="no missing entries"):
-            impute_column_step(ds, 0, ridge_config())
+
+class TestMlpImpute:
+    def test_completion_reproduces_golden_bytes(self, tmp_path):
+        # mlp_complete.csv was written by save_csv from the completion the
+        # earlier per-batch-gather training loop made of mlp_masked.csv;
+        # columns 1 and 3 have 26 and 28 observed rows, so every epoch ends
+        # on a partial batch
+        ds = load_masked_csv(DATA / "mlp_masked.csv")
+        cfg = ImputationConfig(
+            regressor=RegressorSpec(kind="mlp", mlp=MlpSpec(
+                hidden_units=5, learning_rate=0.05, epochs=3, batch_size=8)),
+            n_sweeps=2, seed=11)
+        result = impute(ds, cfg)
+        out = tmp_path / "complete.csv"
+        save_csv(DataMatrix(result.completed, ds.data.column_names), out)
+        assert out.read_bytes() == (DATA / "mlp_complete.csv").read_bytes()
+
+    def test_divergence_names_column_sweep_and_epoch(self):
+        # the message, loss included, was recorded from the earlier training
+        # loop on this input; the epoch and loss depend on every update
+        rng = np.random.default_rng(21)
+        x1 = rng.normal(size=60)
+        data = DataMatrix(np.column_stack([x1, 2.0 * x1]), ("x1", "x2"))
+        ds, _ = apply_mar_mask(data, MarSpec((1,), ((0,),), alpha=1.0,
+                                             target_missing_rate=0.3, seed=22))
+        cfg = ImputationConfig(
+            regressor=RegressorSpec(kind="mlp", mlp=MlpSpec(
+                hidden_units=4, learning_rate=0.4, epochs=30, batch_size=8)),
+            n_sweeps=3, seed=3)
+        with pytest.raises(RuntimeError) as info:
+            impute(ds, cfg)
+        assert str(info.value) == (
+            "column 1 failed at sweep 0: MLP diverged at epoch 6: "
+            "loss=7789557134508.799 (learning_rate=0.4)")
 
 
 class TestConfig:

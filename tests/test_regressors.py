@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shiftimpute.masking import MarSpec, apply_mar_mask
@@ -12,6 +14,7 @@ from shiftimpute.regressors import (
     fit_weighted_forest,
     fit_weighted_mlp,
     fit_weighted_ridge,
+    fit_regressor,
     mlp_loss_and_gradient,
     predict,
     ridge_normal_equation_residual,
@@ -161,6 +164,112 @@ class TestWeightedForest:
         assert a.trees == b.trees
 
 
+# The mini-batch loop as it stood before the training loop gathered each
+# epoch once and computed only the forward pass for the epoch loss: one
+# fancy-index gather per batch and a full loss-and-gradient pass for every
+# step and epoch. Kept verbatim as the oracle the fit must reproduce bit for
+# bit.
+def _reference_loss_and_gradient(params, x, y, w):
+    w_hidden, b_hidden, w_out, b_out = params
+    sw = w.sum()
+    hidden = np.tanh(x @ w_hidden + b_hidden)
+    pred = hidden @ w_out + b_out
+    resid = pred - y
+    loss = float((w * resid * resid).sum() / sw)
+    dpred = 2.0 * w * resid / sw
+    g_wout = hidden.T @ dpred
+    g_bout = float(dpred.sum())
+    dhidden = np.outer(dpred, w_out) * (1.0 - hidden * hidden)
+    g_whidden = x.T @ dhidden
+    g_bhidden = dhidden.sum(axis=0)
+    return loss, (g_whidden, g_bhidden, g_wout, g_bout)
+
+
+def _reference_glorot(rng, fan_in, fan_out, shape):
+    limit = math.sqrt(6.0 / (fan_in + fan_out))
+    return rng.uniform(-limit, limit, size=shape)
+
+
+def _reference_fit_mlp(x, y, w, spec):
+    keep = w > 0
+    x, y, w = x[keep], y[keep], w[keep]
+    n, p = x.shape
+    h = spec.hidden_units
+    rng = np.random.default_rng(spec.seed)
+    w_hidden = _reference_glorot(rng, p, h, (p, h))
+    b_hidden = np.zeros(h)
+    w_out = _reference_glorot(rng, h, 1, (h,))
+    b_out = 0.0
+    trace = []
+    for _ in range(spec.epochs):
+        perm = rng.permutation(n)
+        for start in range(0, n, spec.batch_size):
+            batch = perm[start:start + spec.batch_size]
+            _, grads = _reference_loss_and_gradient(
+                (w_hidden, b_hidden, w_out, b_out), x[batch], y[batch], w[batch]
+            )
+            w_hidden = w_hidden - spec.learning_rate * grads[0]
+            b_hidden = b_hidden - spec.learning_rate * grads[1]
+            w_out = w_out - spec.learning_rate * grads[2]
+            b_out = b_out - spec.learning_rate * grads[3]
+        loss, _ = _reference_loss_and_gradient((w_hidden, b_hidden, w_out, b_out), x, y, w)
+        if not np.isfinite(loss) or loss > 1e10:
+            raise RuntimeError(
+                f"MLP diverged at epoch {len(trace) + 1}: loss={loss!r} "
+                f"(learning_rate={spec.learning_rate})"
+            )
+        trace.append(loss)
+    return (w_hidden, b_hidden, w_out, float(b_out)), tuple(trace)
+
+
+class TestMlpMatchesReferenceLoop:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 90),
+        p=st.integers(1, 5),
+        hidden_units=st.integers(1, 12),
+        batch=st.one_of(st.just(1), st.integers(2, 40), st.just(1000)),
+        epochs=st.integers(1, 4),
+        learning_rate=st.sampled_from([0.005, 0.05, 0.3]),
+        zero_frac=st.sampled_from([0.0, 0.3]),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @example(n=1, p=1, hidden_units=1, batch=1, epochs=2, learning_rate=0.05,
+             zero_frac=0.0, seed=0)
+    @example(n=40, p=3, hidden_units=6, batch=1000, epochs=3, learning_rate=0.05,
+             zero_frac=0.3, seed=1)
+    def test_fit_is_bit_identical(self, n, p, hidden_units, batch, epochs,
+                                  learning_rate, zero_frac, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, p))
+        y = x.sum(axis=1) + rng.normal(size=n)
+        w = rng.uniform(0.1, 3.0, n)
+        w[rng.random(n) < zero_frac] = 0.0
+        w[rng.integers(n)] = 1.0  # positive total mass
+        spec = MlpSpec(hidden_units=hidden_units, learning_rate=learning_rate,
+                       epochs=epochs, batch_size=batch, seed=seed % 1000)
+        try:
+            params, trace = _reference_fit_mlp(x, y, w, spec)
+        except RuntimeError as exc:
+            with pytest.raises(RuntimeError) as info:
+                fit_weighted_mlp(x, y, w, spec)
+            assert str(info.value) == str(exc)
+            return
+        model = fit_weighted_mlp(x, y, w, spec)
+        for got, want in zip(model.params, params):
+            assert np.array_equal(got, want)
+        assert model.loss_trace == trace
+        # the loss-and-gradient the finite-difference checks test is the
+        # reference's, bit for bit
+        loss, grads = mlp_loss_and_gradient(params, x, y, w)
+        ref_loss, ref_grads = _reference_loss_and_gradient(params, x, y, w)
+        assert loss == ref_loss
+        for got, want in zip(grads, ref_grads):
+            assert np.array_equal(got, want)
+        hidden = np.tanh(x @ params[0] + params[1])
+        assert np.array_equal(predict(model, x), hidden @ params[2] + params[3])
+
+
 class TestWeightedMlp:
     def test_zero_weight_rows_equal_deleted_rows(self):
         rng = np.random.default_rng(6)
@@ -275,10 +384,17 @@ class TestPredict:
             assert predict(model, np.empty((0, 1))).shape == (0,)
 
     def test_width_mismatch(self):
-        model = fit_weighted_ridge(np.array([[0.0], [1.0]]), np.array([0.0, 1.0]),
-                                   np.ones(2), 0.0)
-        with pytest.raises(ValueError, match="features"):
-            predict(model, np.zeros((3, 2)))
+        for kind in ("ridge", "forest", "mlp"):
+            spec = RegressorSpec(kind=kind, forest=ForestSpec(n_trees=2),
+                                 mlp=MlpSpec(hidden_units=4, epochs=2))
+            model = fit_regressor(spec, np.array([[0.0], [1.0]]),
+                                  np.array([0.0, 1.0]), np.ones(2))
+            with pytest.raises(ValueError, match="model expects 1 features, got 2"):
+                predict(model, np.zeros((3, 2)))
+
+    def test_unfitted_object_rejected(self):
+        with pytest.raises(TypeError, match="not a fitted regressor: dict"):
+            predict({}, np.zeros((3, 2)))
 
 
 class TestWeightedMse:
