@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .data import DataMatrix, load_csv
+from .data import DataMatrix, JsonRecord, load_csv
 from .engine import ImputationConfig, impute
 from .masking import apply_mar_mask, select_random_spec
 from .metrics import evaluate_imputation, wilcoxon_signed_rank
@@ -75,7 +75,7 @@ def make_benchmark_dataset(n: int = 5000, d: int = 10, seed: int = 0) -> DataMat
 
 
 @dataclass(frozen=True)
-class DatasetSource:
+class DatasetSource(JsonRecord):
     """Where the benchmark data comes from: in-repo generator or a CSV."""
 
     kind: str = "synthetic"
@@ -91,15 +91,6 @@ class DatasetSource:
         if self.kind == "csv" and not self.path:
             raise ValueError("csv dataset needs a path")
 
-    def to_dict(self) -> dict:
-        if self.kind == "csv":
-            return {"kind": "csv", "path": self.path, "has_header": self.has_header}
-        return {"kind": "synthetic", "n": self.n, "d": self.d, "seed": self.seed}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DatasetSource":
-        return cls(**d)
-
 
 @lru_cache(maxsize=4)
 def _materialize(source: DatasetSource) -> DataMatrix:
@@ -109,7 +100,7 @@ def _materialize(source: DatasetSource) -> DataMatrix:
 
 
 @dataclass(frozen=True)
-class ExperimentGrid:
+class ExperimentGrid(JsonRecord):
     """The full experimental design for one benchmark run."""
 
     dataset: DatasetSource = field(default_factory=DatasetSource)
@@ -129,54 +120,34 @@ class ExperimentGrid:
     mlp: MlpSpec = field(default_factory=MlpSpec)
 
     def __post_init__(self):
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        seeds = self.seeds
+        if isinstance(seeds, int) and not isinstance(seeds, bool):
+            seeds = range(seeds)  # "seeds": n is shorthand for seeds 0..n-1
+        object.__setattr__(self, "seeds", tuple(int(s) for s in seeds))
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
         object.__setattr__(self, "models", tuple(self.models))
-        if not self.seeds or not self.alphas or not self.models:
-            raise ValueError("seeds, alphas, and models must be nonempty")
+        for name in ("seeds", "alphas", "models"):
+            values = getattr(self, name)
+            if not values:
+                raise ValueError(f"{name} must be nonempty")
+            if len(set(values)) != len(values):
+                raise ValueError(f"duplicate {name} in {list(values)}")
         for kind in self.models:
             if kind not in ("ridge", "forest", "mlp"):
                 raise ValueError(f"unknown model kind {kind!r}")
+        # the runs' own checks (n_sweeps, ridge_lambda), before any cell runs
+        self.imputation_config(self.models[0], True, 0)
 
-    def regressor_spec(self, kind: str) -> RegressorSpec:
-        return RegressorSpec(kind=kind, ridge_lambda=self.ridge_lambda,
-                             forest=self.forest, mlp=self.mlp)
-
-    def to_dict(self) -> dict:
-        return {
-            "dataset": self.dataset.to_dict(),
-            "seeds": list(self.seeds),
-            "alphas": list(self.alphas),
-            "missing_rate": self.missing_rate,
-            "n_missing_cols": self.n_missing_cols,
-            "n_predictors": self.n_predictors,
-            "models": list(self.models),
-            "n_sweeps": self.n_sweeps,
-            "clip_epsilon": self.clip_epsilon,
-            "propensity_l2": self.propensity_l2,
-            "ridge_lambda": self.ridge_lambda,
-            "forest": vars(self.forest).copy(),
-            "mlp": vars(self.mlp).copy(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentGrid":
-        kwargs = dict(d)
-        if "dataset" in kwargs:
-            kwargs["dataset"] = DatasetSource.from_dict(kwargs["dataset"])
-        if isinstance(kwargs.get("seeds"), int):
-            kwargs["seeds"] = tuple(range(kwargs["seeds"]))
-        elif "seeds" in kwargs:
-            kwargs["seeds"] = tuple(kwargs["seeds"])
-        if "alphas" in kwargs:
-            kwargs["alphas"] = tuple(kwargs["alphas"])
-        if "models" in kwargs:
-            kwargs["models"] = tuple(kwargs["models"])
-        if "forest" in kwargs and isinstance(kwargs["forest"], dict):
-            kwargs["forest"] = ForestSpec(**kwargs["forest"])
-        if "mlp" in kwargs and isinstance(kwargs["mlp"], dict):
-            kwargs["mlp"] = MlpSpec(**kwargs["mlp"])
-        return cls(**kwargs)
+    def imputation_config(self, kind: str, weighted: bool,
+                          seed: int) -> ImputationConfig:
+        """The config of one run of this grid: model ``kind``, weighted or not."""
+        return ImputationConfig(
+            regressor=RegressorSpec(kind=kind, ridge_lambda=self.ridge_lambda,
+                                    forest=self.forest, mlp=self.mlp),
+            weighted=weighted, n_sweeps=self.n_sweeps,
+            clip_epsilon=self.clip_epsilon, propensity_l2=self.propensity_l2,
+            seed=seed,
+        )
 
 
 @dataclass(frozen=True)
@@ -191,7 +162,7 @@ class RunRecord:
 
 
 @dataclass(frozen=True)
-class FailureRecord:
+class FailureRecord(JsonRecord):
     seed: int
     alpha: float
     model: str | None
@@ -249,14 +220,7 @@ def _run_cell(grid: ExperimentGrid, seed: int, alpha_index: int,
         return records, failures
     for kind in grid.models:
         for weighted in (True, False):
-            cfg = ImputationConfig(
-                regressor=grid.regressor_spec(kind),
-                weighted=weighted,
-                n_sweeps=grid.n_sweeps,
-                clip_epsilon=grid.clip_epsilon,
-                propensity_l2=grid.propensity_l2,
-                seed=_mask_seed(seed, alpha),
-            )
+            cfg = grid.imputation_config(kind, weighted, _mask_seed(seed, alpha))
             start = time.perf_counter()
             try:
                 result = impute(masked, cfg)
@@ -381,7 +345,7 @@ def build_summary(result: BenchmarkResult) -> dict:
     return {
         "grid": result.grid.to_dict(),
         "n_records": len(result.records),
-        "failures": [vars(f).copy() for f in result.failures],
+        "failures": [f.to_dict() for f in result.failures],
         "per_model": per_model,
         "wall_time_ms": {
             "total": float(sum(r.wall_time_ms for r in result.records)),

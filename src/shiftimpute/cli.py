@@ -47,13 +47,24 @@ def _cmd_simulate_mask(args) -> int:
     return 0
 
 
+def _load_config(cls, path):
+    """Read ``cls`` from a JSON file, or its defaults when no file is given.
+
+    A file that cannot be read or does not describe a valid ``cls`` ends the
+    command with a one-line message naming the file.
+    """
+    if not path:
+        return cls()
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return cls.from_dict(json.load(handle))
+    except (OSError, ValueError, TypeError) as exc:
+        raise SystemExit(f"shiftimpute: {path}: {exc}") from None
+
+
 def _cmd_impute(args) -> int:
+    cfg = _load_config(ImputationConfig, args.config)
     ds = load_masked_csv(args.input, has_header=not args.no_header)
-    if args.config:
-        with open(args.config, encoding="utf-8") as handle:
-            cfg = ImputationConfig.from_dict(json.load(handle))
-    else:
-        cfg = ImputationConfig()
     result = impute(ds, cfg)
     save_csv(DataMatrix(result.completed, ds.data.column_names), args.output,
              header=not args.no_header)
@@ -63,7 +74,7 @@ def _cmd_impute(args) -> int:
             "per_sweep": [
                 {
                     "sweep": s.sweep,
-                    "columns": [vars(c).copy() for c in s.columns],
+                    "columns": [c.to_dict() for c in s.columns],
                 }
                 for s in result.per_sweep
             ],
@@ -102,11 +113,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_benchmark(args) -> int:
-    if args.grid:
-        with open(args.grid, encoding="utf-8") as handle:
-            grid = ExperimentGrid.from_dict(json.load(handle))
-    else:
-        grid = ExperimentGrid()
+    grid = _load_config(ExperimentGrid, args.grid)
     result = run_benchmark(grid, jobs=args.jobs)
     records_to_csv(result.records, args.out)
     if args.summary:

@@ -1,5 +1,5 @@
-"""Data model: complete matrices, observedness masks, CSV ingestion/emission
-and column standardization.
+"""Data model: complete matrices, observedness masks, CSV ingestion/emission,
+column standardization, and the JSON form of config and record dataclasses.
 
 A mask is always a separate boolean matrix (True = observed); missing cells are
 never encoded as sentinel values. CSV dialect: comma-separated, '.' decimal,
@@ -9,12 +9,14 @@ optional header row, empty field = missing, UTF-8.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+import typing
+from dataclasses import asdict, dataclass, field, fields
 from itertools import chain
 
 import numpy as np
 
 __all__ = [
+    "JsonRecord",
     "DataMatrix",
     "MaskMatrix",
     "MaskedDataset",
@@ -24,6 +26,50 @@ __all__ = [
     "save_csv",
     "save_masked_csv",
 ]
+
+
+_JSON_SCALARS = {bool: ((bool,), "boolean"), int: ((int,), "integer"),
+                 float: ((int, float), "number")}
+
+
+class JsonRecord:
+    """Base of the dataclasses that are written and read as JSON objects.
+
+    ``to_dict`` lists the fields in declaration order, nested records as
+    nested dicts. ``from_dict`` is its inverse and the one place JSON input
+    is checked: an unknown key, a non-object where a record belongs, and a
+    boolean, integer or float field given any other JSON type are errors.
+    Lists become tuples; omitted keys keep their defaults.
+    """
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, d: dict):
+        if not isinstance(d, dict):
+            raise ValueError(f"{cls.__name__} must be a JSON object, got {d!r}")
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown {cls.__name__} keys: {', '.join(unknown)}")
+        hints = typing.get_type_hints(cls)
+        return cls(**{name: _from_json(f"{cls.__name__}.{name}", hints[name], value)
+                      for name, value in d.items()})
+
+
+def _from_json(label: str, hint, value):
+    """A field's JSON value as its annotation ``hint`` expects it."""
+    if isinstance(hint, type) and issubclass(hint, JsonRecord):
+        if not isinstance(value, dict):
+            raise ValueError(f"{label} must be a JSON object, got {value!r}")
+        return hint.from_dict(value)
+    if hint in _JSON_SCALARS:
+        types, name = _JSON_SCALARS[hint]
+        # bool subclasses int: true is no integer here, and 1 no boolean
+        if isinstance(value, bool) != (hint is bool) or not isinstance(value, types):
+            raise ValueError(f"{label} must be a JSON {name}, got {value!r}")
+        return hint(value)
+    return tuple(value) if isinstance(value, list) else value
 
 
 @dataclass(frozen=True)

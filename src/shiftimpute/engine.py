@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import MaskedDataset
+from .data import JsonRecord, MaskedDataset
 from .propensity import (DEFAULT_CLIP, DEFAULT_L2, WeightVector,
                          effective_sample_size, weights_for_column)
 from .regressors import RegressorSpec, fit_regressor, predict, weighted_mse
@@ -40,7 +40,7 @@ ASCENDING_MISSING = "ascending_missing_count"
 
 
 @dataclass(frozen=True)
-class ImputationConfig:
+class ImputationConfig(JsonRecord):
     """Everything one imputation run depends on."""
 
     regressor: RegressorSpec = field(default_factory=RegressorSpec)
@@ -61,36 +61,9 @@ class ImputationConfig:
             object.__setattr__(self, "visitation",
                                tuple(int(c) for c in self.visitation))
 
-    def to_dict(self) -> dict:
-        return {
-            "regressor": self.regressor.to_dict(),
-            "weighted": self.weighted,
-            "n_sweeps": self.n_sweeps,
-            "visitation": self.visitation if isinstance(self.visitation, str)
-            else list(self.visitation),
-            "clip_epsilon": self.clip_epsilon,
-            "propensity_l2": self.propensity_l2,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ImputationConfig":
-        visitation = d.get("visitation", ASCENDING_MISSING)
-        if not isinstance(visitation, str):
-            visitation = tuple(visitation)
-        return cls(
-            regressor=RegressorSpec.from_dict(d.get("regressor", {})),
-            weighted=bool(d.get("weighted", True)),
-            n_sweeps=int(d.get("n_sweeps", 5)),
-            visitation=visitation,
-            clip_epsilon=float(d.get("clip_epsilon", DEFAULT_CLIP)),
-            propensity_l2=float(d.get("propensity_l2", DEFAULT_L2)),
-            seed=int(d.get("seed", 0)),
-        )
-
 
 @dataclass(frozen=True)
-class ColumnDiagnostics:
+class ColumnDiagnostics(JsonRecord):
     column: int
     train_weighted_mse: float
     mean_abs_update: float

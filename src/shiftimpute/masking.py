@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataMatrix, MaskMatrix, MaskedDataset, standardize_values
+from .data import (DataMatrix, JsonRecord, MaskMatrix, MaskedDataset,
+                   standardize_values)
 
 __all__ = [
     "MarSpec",
@@ -34,7 +35,7 @@ MAX_PREDICTORS = 4
 
 
 @dataclass(frozen=True)
-class MarSpec:
+class MarSpec(JsonRecord):
     """Which columns go missing, what drives them, and how strongly.
 
     ``predictor_sets[k]`` lists the fully observed columns whose (standardized)
@@ -67,25 +68,6 @@ class MarSpec:
                 raise ValueError("predictor sets must not intersect missing columns")
         if not 0.0 < self.target_missing_rate < 1.0:
             raise ValueError("target_missing_rate must be in (0, 1)")
-
-    def to_dict(self) -> dict:
-        return {
-            "missing_cols": list(self.missing_cols),
-            "predictor_sets": [list(s) for s in self.predictor_sets],
-            "alpha": self.alpha,
-            "target_missing_rate": self.target_missing_rate,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MarSpec":
-        return cls(
-            tuple(d["missing_cols"]),
-            tuple(tuple(s) for s in d["predictor_sets"]),
-            float(d["alpha"]),
-            float(d["target_missing_rate"]),
-            int(d["seed"]),
-        )
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataMatrix, MaskMatrix
+from .data import DataMatrix, JsonRecord, MaskMatrix
 
 __all__ = [
     "MetricsReport",
@@ -28,37 +28,20 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class MetricsReport:
+class MetricsReport(JsonRecord):
     rmse: float
     wasserstein: float
     per_column_wasserstein: tuple[float, ...]
     masked_cell_count: int
 
-    def to_dict(self) -> dict:
-        return {
-            "rmse": self.rmse,
-            "wasserstein": self.wasserstein,
-            "per_column_wasserstein": list(self.per_column_wasserstein),
-            "masked_cell_count": self.masked_cell_count,
-        }
-
 
 @dataclass(frozen=True)
-class WilcoxonResult:
+class WilcoxonResult(JsonRecord):
     statistic: float
     z_score: float
     p_value: float
     n_pairs: int
     n_zero_diffs: int
-
-    def to_dict(self) -> dict:
-        return {
-            "statistic": self.statistic,
-            "z_score": self.z_score,
-            "p_value": self.p_value,
-            "n_pairs": self.n_pairs,
-            "n_zero_diffs": self.n_zero_diffs,
-        }
 
 
 def rmse_masked(truth: DataMatrix | np.ndarray, imputed: np.ndarray,

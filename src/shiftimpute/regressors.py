@@ -19,6 +19,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .data import JsonRecord
+
 __all__ = [
     "ForestSpec",
     "MlpSpec",
@@ -44,7 +46,7 @@ DIVERGENCE_LIMIT = 1e10
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ForestSpec:
+class ForestSpec(JsonRecord):
     n_trees: int = 100
     max_depth: int = 8
     min_leaf_weight: float = 5.0
@@ -62,7 +64,7 @@ class ForestSpec:
 
 
 @dataclass(frozen=True)
-class MlpSpec:
+class MlpSpec(JsonRecord):
     hidden_units: int = 32
     learning_rate: float = 0.02
     epochs: int = 150
@@ -77,7 +79,7 @@ class MlpSpec:
 
 
 @dataclass(frozen=True)
-class RegressorSpec:
+class RegressorSpec(JsonRecord):
     """Which model class to fit and its hyperparameters."""
 
     kind: str = "ridge"
@@ -98,23 +100,6 @@ class RegressorSpec:
             mlp=replace(self.mlp, seed=seed),
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "ridge_lambda": self.ridge_lambda,
-            "forest": vars(self.forest).copy(),
-            "mlp": vars(self.mlp).copy(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RegressorSpec":
-        return cls(
-            kind=d.get("kind", "ridge"),
-            ridge_lambda=float(d.get("ridge_lambda", 1e-3)),
-            forest=ForestSpec(**d.get("forest", {})),
-            mlp=MlpSpec(**d.get("mlp", {})),
-        )
-
 
 # ---------------------------------------------------------------------------
 # Fitted models
@@ -128,13 +113,6 @@ class RidgeModel:
     @property
     def n_features(self) -> int:
         return self.coefficients.shape[0]
-
-    def to_dict(self) -> dict:
-        """JSON-ready coefficient dump for inspection."""
-        return {
-            "coefficients": [float(c) for c in self.coefficients],
-            "intercept": self.intercept,
-        }
 
 
 @dataclass(frozen=True)

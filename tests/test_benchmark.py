@@ -12,6 +12,8 @@ from shiftimpute.benchmark import (
     sensitivity_sweep,
     summarize_alpha_profile,
 )
+from shiftimpute.engine import ImputationConfig
+from shiftimpute.regressors import RegressorSpec
 
 
 def small_grid(**kwargs):
@@ -206,6 +208,38 @@ class TestGridConfig:
     def test_seed_count_shorthand(self):
         grid = ExperimentGrid.from_dict({"seeds": 5})
         assert grid.seeds == (0, 1, 2, 3, 4)
+        assert ExperimentGrid(seeds=5) == grid
+
+    def test_dataset_header_flag_must_be_boolean(self):
+        with pytest.raises(ValueError, match="DatasetSource.has_header"):
+            ExperimentGrid.from_dict({"dataset": {"kind": "csv", "path": "t.csv",
+                                                  "has_header": "false"}})
+
+    @pytest.mark.parametrize("name, values", [
+        ("seeds", (0, 1, 0)), ("alphas", (1.0, 1.0)), ("models", ("ridge", "ridge")),
+    ])
+    def test_duplicate_values_rejected(self, name, values):
+        # a repeated alpha would write duplicate rows and pair them as one
+        with pytest.raises(ValueError, match=f"duplicate {name}"):
+            small_grid(**{name: values})
+
+    @pytest.mark.parametrize("setting, message", [
+        ({"n_sweeps": 0}, "n_sweeps must be >= 1"),
+        ({"ridge_lambda": -1.0}, "ridge_lambda must be nonnegative"),
+    ])
+    def test_run_settings_checked_up_front(self, setting, message):
+        # rejected when the grid is built, before any cell is masked
+        with pytest.raises(ValueError, match=message):
+            small_grid(**setting)
+
+    def test_imputation_config_carries_the_grid_settings(self):
+        grid = small_grid(ridge_lambda=0.5, clip_epsilon=0.02, propensity_l2=0.1)
+        cfg = grid.imputation_config("mlp", False, 7)
+        assert cfg == ImputationConfig(
+            regressor=RegressorSpec(kind="mlp", ridge_lambda=0.5,
+                                    forest=grid.forest, mlp=grid.mlp),
+            weighted=False, n_sweeps=2, clip_epsilon=0.02, propensity_l2=0.1,
+            seed=7)
 
     def test_paired_design_is_implicit(self):
         # weighted/unweighted twins are generated per model kind, so any

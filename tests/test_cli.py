@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import shiftimpute
 from shiftimpute.benchmark import make_benchmark_dataset
 from shiftimpute.cli import main
 from shiftimpute.data import load_csv, load_masked_csv, save_csv
@@ -191,3 +196,50 @@ def test_csv_dataset_source(tmp_path, truth_csv):
     rc = main(["benchmark", "--grid", str(grid_path), "--out", str(out)])
     assert rc == 0
     assert len(out.read_text().splitlines()) == 3
+
+
+IMPUTE = ["impute", "--input", "in.csv", "--output", "out.csv", "--config"]
+BENCHMARK = ["benchmark", "--out", "out.csv", "--grid"]
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    (IMPUTE, '{"n_sweep": 3}', "unknown ImputationConfig keys: n_sweep"),
+    (IMPUTE, '{"weighted": "false"}',
+     "ImputationConfig.weighted must be a JSON boolean, got 'false'"),
+    (IMPUTE, '{"n_sweeps": 0}', "n_sweeps must be >= 1"),
+    (IMPUTE, '{"n_sweeps": }', "Expecting value: line 1 column 14 (char 13)"),
+    (IMPUTE, None, "[Errno 2] No such file or directory"),
+    (BENCHMARK, '{"seedz": 3}', "unknown ExperimentGrid keys: seedz"),
+    (BENCHMARK, '{"n_sweeps": 2.5}',
+     "ExperimentGrid.n_sweeps must be a JSON integer, got 2.5"),
+    (BENCHMARK, '{"alphas": [1.0, 1.0]}', "duplicate alphas in [1.0, 1.0]"),
+    (BENCHMARK, '{"n_sweeps": 0}', "n_sweeps must be >= 1"),
+    (BENCHMARK, "[1, 2]", "ExperimentGrid must be a JSON object, got [1, 2]"),
+    (BENCHMARK, None, "[Errno 2] No such file or directory"),
+])
+def test_bad_config_file_is_a_one_line_error(tmp_path, monkeypatch, argv, text,
+                                              message):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "config.json"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(SystemExit) as info:
+        main(argv + [str(path)])
+    assert str(info.value).startswith(f"shiftimpute: {path}: {message}")
+    assert "\n" not in str(info.value)
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_bad_config_exits_nonzero_without_traceback(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text('{"weighted": "false"}')
+    proc = subprocess.run(
+        [sys.executable, "-m", "shiftimpute.cli", "impute", "--input", "in.csv",
+         "--output", "out.csv", "--config", str(path)],
+        capture_output=True, text=True, cwd=tmp_path,
+        env={**os.environ,
+             "PYTHONPATH": str(Path(shiftimpute.__file__).resolve().parents[1])},
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == (f"shiftimpute: {path}: ImputationConfig.weighted must be "
+                           "a JSON boolean, got 'false'\n")

@@ -1,4 +1,5 @@
 import csv
+import json
 import re
 from pathlib import Path
 
@@ -350,3 +351,45 @@ class TestDataMatrixInvariants:
     def test_too_narrow_rejected(self):
         with pytest.raises(ValueError):
             DataMatrix(np.ones((3, 1)), ("a",))
+
+
+def golden_records():
+    from shiftimpute.benchmark import ExperimentGrid
+    from shiftimpute.engine import ImputationConfig
+    from shiftimpute.masking import MarSpec
+    from shiftimpute.metrics import WilcoxonResult
+    from shiftimpute.regressors import ForestSpec, MlpSpec, RegressorSpec
+
+    return {
+        "golden_config_forest.json": ImputationConfig(
+            regressor=RegressorSpec(
+                kind="forest", ridge_lambda=0.25,
+                forest=ForestSpec(n_trees=7, max_depth=3, min_leaf_weight=2.5,
+                                  bootstrap=False, seed=4),
+                mlp=MlpSpec(hidden_units=4, learning_rate=0.1)),
+            weighted=False, n_sweeps=3, visitation=(2, 0, 1), clip_epsilon=0.02,
+            propensity_l2=0.001, seed=11),
+        "golden_mar_spec.json": MarSpec(
+            missing_cols=(1, 3), predictor_sets=((0, 2), (2, 4, 5)), alpha=-1.5,
+            target_missing_rate=0.3, seed=7),
+        "golden_wilcoxon.json": WilcoxonResult(
+            statistic=12.5, z_score=-1.8347385892669787, p_value=0.06654663937009465,
+            n_pairs=10, n_zero_diffs=1),
+        # the dataset object lists every DatasetSource field, the other
+        # kind's included
+        "golden_grid_default.json": ExperimentGrid(),
+    }
+
+
+class TestGoldenJson:
+    @pytest.mark.parametrize("name", sorted(golden_records()))
+    def test_dump_matches_fixture(self, name):
+        record = golden_records()[name]
+        expected = (DATA / name).read_text(encoding="utf-8")
+        assert json.dumps(record.to_dict(), indent=2) + "\n" == expected
+
+    @pytest.mark.parametrize("name", sorted(golden_records()))
+    def test_fixture_reads_back(self, name):
+        record = golden_records()[name]
+        payload = json.loads((DATA / name).read_text(encoding="utf-8"))
+        assert type(record).from_dict(payload) == record

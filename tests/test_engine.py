@@ -223,11 +223,7 @@ def paper_cell(weighted=True, seed=0, alpha=3.0):
     spec = replace(layout, alpha=alpha, target_missing_rate=grid.missing_rate,
                    seed=seed + 1)
     ds, _ = apply_mar_mask(data, spec)
-    cfg = ImputationConfig(regressor=grid.regressor_spec("ridge"),
-                           weighted=weighted, n_sweeps=grid.n_sweeps,
-                           clip_epsilon=grid.clip_epsilon,
-                           propensity_l2=grid.propensity_l2, seed=seed)
-    return ds, cfg
+    return ds, grid.imputation_config("ridge", weighted, seed)
 
 
 class TestColumnStepState:
@@ -389,3 +385,28 @@ class TestConfig:
     def test_sweep_count_validated(self):
         with pytest.raises(ValueError):
             ImputationConfig(n_sweeps=0)
+
+    def test_json_integer_reads_as_float_field(self):
+        cfg = ImputationConfig.from_dict({"clip_epsilon": 0,
+                                          "regressor": {"ridge_lambda": 1}})
+        assert type(cfg.clip_epsilon) is float
+        assert type(cfg.regressor.ridge_lambda) is float
+
+    @pytest.mark.parametrize("config, message", [
+        ({"n_sweep": 3}, "unknown ImputationConfig keys: n_sweep"),
+        ({"regressor": {"knd": "mlp"}}, "unknown RegressorSpec keys: knd"),
+        ({"weighted": "false"},
+         "ImputationConfig.weighted must be a JSON boolean, got 'false'"),
+        ({"regressor": {"forest": {"bootstrap": "false"}}},
+         "ForestSpec.bootstrap must be a JSON boolean, got 'false'"),
+        ({"n_sweeps": 2.5}, "ImputationConfig.n_sweeps must be a JSON integer, got 2.5"),
+        ({"n_sweeps": 2.0}, "ImputationConfig.n_sweeps must be a JSON integer, got 2.0"),
+        ({"n_sweeps": True}, "ImputationConfig.n_sweeps must be a JSON integer, got True"),
+        ({"clip_epsilon": "0.1"},
+         "ImputationConfig.clip_epsilon must be a JSON number, got '0.1'"),
+        ({"regressor": 5}, "ImputationConfig.regressor must be a JSON object, got 5"),
+    ])
+    def test_misread_config_rejected(self, config, message):
+        with pytest.raises(ValueError) as info:
+            ImputationConfig.from_dict(config)
+        assert str(info.value) == message

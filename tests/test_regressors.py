@@ -452,12 +452,3 @@ class TestRegressorSpec:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             RegressorSpec(kind="boosting")
-
-    def test_ridge_coefficients_dump(self):
-        import json
-
-        model = fit_weighted_ridge(np.array([[0.0], [1.0]]),
-                                   np.array([1.0, 3.0]), np.ones(2), 0.0)
-        dump = json.loads(json.dumps(model.to_dict()))
-        assert dump["coefficients"][0] == pytest.approx(2.0, abs=1e-9)
-        assert dump["intercept"] == pytest.approx(1.0, abs=1e-9)
