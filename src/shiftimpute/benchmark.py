@@ -1,5 +1,5 @@
 """Benchmark orchestration: seed x alpha grids of paired weighted/unweighted
-imputation runs, sensitivity sweeps, and deterministic CSV/JSON reporting.
+imputation runs, and deterministic CSV/JSON reporting.
 
 For every seed the masked-column/predictor layout is drawn once and shared
 across the whole alpha range; each (seed, alpha) cell masks the dataset once
@@ -11,7 +11,6 @@ the cell coordinates, which makes results independent of worker count.
 from __future__ import annotations
 
 import time
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -30,11 +29,9 @@ __all__ = [
     "ExperimentGrid",
     "RunRecord",
     "FailureRecord",
-    "SweepRecord",
     "BenchmarkResult",
     "make_benchmark_dataset",
     "run_benchmark",
-    "sensitivity_sweep",
     "summarize_alpha_profile",
     "records_to_csv",
     "build_summary",
@@ -171,17 +168,6 @@ class FailureRecord(JsonRecord):
 
 
 @dataclass(frozen=True)
-class SweepRecord:
-    kind: str
-    value: float
-    seed: int
-    alpha: float
-    model: str
-    rmse_ratio: float
-    wasserstein_ratio: float
-
-
-@dataclass(frozen=True)
 class BenchmarkResult:
     records: tuple[RunRecord, ...]
     failures: tuple[FailureRecord, ...]
@@ -200,14 +186,12 @@ def _mask_seed(seed: int, alpha: float) -> int:
     return int(state[0]) ^ (int(state[1]) << 32)
 
 
-def _run_cell(grid: ExperimentGrid, seed: int, alpha_index: int,
-              data: DataMatrix | None = None):
+def _run_cell(grid: ExperimentGrid, seed: int, alpha_index: int):
     """Mask once, run every (model, weighted) config on the same masked data."""
     alpha = grid.alphas[alpha_index]
     records: list[RunRecord] = []
     failures: list[FailureRecord] = []
-    if data is None:
-        data = _materialize(grid.dataset)
+    data = _materialize(grid.dataset)
     try:
         layout = select_random_spec(
             data, grid.n_missing_cols, grid.n_predictors, seed=seed,
@@ -238,14 +222,9 @@ def _run_cell_star(args):
     return _run_cell(*args)
 
 
-def run_benchmark(grid: ExperimentGrid, jobs: int = 1,
-                  data: DataMatrix | None = None) -> BenchmarkResult:
-    """Run the whole grid; cell order and results are independent of ``jobs``.
-
-    ``data`` overrides the grid's dataset source with an already materialized
-    matrix (used by the sensitivity sweeps).
-    """
-    cells = [(grid, seed, ai, data) for seed in grid.seeds
+def run_benchmark(grid: ExperimentGrid, jobs: int = 1) -> BenchmarkResult:
+    """Run the whole grid; cell order and results are independent of ``jobs``."""
+    cells = [(grid, seed, ai) for seed in grid.seeds
              for ai in range(len(grid.alphas))]
     if jobs <= 1:
         outcomes = [_run_cell_star(c) for c in cells]
@@ -352,64 +331,3 @@ def build_summary(result: BenchmarkResult) -> dict:
             "per_record": [r.wall_time_ms for r in result.records],
         },
     }
-
-
-def _subsample_rows(data: DataMatrix, size: int) -> DataMatrix:
-    if size >= data.n_rows:
-        return data
-    rng = np.random.default_rng(np.random.SeedSequence([1, size]))
-    rows = np.sort(rng.choice(data.n_rows, size=size, replace=False))
-    return DataMatrix(data.values[rows], data.column_names)
-
-
-def _subsample_cols(data: DataMatrix, size: int) -> DataMatrix:
-    if size >= data.n_cols:
-        return data
-    rng = np.random.default_rng(np.random.SeedSequence([2, size]))
-    cols = np.sort(rng.choice(data.n_cols, size=size, replace=False))
-    return DataMatrix(data.values[:, cols],
-                      tuple(data.column_names[c] for c in cols))
-
-
-def sensitivity_sweep(kind: str, values, grid: ExperimentGrid,
-                      jobs: int = 1) -> list[SweepRecord]:
-    """Paired RMSE/W ratios while varying rows, feature count, or missing rate.
-
-    Infeasible sweep values (e.g. too few columns left for the mask layout)
-    are skipped with a warning. The full-size endpoint of a rows sweep keeps
-    the dataset untouched and therefore reproduces the main grid cells.
-    """
-    if kind not in ("rows", "features", "rate"):
-        raise ValueError(f"unknown sweep kind {kind!r}")
-    base = _materialize(grid.dataset)
-    out: list[SweepRecord] = []
-    for value in values:
-        sub_grid = grid
-        if kind == "rows":
-            size = int(value)
-            if size < 50:
-                warnings.warn(f"rows sweep value {size} too small; skipped")
-                continue
-            data = _subsample_rows(base, size)
-        elif kind == "features":
-            size = int(value)
-            if size < 2 or size <= grid.n_missing_cols \
-                    or size - grid.n_missing_cols < grid.n_predictors:
-                warnings.warn(f"features sweep value {size} infeasible; skipped")
-                continue
-            data = _subsample_cols(base, size)
-        else:
-            rate = float(value)
-            if not 0.01 < rate < 0.99:
-                warnings.warn(f"rate sweep value {rate} out of range; skipped")
-                continue
-            data = base
-            sub_grid = replace(grid, missing_rate=rate)
-        result = run_benchmark(sub_grid, jobs=jobs, data=data)
-        for w, u in _pairs(result.records):
-            out.append(SweepRecord(
-                kind, float(value), w.seed, w.alpha, w.model,
-                w.rmse / u.rmse if u.rmse > 0 else float("nan"),
-                w.wasserstein / u.wasserstein if u.wasserstein > 0 else float("nan"),
-            ))
-    return out

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 
 from .benchmark import (
     ExperimentGrid,
@@ -21,15 +22,26 @@ from .benchmark import (
     run_benchmark,
 )
 from .data import DataMatrix, load_csv, load_masked_csv, save_csv, save_masked_csv
-from .engine import ImputationConfig, impute
+from .engine import ImputationConfig, impute, visitation_order
 from .masking import apply_mar_mask, select_random_spec
 from .metrics import evaluate_imputation
 from .propensity import weight_diagnostics
 from .riskchecks import run_all_checks
 
 
+@contextmanager
+def _input_errors(path):
+    """End the command with a one-line message naming ``path`` when the block
+    fails to read it or finds it invalid."""
+    try:
+        yield
+    except (OSError, ValueError, TypeError) as exc:
+        raise SystemExit(f"shiftimpute: {path}: {exc}") from None
+
+
 def _cmd_simulate_mask(args) -> int:
-    data = load_csv(args.input, has_header=not args.no_header)
+    with _input_errors(args.input):
+        data = load_csv(args.input, has_header=not args.no_header)
     spec = select_random_spec(
         data,
         n_missing_cols=args.missing_cols,
@@ -55,16 +67,17 @@ def _load_config(cls, path):
     """
     if not path:
         return cls()
-    try:
-        with open(path, encoding="utf-8") as handle:
-            return cls.from_dict(json.load(handle))
-    except (OSError, ValueError, TypeError) as exc:
-        raise SystemExit(f"shiftimpute: {path}: {exc}") from None
+    with _input_errors(path), open(path, encoding="utf-8") as handle:
+        return cls.from_dict(json.load(handle))
 
 
 def _cmd_impute(args) -> int:
     cfg = _load_config(ImputationConfig, args.config)
-    ds = load_masked_csv(args.input, has_header=not args.no_header)
+    with _input_errors(args.input):
+        ds = load_masked_csv(args.input, has_header=not args.no_header)
+    if ds.missing_columns():
+        with _input_errors(args.config):  # an explicit order must fit the table
+            visitation_order(ds, cfg.visitation)
     result = impute(ds, cfg)
     save_csv(DataMatrix(result.completed, ds.data.column_names), args.output,
              header=not args.no_header)
@@ -88,9 +101,12 @@ def _cmd_impute(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
-    truth = load_csv(args.truth, has_header=not args.no_header)
-    imputed = load_csv(args.imputed, has_header=not args.no_header)
-    mask = load_masked_csv(args.mask, has_header=not args.no_header).mask
+    with _input_errors(args.truth):
+        truth = load_csv(args.truth, has_header=not args.no_header)
+    with _input_errors(args.imputed):
+        imputed = load_csv(args.imputed, has_header=not args.no_header)
+    with _input_errors(args.mask):
+        mask = load_masked_csv(args.mask, has_header=not args.no_header).mask
     report = evaluate_imputation(truth, imputed.values, mask)
     payload = json.dumps(report.to_dict(), indent=2)
     if args.out:

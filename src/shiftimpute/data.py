@@ -1,5 +1,5 @@
 """Data model: complete matrices, observedness masks, CSV ingestion/emission,
-column standardization, and the JSON form of config and record dataclasses.
+and the JSON form of config and record dataclasses.
 
 A mask is always a separate boolean matrix (True = observed); missing cells are
 never encoded as sentinel values. CSV dialect: comma-separated, '.' decimal,
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import typing
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from itertools import chain
 
 import numpy as np
@@ -20,7 +20,6 @@ __all__ = [
     "DataMatrix",
     "MaskMatrix",
     "MaskedDataset",
-    "ColumnStats",
     "load_csv",
     "load_masked_csv",
     "save_csv",
@@ -29,7 +28,7 @@ __all__ = [
 
 
 _JSON_SCALARS = {bool: ((bool,), "boolean"), int: ((int,), "integer"),
-                 float: ((int, float), "number")}
+                 float: ((int, float), "number"), str: ((str,), "string")}
 
 
 class JsonRecord:
@@ -38,8 +37,9 @@ class JsonRecord:
     ``to_dict`` lists the fields in declaration order, nested records as
     nested dicts. ``from_dict`` is its inverse and the one place JSON input
     is checked: an unknown key, a non-object where a record belongs, and a
-    boolean, integer or float field given any other JSON type are errors.
-    Lists become tuples; omitted keys keep their defaults.
+    boolean, integer, float or string field or tuple element given any other
+    JSON type are errors. Lists become tuples; omitted keys keep their
+    defaults.
     """
 
     def to_dict(self) -> dict:
@@ -69,7 +69,21 @@ def _from_json(label: str, hint, value):
         if isinstance(value, bool) != (hint is bool) or not isinstance(value, types):
             raise ValueError(f"{label} must be a JSON {name}, got {value!r}")
         return hint(value)
-    return tuple(value) if isinstance(value, list) else value
+    if isinstance(value, list):
+        item = _tuple_item(hint)
+        if item is None:
+            raise ValueError(f"{label} must not be a JSON array, got {value!r}")
+        return tuple(_from_json(f"{label}[{k}]", item, v)
+                     for k, v in enumerate(value))
+    return value
+
+
+def _tuple_item(hint):
+    """The element annotation of the ``tuple[X, ...]`` in ``hint``, if any."""
+    for h in (hint, *typing.get_args(hint)):
+        if typing.get_origin(h) is tuple:
+            return typing.get_args(h)[0]
+    return None
 
 
 @dataclass(frozen=True)
@@ -145,18 +159,14 @@ class MaskMatrix:
 
 @dataclass(frozen=True)
 class MaskedDataset:
-    """A data matrix, its observedness mask, and the current completion.
+    """A data matrix and its observedness mask.
 
     ``data`` holds ground-truth values where available (placeholder zeros at
     missing cells when no truth exists, e.g. plain masked-CSV ingestion).
-    ``completed`` always agrees with ``data`` on observed cells; engine updates
-    only ever rewrite missing cells. Treat instances as immutable; the engine
-    copies ``completed`` before mutating.
     """
 
     data: DataMatrix
     mask: MaskMatrix
-    completed: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         if self.mask.observed.shape != self.data.values.shape:
@@ -164,50 +174,9 @@ class MaskedDataset:
                 f"mask shape {self.mask.observed.shape} != data shape "
                 f"{self.data.values.shape}"
             )
-        completed = self.completed
-        if completed is None:
-            completed = self.data.values.copy()
-        completed = np.asarray(completed, dtype=float)
-        object.__setattr__(self, "completed", completed)
-        if completed.shape != self.data.values.shape:
-            raise ValueError("completed shape mismatch")
-        obs = self.mask.observed
-        if not np.array_equal(completed[obs], self.data.values[obs]):
-            raise ValueError("completed disagrees with data on observed cells")
 
     def missing_columns(self) -> list[int]:
         return self.mask.missing_columns()
-
-    def with_completed(self, completed: np.ndarray) -> "MaskedDataset":
-        """Return a copy of this dataset carrying a new completion."""
-        return MaskedDataset(self.data, self.mask, np.array(completed, dtype=float))
-
-
-@dataclass(frozen=True)
-class ColumnStats:
-    """Per-column mean and population standard deviation.
-
-    A column with std 0 is constant; standardizing it yields all zeros, and the
-    zero std is stored as-is (the scale used in either direction is then 1).
-    """
-
-    mean: np.ndarray
-    std: np.ndarray
-
-    def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float)
-        std = np.asarray(self.std, dtype=float)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "std", std)
-        if mean.shape != std.shape or mean.ndim != 1:
-            raise ValueError("mean/std must be 1-D and the same length")
-        if (std < 0).any():
-            raise ValueError("negative std")
-
-    @property
-    def scale(self) -> np.ndarray:
-        """Division-safe scale: 1.0 where the column is constant."""
-        return np.where(self.std > 0, self.std, 1.0)
 
 
 def _parse_cell(text: str, row: int, col: int, names=None) -> float:
@@ -312,21 +281,3 @@ def save_csv(matrix: DataMatrix, path, header: bool = True) -> None:
 def save_masked_csv(ds: MaskedDataset, path, header: bool = True) -> None:
     """Write a masked dataset, emitting empty fields at missing cells."""
     _write_csv(path, ds.data.column_names, ds.data.values, ds.mask.observed, header)
-
-
-def column_stats(values: np.ndarray) -> ColumnStats:
-    """Mean and population std per column of an array."""
-    values = np.asarray(values, dtype=float)
-    return ColumnStats(values.mean(axis=0), values.std(axis=0))
-
-
-def standardize_values(values: np.ndarray, stats: ColumnStats | None = None):
-    """Array-level standardization helper; returns (array, stats)."""
-    values = np.asarray(values, dtype=float)
-    if stats is None:
-        stats = column_stats(values)
-    elif stats.mean.shape[0] != values.shape[1]:
-        raise ValueError(
-            f"stats cover {stats.mean.shape[0]} columns, matrix has {values.shape[1]}"
-        )
-    return (values - stats.mean) / stats.scale, stats

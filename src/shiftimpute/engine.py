@@ -90,14 +90,15 @@ class ImputationResult:
     weights: dict[int, WeightVector] = field(default_factory=dict)
 
 
-def initial_impute(ds: MaskedDataset) -> MaskedDataset:
-    """Fill every missing cell with its column's observed mean."""
+def initial_impute(ds: MaskedDataset) -> np.ndarray:
+    """A copy of the data matrix with every missing cell set to its column's
+    observed mean."""
     completed = ds.data.values.copy()
     obs = ds.mask.observed
     for j in ds.missing_columns():
         col_obs = obs[:, j]
         completed[~col_obs, j] = ds.data.values[col_obs, j].mean()
-    return ds.with_completed(completed)
+    return completed
 
 
 def visitation_order(ds: MaskedDataset, policy) -> list[int]:
@@ -185,9 +186,8 @@ def _column_step(values, observed, completed, i, cfg, sweep, scalings,
     wv = propensity = None
     if cfg.weighted:
         wv = weights_for_column(
-            completed, observed[:, i], i, l2=cfg.propensity_l2,
-            clip_epsilon=cfg.clip_epsilon,
-            design=_standardize(block, scalings.all_rows, others), init=init,
+            _standardize(block, scalings.all_rows, others), observed[:, i],
+            l2=cfg.propensity_l2, clip_epsilon=cfg.clip_epsilon, init=init,
         )
         weights, propensity = wv.weights, wv.propensity
     else:
@@ -219,9 +219,9 @@ def impute(ds: MaskedDataset, cfg: ImputationConfig) -> ImputationResult:
     data the input comes back unchanged and no sweeps are recorded.
     """
     if not ds.missing_columns():
-        return ImputationResult(ds.completed.copy(), (), cfg)
+        return ImputationResult(ds.data.values.copy(), (), cfg)
     order = visitation_order(ds, cfg.visitation)
-    completed = initial_impute(ds).completed.copy()
+    completed = initial_impute(ds)
     values = ds.data.values
     observed = ds.mask.observed
     scalings = _Scalings(completed, observed, order)

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import (DataMatrix, JsonRecord, MaskMatrix, MaskedDataset,
-                   standardize_values)
+from .data import DataMatrix, JsonRecord, MaskMatrix, MaskedDataset
 
 __all__ = [
     "MarSpec",
@@ -160,7 +159,9 @@ def calibrate_intercept(scores: np.ndarray, target_rate: float,
 
 def _column_scores(data: DataMatrix, spec: MarSpec) -> np.ndarray:
     """alpha * (standardized predictor sum) per row, one column per planted column."""
-    scaled, _ = standardize_values(data.values)
+    v = data.values
+    std = v.std(axis=0)
+    scaled = (v - v.mean(axis=0)) / np.where(std > 0, std, 1.0)  # constant -> 0
     scores = np.zeros((data.n_rows, len(spec.missing_cols)))
     for k, cols in enumerate(spec.predictor_sets):
         if cols:

@@ -13,7 +13,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import MaskedDataset, standardize_values
 from .masking import sigmoid
 
 __all__ = [
@@ -22,7 +21,6 @@ __all__ = [
     "fit_propensity",
     "weights_from_propensity",
     "weights_for_column",
-    "estimate_weights",
     "effective_sample_size",
     "weight_diagnostics",
 ]
@@ -164,35 +162,22 @@ def weights_from_propensity(eta: np.ndarray, clip_epsilon: float = DEFAULT_CLIP,
     return WeightVector(w, clip_epsilon, normalized=normalize)
 
 
-def weights_for_column(completed: np.ndarray, obs_col: np.ndarray, i: int,
+def weights_for_column(design: np.ndarray, obs_col: np.ndarray,
                        l2: float = DEFAULT_L2,
                        clip_epsilon: float = DEFAULT_CLIP,
-                       design: np.ndarray | None = None,
                        init: PropensityModel | None = None) -> WeightVector:
-    """Array-level core of :func:`estimate_weights`.
+    """Importance weights for the observed rows of one column.
 
-    ``completed`` is the current n x d completion and ``obs_col`` the
-    observedness indicator of column ``i``. The classifier is trained on all
-    rows (predictors = standardized completed values of every other column);
-    weights are evaluated at the observed rows only. A caller that already
-    holds those standardized predictors passes them as ``design``; ``init``
-    warm-starts the fit. The returned weights carry the fitted model.
+    ``design`` holds the standardized completed values of every other column
+    (all rows) and ``obs_col`` the column's observedness indicator. The
+    classifier is trained on all rows; weights are evaluated at the observed
+    rows only. ``init`` warm-starts the fit. The returned weights carry the
+    fitted model.
     """
     obs_col = np.asarray(obs_col, dtype=bool)
-    if obs_col.all():
-        raise ValueError(f"column {i} is fully observed; nothing to reweight")
-    if design is None:
-        design, _ = standardize_values(np.delete(completed, i, axis=1))
     model = fit_propensity(design, obs_col.astype(float), l2, init=init)
     eta_obs = model.predict_proba(design[obs_col])
     return replace(weights_from_propensity(eta_obs, clip_epsilon), propensity=model)
-
-
-def estimate_weights(ds: MaskedDataset, i: int, l2: float = DEFAULT_L2,
-                     clip_epsilon: float = DEFAULT_CLIP) -> WeightVector:
-    """Importance weights for the observed rows of column ``i`` of a dataset."""
-    return weights_for_column(ds.completed, ds.mask.observed[:, i], i,
-                              l2=l2, clip_epsilon=clip_epsilon)
 
 
 def effective_sample_size(weights: np.ndarray) -> float:

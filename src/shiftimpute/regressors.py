@@ -207,19 +207,6 @@ def fit_weighted_ridge(x: np.ndarray, y: np.ndarray, w: np.ndarray,
     return RidgeModel(beta[:p].copy(), float(beta[p]))
 
 
-def ridge_normal_equation_residual(model: RidgeModel, x, y, w,
-                                   ridge_lambda: float) -> float:
-    """Max-norm residual of the system the solver targets (mean-1 weights)."""
-    x, y, w = _check_xyw(x, y, w)
-    w = w / w.mean()
-    design = np.hstack([x, np.ones((x.shape[0], 1))])
-    penalty = np.append(np.full(x.shape[1], ridge_lambda), 0.0)
-    beta = np.append(model.coefficients, model.intercept)
-    wd = design * w[:, None]
-    resid = (design.T @ wd + np.diag(penalty)) @ beta - wd.T @ y
-    return float(np.max(np.abs(resid)))
-
-
 # ---------------------------------------------------------------------------
 # CART forest
 # ---------------------------------------------------------------------------

@@ -161,9 +161,8 @@ def check_risk_decomposition(spec: SyntheticSpec, g):
 
 def _oracle_weights(mechanism: CalibratedMechanism, k: int) -> np.ndarray:
     # density-ratio weights from the known mechanism: odds times prior odds
-    p = mechanism.probabilities[:, k]
-    p_observed = float(p.mean())
-    return (1.0 - p) / p * (p_observed / (1.0 - p_observed))
+    p_observed = float(mechanism.probabilities[:, k].mean())
+    return mechanism.true_weight_ratios(k) * (p_observed / (1.0 - p_observed))
 
 
 def check_weighting_identity(spec: SyntheticSpec, g, use_oracle_weights: bool = True):

@@ -9,7 +9,6 @@ from shiftimpute.benchmark import (
     make_benchmark_dataset,
     records_to_csv,
     run_benchmark,
-    sensitivity_sweep,
     summarize_alpha_profile,
 )
 from shiftimpute.engine import ImputationConfig
@@ -170,36 +169,6 @@ class TestSummaries:
         assert summary["wall_time_ms"]["total"] > 0
 
 
-class TestSensitivitySweep:
-    def test_rate_sweep_emits_ratio_points(self):
-        grid = small_grid(seeds=(0, 1), alphas=(2.0,))
-        records = sensitivity_sweep("rate", [0.1, 0.3], grid)
-        values = {r.value for r in records}
-        assert values == {0.1, 0.3}
-        assert all(np.isfinite(r.rmse_ratio) for r in records)
-
-    def test_rows_sweep_full_size_reproduces_main_grid(self):
-        grid = small_grid(seeds=(0, 1), alphas=(2.0,))
-        main = run_benchmark(grid)
-        sweep = sensitivity_sweep("rows", [400], grid)
-        main_ratio = {}
-        for r in main.records:
-            main_ratio.setdefault((r.seed, r.alpha), {})[r.weighted] = r.rmse
-        for rec in sweep:
-            pair = main_ratio[(rec.seed, rec.alpha)]
-            assert rec.rmse_ratio == pytest.approx(pair[True] / pair[False])
-
-    def test_infeasible_feature_count_skipped_with_warning(self):
-        grid = small_grid(seeds=(0,), alphas=(1.0,))
-        with pytest.warns(UserWarning, match="infeasible"):
-            records = sensitivity_sweep("features", [3], grid)
-        assert records == []
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="sweep kind"):
-            sensitivity_sweep("columns", [1], small_grid())
-
-
 class TestGridConfig:
     def test_json_round_trip(self):
         grid = small_grid()
@@ -214,6 +183,19 @@ class TestGridConfig:
         with pytest.raises(ValueError, match="DatasetSource.has_header"):
             ExperimentGrid.from_dict({"dataset": {"kind": "csv", "path": "t.csv",
                                                   "has_header": "false"}})
+
+    @pytest.mark.parametrize("config, message", [
+        ({"seeds": [0, 1.5]}, "ExperimentGrid.seeds[1] must be a JSON integer, got 1.5"),
+        ({"alphas": [0, "1"]}, "ExperimentGrid.alphas[1] must be a JSON number, got '1'"),
+        ({"models": ["ridge", 5]},
+         "ExperimentGrid.models[1] must be a JSON string, got 5"),
+        ({"dataset": {"path": ["t.csv"]}},
+         "DatasetSource.path must not be a JSON array, got ['t.csv']"),
+    ])
+    def test_mistyped_grid_rejected(self, config, message):
+        with pytest.raises(ValueError) as info:
+            ExperimentGrid.from_dict(config)
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("name, values", [
         ("seeds", (0, 1, 0)), ("alphas", (1.0, 1.0)), ("models", ("ridge", "ridge")),

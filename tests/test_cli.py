@@ -243,3 +243,46 @@ def test_bad_config_exits_nonzero_without_traceback(tmp_path):
     assert proc.returncode == 1
     assert proc.stderr == (f"shiftimpute: {path}: ImputationConfig.weighted must be "
                            "a JSON boolean, got 'false'\n")
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("impute", "--input"), ("simulate-mask", "--input"),
+    ("metrics", "--truth"), ("metrics", "--imputed"), ("metrics", "--mask"),
+])
+@pytest.mark.parametrize("text, message", [
+    (None, "[Errno 2] No such file or directory"),
+    ("a,b\n1,x\n", "cannot parse 'x' as a number at row 0, column b"),
+])
+def test_bad_input_csv_is_a_one_line_error(tmp_path, monkeypatch, truth_csv,
+                                           command, flag, text, message):
+    monkeypatch.chdir(tmp_path)
+    good = str(truth_csv)
+    argv = {
+        "impute": ["impute", "--input", good, "--output", "out.csv"],
+        "simulate-mask": ["simulate-mask", "--input", good, "--output", "out.csv",
+                          "--mechanism", "mech.json"],
+        "metrics": ["metrics", "--truth", good, "--imputed", good, "--mask", good,
+                    "--out", "out.csv"],
+    }[command]
+    path = tmp_path / "bad.csv"
+    if text is not None:
+        path.write_text(text)
+    argv[argv.index(flag) + 1] = str(path)
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert str(info.value).startswith(f"shiftimpute: {path}: {message}")
+    assert "\n" not in str(info.value)
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_visitation_not_fitting_the_table_is_a_one_line_error(tmp_path, masked_csv):
+    imputable = load_masked_csv(masked_csv).missing_columns()
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"visitation": imputable[:1]}))
+    with pytest.raises(SystemExit) as info:
+        main(["impute", "--input", str(masked_csv), "--config", str(config),
+              "--output", str(tmp_path / "out.csv")])
+    assert str(info.value) == (
+        f"shiftimpute: {config}: visitation order {imputable[:1]} is not a "
+        f"permutation of the imputable columns {imputable}")
+    assert not (tmp_path / "out.csv").exists()

@@ -9,22 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shiftimpute.data import (
-    ColumnStats,
     DataMatrix,
     MaskMatrix,
     MaskedDataset,
-    column_stats,
     load_csv,
     load_masked_csv,
     save_csv,
     save_masked_csv,
-    standardize_values,
 )
 
 DATA = Path(__file__).parent / "data"
-
-# hand oracle: population std of [0,1,2,3] is sqrt(5/4)
-STD_0123 = 1.118033988749895
 
 
 def make_masked(values, observed):
@@ -291,49 +285,7 @@ class TestReaderEdges:
             load_masked_csv(self.write(tmp_path, "a,b\n1,\n2,\n"))
 
 
-class TestStandardize:
-    def test_two_point_column(self):
-        out, stats = standardize_values(np.array([[1.0, 0.0], [3.0, 0.5]]))
-        np.testing.assert_allclose(out[:, 0], [-1.0, 1.0])
-        assert stats.mean[0] == 2.0 and stats.std[0] == 1.0
-
-    def test_constant_column_maps_to_zeros(self):
-        out, stats = standardize_values(np.array([[5.0, 1.0], [5.0, 2.0], [5.0, 3.0]]))
-        np.testing.assert_array_equal(out[:, 0], [0.0, 0.0, 0.0])
-        assert stats.std[0] == 0.0
-
-    def test_hand_arithmetic_column(self):
-        stats = column_stats(np.array([[0.0, 1], [1, 1], [2, 1], [3, 2.0]]))
-        assert stats.mean[0] == pytest.approx(1.5, abs=1e-12)
-        assert stats.std[0] == pytest.approx(STD_0123, abs=1e-12)
-
-    def test_round_trip(self):
-        values = np.random.default_rng(3).normal(2, 7, (40, 3))
-        out, stats = standardize_values(values)
-        assert abs(out.mean(axis=0)).max() < 1e-9
-        assert abs(out.std(axis=0) - 1).max() < 1e-9
-        np.testing.assert_allclose(out * stats.scale + stats.mean, values, atol=1e-9)
-
-    def test_supplied_stats_dimension_checked(self):
-        with pytest.raises(ValueError):
-            standardize_values(np.array([[1.0, 2.0], [3.0, 4.0]]),
-                               ColumnStats(np.zeros(3), np.ones(3)))
-
-
 class TestMaskedDatasetInvariants:
-    def test_completed_must_match_observed_cells(self):
-        data = DataMatrix(np.array([[1.0, 2.0], [3.0, 4.0]]), ("a", "b"))
-        mask = MaskMatrix(np.array([[True, False], [True, True]]))
-        bad = np.array([[9.0, 2.0], [3.0, 4.0]])
-        with pytest.raises(ValueError, match="observed cells"):
-            MaskedDataset(data, mask, bad)
-
-    def test_with_completed_preserves_contract(self):
-        ds = make_masked([[1.0, 2.0], [3.0, 4.0]], [[1, 0], [1, 1]])
-        new = ds.completed.copy()
-        new[0, 1] = 7.5
-        assert ds.with_completed(new).completed[0, 1] == 7.5
-
     def test_all_false_row_rejected(self):
         with pytest.raises(ValueError, match="row 1"):
             MaskMatrix(np.array([[True, True], [False, False]]))

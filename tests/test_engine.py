@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import shiftimpute.engine as engine_mod
 from shiftimpute.benchmark import ExperimentGrid, make_benchmark_dataset
@@ -41,17 +43,17 @@ class TestInitialImpute:
     def test_mean_of_observed(self):
         ds = make_masked([[1.0, 0.0], [5.0, 0.0], [3.0, 0.0]],
                          [[1, 1], [0, 1], [1, 1]])
-        out = initial_impute(ds)
-        assert out.completed[1, 0] == pytest.approx(2.0)
+        assert initial_impute(ds)[1, 0] == pytest.approx(2.0)
 
     def test_no_missing_is_identity(self):
         ds = make_masked([[1.0, 2.0], [3.0, 4.0]], np.ones((2, 2)))
         out = initial_impute(ds)
-        np.testing.assert_array_equal(out.completed, ds.data.values)
+        np.testing.assert_array_equal(out, ds.data.values)
+        assert out is not ds.data.values
 
     def test_single_observation_mean(self):
         ds = make_masked([[0.0, 1.0], [5.0, 2.0]], [[0, 1], [1, 1]])
-        assert initial_impute(ds).completed[0, 0] == pytest.approx(5.0)
+        assert initial_impute(ds)[0, 0] == pytest.approx(5.0)
 
 
 class TestVisitationOrder:
@@ -128,7 +130,7 @@ class TestImpute:
         cfg_unweighted = ridge_config(weighted=False, n_sweeps=3, seed=1)
         baseline = impute(ds, cfg_unweighted)
 
-        def unit_weights(completed, obs_col, i, **kwargs):
+        def unit_weights(design, obs_col, **kwargs):
             return WeightVector(np.ones(int(np.asarray(obs_col).sum())),
                                 clip_epsilon=1e-3, normalized=True)
 
@@ -186,7 +188,7 @@ class TestImpute:
         data = DataMatrix(np.column_stack([base, y]), ("a", "b", "c", "t"))
         spec = MarSpec((3,), ((0, 1),), alpha=2.0, target_missing_rate=0.3, seed=9)
         ds, _ = apply_mar_mask(data, spec)
-        initial_rmse = rmse_masked(data, initial_impute(ds).completed, ds.mask)
+        initial_rmse = rmse_masked(data, initial_impute(ds), ds.mask)
         final = impute(ds, ridge_config(ridge_lambda=1e-6, n_sweeps=3))
         assert rmse_masked(data, final.completed, ds.mask) <= initial_rmse
 
@@ -311,16 +313,36 @@ class TestColumnStepState:
                 assert np.isfinite(col.effective_sample_size)
 
 
+class TestImputeProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 30),
+           d=st.integers(2, 5), rate=st.sampled_from([0.0, 0.1, 0.4]),
+           weighted=st.booleans())
+    def test_observed_cells_kept_and_reruns_equal(self, seed, n, d, rate, weighted):
+        rng = np.random.default_rng(seed)
+        values = rng.normal(size=(n, d))
+        observed = rng.random((n, d)) >= rate
+        observed[:, 0] = observed[0] = True  # no empty row or column
+        ds = make_masked(values, observed)
+        cfg = ridge_config(weighted=weighted, n_sweeps=2, ridge_lambda=1e-3)
+        first, second = impute(ds, cfg), impute(ds, cfg)
+        assert first.completed.tobytes() == second.completed.tobytes()
+        assert first.completed[observed].tobytes() == values[observed].tobytes()
+        if observed.all():
+            assert first.completed.tobytes() == values.tobytes()
+            assert first.completed is not ds.data.values
+            assert first.per_sweep == ()
+
+
 class TestSingleColumnSweeps:
     # linear_pair_dataset has missing cells in column 1 only, so each sweep
     # of impute is one column step on that column
 
     def test_unit_weights_match_plain_least_squares(self):
         ds, _ = linear_pair_dataset(seed=13)
-        ds0 = initial_impute(ds)
         result = impute(ds, ridge_config(weighted=False, n_sweeps=1))
         obs = ds.mask.observed[:, 1]
-        x = ds0.completed[:, [0]]
+        x = initial_impute(ds)[:, [0]]
         x_std = (x - x[obs].mean()) / x[obs].std()
         ols = fit_weighted_ridge(x_std[obs], ds.data.values[obs, 1],
                                  np.ones(int(obs.sum())), 1e-8)
@@ -405,6 +427,11 @@ class TestConfig:
         ({"clip_epsilon": "0.1"},
          "ImputationConfig.clip_epsilon must be a JSON number, got '0.1'"),
         ({"regressor": 5}, "ImputationConfig.regressor must be a JSON object, got 5"),
+        ({"visitation": [5.7, 3]},
+         "ImputationConfig.visitation[0] must be a JSON integer, got 5.7"),
+        ({"visitation": [3, True]},
+         "ImputationConfig.visitation[1] must be a JSON integer, got True"),
+        ({"regressor": {"kind": 1}}, "RegressorSpec.kind must be a JSON string, got 1"),
     ])
     def test_misread_config_rejected(self, config, message):
         with pytest.raises(ValueError) as info:

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftimpute.data import DataMatrix, standardize_values
+from oracles import standardize
+from shiftimpute.data import DataMatrix
 from shiftimpute.masking import (
     MarSpec,
     apply_mar_mask,
@@ -120,7 +121,7 @@ class TestApplyMarMask:
         rate = float((~ds.mask.observed[:, 0]).mean())
         assert abs(rate - 0.3) < 0.015
         # missingness probability decreases in the predictor sum for alpha > 0
-        scaled, _ = standardize_values(data.values)
+        scaled = standardize(data.values)
         order = np.argsort(scaled[:, [1, 2]].sum(axis=1))
         p_missing = 1.0 - mech.probabilities[order, 0]
         assert np.all(np.diff(p_missing) <= 1e-12)
@@ -140,6 +141,20 @@ class TestApplyMarMask:
         spec = MarSpec((2,), ((),), alpha=0.0, target_missing_rate=0.4, seed=12)
         ds, _ = apply_mar_mask(data, spec)
         assert abs(float((~ds.mask.observed[:, 2]).mean()) - 0.4) < 0.04
+
+    def test_constant_predictor_adds_nothing_to_the_score(self):
+        # a constant column standardizes to zeros, not NaN, so the mechanism
+        # is exactly that of the remaining predictor
+        values = gaussian_matrix(2000, 3, seed=7).values
+        values[:, 1] = 4.5
+        data = DataMatrix(values, ("a", "b", "c"))
+        with_constant = MarSpec((0,), ((1, 2),), alpha=3.0,
+                                target_missing_rate=0.3, seed=14)
+        without = MarSpec((0,), ((2,),), alpha=3.0, target_missing_rate=0.3, seed=14)
+        ds_a, mech_a = apply_mar_mask(data, with_constant)
+        ds_b, mech_b = apply_mar_mask(data, without)
+        assert np.array_equal(mech_a.probabilities, mech_b.probabilities)
+        assert np.array_equal(ds_a.mask.observed, ds_b.mask.observed)
 
     def test_empty_predictors_with_shift_rejected(self):
         data = gaussian_matrix(100, 3, seed=4)
@@ -242,3 +257,11 @@ class TestMarSpecInvariants:
     def test_json_round_trip(self):
         spec = MarSpec((0, 2), ((1,), (3, 4)), -2.0, 0.25, 9)
         assert MarSpec.from_dict(spec.to_dict()) == spec
+
+    def test_json_predictor_sets_must_hold_integers(self):
+        d = MarSpec((0, 2), ((1,), (3, 4)), -2.0, 0.25, 9).to_dict()
+        d["predictor_sets"] = [[1], [3, 4.5]]
+        with pytest.raises(ValueError) as info:
+            MarSpec.from_dict(d)
+        assert str(info.value) == \
+            "MarSpec.predictor_sets[1][1] must be a JSON integer, got 4.5"

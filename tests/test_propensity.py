@@ -8,13 +8,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import spearmanr
 
-from shiftimpute.data import DataMatrix, MaskMatrix, MaskedDataset, standardize_values
+from oracles import cold_column_weights, standardize
+from shiftimpute.data import DataMatrix
 from shiftimpute.engine import initial_impute
 from shiftimpute.masking import MarSpec, apply_mar_mask, sigmoid
 from shiftimpute.propensity import (
     _penalized_nll,
     effective_sample_size,
-    estimate_weights,
     fit_propensity,
     weight_diagnostics,
     weights_for_column,
@@ -68,9 +68,9 @@ class TestFitPropensity:
 
     def test_penalized_fit_allows_fewer_rows_than_columns(self):
         # 4 rows, 8 predictors: separable, but the L2 term keeps it well posed
-        completed = np.random.default_rng(9).normal(size=(4, 9))
+        design = np.random.default_rng(9).normal(size=(4, 8))
         obs_col = np.array([True, False, True, True])
-        wv = weights_for_column(completed, obs_col, 0)
+        wv = weights_for_column(design, obs_col)
         assert wv.propensity.converged
         assert np.all(np.isfinite(wv.propensity.coefficients))
         assert np.all(np.isfinite(wv.weights)) and wv.weights.shape == (3,)
@@ -158,8 +158,7 @@ def _masked_gaussian(n, d, alpha, seed, missing_col=0, predictors=(1, 2)):
 class TestEstimateWeights:
     def test_mcar_weights_collapse_toward_one(self):
         ds, _ = _masked_gaussian(5000, 3, alpha=0.0, seed=4, predictors=(1,))
-        ds = initial_impute(ds)
-        wv = estimate_weights(ds, 0)
+        wv = cold_column_weights(initial_impute(ds), ds.mask.observed, 0)
         assert wv.weights.mean() == pytest.approx(1.0, abs=1e-12)
         assert wv.weights.min() > 0.8
         assert wv.weights.max() < 1.25
@@ -167,20 +166,15 @@ class TestEstimateWeights:
     def test_mar_weights_track_true_ratios(self):
         ds, mech = _masked_gaussian(5000, 6, alpha=3.0, seed=5,
                                     predictors=(1, 2, 3))
-        ds = initial_impute(ds)
-        wv = estimate_weights(ds, 0)
+        wv = cold_column_weights(initial_impute(ds), ds.mask.observed, 0)
         true_ratio = mech.true_weight_ratios(0)[ds.mask.observed[:, 0]]
         rho = spearmanr(wv.weights, true_ratio).statistic
         assert rho > 0.9
 
     def test_fully_observed_column_rejected(self):
-        rng = np.random.default_rng(6)
-        data = DataMatrix(rng.normal(size=(50, 3)), ("a", "b", "c"))
-        observed = np.ones((50, 3), dtype=bool)
-        observed[0, 1] = False
-        ds = MaskedDataset(data, MaskMatrix(observed), data.values.copy())
-        with pytest.raises(ValueError, match="fully observed"):
-            estimate_weights(ds, 0)
+        design = np.random.default_rng(6).normal(size=(50, 2))
+        with pytest.raises(ValueError, match="both label classes"):
+            weights_for_column(design, np.ones(50, dtype=bool))
 
 
 class TestBayesRatioIdentity:
@@ -192,7 +186,7 @@ class TestBayesRatioIdentity:
         n = 50_000
         r = rng.random(n) < 0.55
         x = np.where(r, rng.normal(0.0, 1.0, n), rng.normal(1.0, 1.0, n))
-        x_std, _ = standardize_values(x.reshape(-1, 1))
+        x_std = standardize(x.reshape(-1, 1))
         model = fit_propensity(x_std, r.astype(float), l2=1e-4)
         eta = model.predict_proba(x_std[r])
         est = weights_from_propensity(eta).weights
@@ -210,8 +204,8 @@ class TestBayesRatioIdentity:
 class TestDiagnostics:
     def test_dump_structure(self):
         ds, _ = _masked_gaussian(600, 4, alpha=1.0, seed=8, predictors=(1, 2))
-        ds = initial_impute(ds)
-        dump = weight_diagnostics({0: estimate_weights(ds, 0)})
+        dump = weight_diagnostics(
+            {0: cold_column_weights(initial_impute(ds), ds.mask.observed, 0)})
         assert set(dump) == {"0"}
         entry = dump["0"]
         assert len(entry["coefficients"]) == 3
@@ -229,9 +223,10 @@ class TestDiagnostics:
         data = DataMatrix(rng.normal(size=(400, 5)), tuple(f"c{j}" for j in range(5)))
         spec = MarSpec((0, 3), ((1, 2), (2, 4)), alpha=2.0,
                        target_missing_rate=0.3, seed=32)
-        ds = initial_impute(apply_mar_mask(data, spec)[0])
+        ds = apply_mar_mask(data, spec)[0]
+        completed = initial_impute(ds)
         # built in descending order: the dump sorts the columns itself
-        weights = {i: weights_for_column(ds.completed, ds.mask.observed[:, i], i)
+        weights = {i: cold_column_weights(completed, ds.mask.observed, i)
                    for i in reversed(ds.missing_columns())}
         text = json.dumps(weight_diagnostics(weights), indent=2) + "\n"
         assert text == (DATA / "weight_diagnostics.json").read_text()

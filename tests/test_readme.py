@@ -1,0 +1,26 @@
+import inspect
+import re
+from pathlib import Path
+
+import shiftimpute
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def library_use_block() -> str:
+    section = README.read_text(encoding="utf-8").split("## Library use", 1)[1]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def test_library_use_example_runs_verbatim(capsys):
+    exec(compile(library_use_block(), str(README), "exec"), {})
+    rmse, wasserstein = map(float, capsys.readouterr().out.split())
+    assert rmse > 0 and wasserstein > 0
+
+
+def test_top_level_exports_what_the_example_imports():
+    imported = re.search(r"from shiftimpute import \((.*?)\)", library_use_block(),
+                         re.S).group(1)
+    public = {name for name, value in vars(shiftimpute).items()
+              if not name.startswith("_") and not inspect.ismodule(value)}
+    assert public == {name.strip() for name in imported.split(",") if name.strip()}

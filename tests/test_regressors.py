@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import ridge_normal_equation_residual
 from shiftimpute.masking import MarSpec, apply_mar_mask
 from shiftimpute.data import DataMatrix
 from shiftimpute.regressors import (
@@ -17,7 +18,6 @@ from shiftimpute.regressors import (
     fit_regressor,
     mlp_loss_and_gradient,
     predict,
-    ridge_normal_equation_residual,
     weighted_mse,
 )
 
