@@ -10,6 +10,7 @@ the cell coordinates, which makes results independent of worker count.
 
 from __future__ import annotations
 
+import operator
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -120,7 +121,7 @@ class ExperimentGrid(JsonRecord):
         seeds = self.seeds
         if isinstance(seeds, int) and not isinstance(seeds, bool):
             seeds = range(seeds)  # "seeds": n is shorthand for seeds 0..n-1
-        object.__setattr__(self, "seeds", tuple(int(s) for s in seeds))
+        object.__setattr__(self, "seeds", tuple(map(operator.index, seeds)))
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
         object.__setattr__(self, "models", tuple(self.models))
         for name in ("seeds", "alphas", "models"):

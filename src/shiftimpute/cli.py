@@ -32,7 +32,7 @@ from .riskchecks import run_all_checks
 @contextmanager
 def _input_errors(path):
     """End the command with a one-line message naming ``path`` when the block
-    fails to read it or finds it invalid."""
+    fails to read or write it or finds it invalid."""
     try:
         yield
     except (OSError, ValueError, TypeError) as exc:
@@ -40,17 +40,18 @@ def _input_errors(path):
 
 
 def _cmd_simulate_mask(args) -> int:
+    # errors name the input: the file itself, or a layout or rate it cannot take
     with _input_errors(args.input):
         data = load_csv(args.input, has_header=not args.no_header)
-    spec = select_random_spec(
-        data,
-        n_missing_cols=args.missing_cols,
-        n_predictors=args.predictors,
-        seed=args.seed,
-        alpha=args.alpha,
-        target_missing_rate=args.rate,
-    )
-    masked, mechanism = apply_mar_mask(data, spec)
+        spec = select_random_spec(
+            data,
+            n_missing_cols=args.missing_cols,
+            n_predictors=args.predictors,
+            seed=args.seed,
+            alpha=args.alpha,
+            target_missing_rate=args.rate,
+        )
+        masked, mechanism = apply_mar_mask(data, spec)
     save_masked_csv(masked, args.output, header=not args.no_header)
     mechanism.save_json(args.mechanism)
     achieved = float((~masked.mask.observed[:, list(spec.missing_cols)]).mean())
@@ -79,25 +80,25 @@ def _cmd_impute(args) -> int:
         with _input_errors(args.config):  # an explicit order must fit the table
             visitation_order(ds, cfg.visitation)
     result = impute(ds, cfg)
-    save_csv(DataMatrix(result.completed, ds.data.column_names), args.output,
-             header=not args.no_header)
+    with _input_errors(args.output):
+        save_csv(DataMatrix(result.completed, ds.data.column_names), args.output,
+                 header=not args.no_header)
     if args.diagnostics:
-        diagnostics = {
-            "config": cfg.to_dict(),
-            "per_sweep": [
-                {
-                    "sweep": s.sweep,
-                    "columns": [c.to_dict() for c in s.columns],
-                }
-                for s in result.per_sweep
-            ],
-        }
+        diagnostics = {"config": cfg.to_dict(),
+                       "per_sweep": [s.to_dict() for s in result.per_sweep]}
         if result.weights:
             diagnostics["propensity"] = weight_diagnostics(result.weights)
-        with open(args.diagnostics, "w", encoding="utf-8") as handle:
+        with _input_errors(args.diagnostics), \
+                open(args.diagnostics, "w", encoding="utf-8") as handle:
             json.dump(diagnostics, handle, indent=2)
     print(f"imputed {len(ds.missing_columns())} columns -> {args.output}")
     return 0
+
+
+def _check_shape(array, truth):
+    if array.shape != truth.values.shape:
+        raise ValueError(f"shape {array.shape} differs from the truth's "
+                         f"{truth.values.shape}")
 
 
 def _cmd_metrics(args) -> int:
@@ -105,9 +106,11 @@ def _cmd_metrics(args) -> int:
         truth = load_csv(args.truth, has_header=not args.no_header)
     with _input_errors(args.imputed):
         imputed = load_csv(args.imputed, has_header=not args.no_header)
+        _check_shape(imputed.values, truth)
     with _input_errors(args.mask):
         mask = load_masked_csv(args.mask, has_header=not args.no_header).mask
-    report = evaluate_imputation(truth, imputed.values, mask)
+        _check_shape(mask.observed, truth)
+        report = evaluate_imputation(truth, imputed.values, mask)  # needs a hidden cell
     payload = json.dumps(report.to_dict(), indent=2)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:

@@ -17,6 +17,7 @@ fit in the previous sweep.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,7 +60,7 @@ class ImputationConfig(JsonRecord):
                 raise ValueError(f"unknown visitation policy {self.visitation!r}")
         else:
             object.__setattr__(self, "visitation",
-                               tuple(int(c) for c in self.visitation))
+                               tuple(map(operator.index, self.visitation)))
 
 
 @dataclass(frozen=True)
@@ -73,7 +74,7 @@ class ColumnDiagnostics(JsonRecord):
 
 
 @dataclass(frozen=True)
-class IterationDiagnostics:
+class IterationDiagnostics(JsonRecord):
     sweep: int
     columns: tuple[ColumnDiagnostics, ...]
 
@@ -104,17 +105,16 @@ def initial_impute(ds: MaskedDataset) -> np.ndarray:
 def visitation_order(ds: MaskedDataset, policy) -> list[int]:
     """Resolve the column visitation order over the imputable columns.
 
-    The default sorts by ascending missing count with ties broken by column
+    The policy is :attr:`ImputationConfig.visitation`, checked there: the
+    default sorts by ascending missing count with ties broken by column
     index; an explicit order must be a permutation of the imputable columns.
     """
     imputable = ds.missing_columns()
     if not imputable:
         raise ValueError("no columns with missing entries")
     if isinstance(policy, str):
-        if policy != ASCENDING_MISSING:
-            raise ValueError(f"unknown visitation policy {policy!r}")
         return sorted(imputable, key=lambda j: (ds.mask.missing_count(j), j))
-    order = [int(c) for c in policy]
+    order = list(policy)
     if sorted(order) != sorted(imputable):
         raise ValueError(
             f"visitation order {order} is not a permutation of the imputable "
@@ -195,8 +195,8 @@ def _column_step(values, observed, completed, i, cfg, sweep, scalings,
     predictors = _standardize(block, scalings.by_target[i], others)
     x_train = predictors[obs_rows]
     y_train = values[obs_rows, i]
-    spec = cfg.regressor.with_seed(_step_seed(cfg, sweep, i))
-    model = fit_regressor(spec, x_train, y_train, weights)
+    model = fit_regressor(cfg.regressor, x_train, y_train, weights,
+                          _step_seed(cfg, sweep, i))
     preds = predict(model, predictors[miss_rows])
     diag = ColumnDiagnostics(
         column=int(i),

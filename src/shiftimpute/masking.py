@@ -13,6 +13,7 @@ given ``alpha`` means the same shift strength on any dataset.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,8 @@ __all__ = [
 ]
 
 PROB_FLOOR = 1e-12  # observation probabilities are kept strictly inside (0, 1)
+CALIBRATION_TOL = 1e-6  # bisection stops once the missing rate is this close
+CALIBRATION_MAX_ITER = 200
 MAX_MISSING_COLS = 4
 MAX_PREDICTORS = 4
 
@@ -49,11 +52,12 @@ class MarSpec(JsonRecord):
     seed: int
 
     def __post_init__(self):
-        object.__setattr__(self, "missing_cols", tuple(int(c) for c in self.missing_cols))
+        object.__setattr__(self, "missing_cols",
+                           tuple(map(operator.index, self.missing_cols)))
         object.__setattr__(
             self,
             "predictor_sets",
-            tuple(tuple(int(c) for c in s) for s in self.predictor_sets),
+            tuple(tuple(map(operator.index, s)) for s in self.predictor_sets),
         )
         if not self.missing_cols:
             raise ValueError("missing_cols is empty")
@@ -121,8 +125,7 @@ def sigmoid(z):
     return out
 
 
-def calibrate_intercept(scores: np.ndarray, target_rate: float,
-                        tol: float = 1e-6, max_iter: int = 200) -> float:
+def calibrate_intercept(scores: np.ndarray, target_rate: float) -> float:
     """Find the intercept making mean(1 - sigmoid(scores + b)) hit target_rate.
 
     Bisection over [-50, 50]; the objective is strictly decreasing in the
@@ -145,10 +148,10 @@ def calibrate_intercept(scores: np.ndarray, target_rate: float,
             f"cannot bracket target rate {target_rate} over [-50, 50]; "
             f"rate({lo})={g_lo + target_rate:.4g}, rate({hi})={g_hi + target_rate:.4g}"
         )
-    for _ in range(max_iter):
+    for _ in range(CALIBRATION_MAX_ITER):
         mid = 0.5 * (lo + hi)
         g_mid = gap(mid)
-        if abs(g_mid) <= tol:
+        if abs(g_mid) <= CALIBRATION_TOL:
             return mid
         if g_mid > 0:
             lo = mid
@@ -207,26 +210,16 @@ def apply_mar_mask(data: DataMatrix, spec: MarSpec):
     probabilities = np.clip(probabilities, PROB_FLOOR, 1.0 - PROB_FLOOR)
     mechanism = CalibratedMechanism(spec, tuple(intercepts), probabilities)
 
-    observed = _draw_mask(probabilities, spec, data.n_rows, data.n_cols, spec.seed)
-    planted = list(spec.missing_cols)
-    degenerate = [
-        c for c in planted
-        if observed[:, c].all() or not observed[:, c].any()
-    ]
-    if degenerate:
-        observed = _draw_mask(probabilities, spec, data.n_rows, data.n_cols,
-                              spec.seed + 1)
-        degenerate = [
-            c for c in planted
-            if observed[:, c].all() or not observed[:, c].any()
-        ]
-        if degenerate:
-            raise RuntimeError(
-                f"degenerate mask for columns {degenerate} after one resample; "
-                "lower the rate or increase n"
-            )
-    ds = MaskedDataset(data, MaskMatrix(observed))
-    return ds, mechanism
+    for seed in (spec.seed, spec.seed + 1):
+        observed = _draw_mask(probabilities, spec, data.n_rows, data.n_cols, seed)
+        degenerate = [c for c in spec.missing_cols
+                      if observed[:, c].all() or not observed[:, c].any()]
+        if not degenerate:
+            return MaskedDataset(data, MaskMatrix(observed)), mechanism
+    raise RuntimeError(
+        f"degenerate mask for columns {degenerate} after one resample; "
+        "lower the rate or increase n"
+    )
 
 
 def select_random_spec(data: DataMatrix, n_missing_cols: int, n_predictors: int,

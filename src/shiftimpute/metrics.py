@@ -85,18 +85,12 @@ def wasserstein_marginal_sum(truth: DataMatrix | np.ndarray, imputed: np.ndarray
     return float(sum(per_column)), per_column
 
 
-def _average_ranks(values: np.ndarray) -> np.ndarray:
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.size)
-    sorted_vals = values[order]
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+def _average_ranks(values: np.ndarray):
+    """1-based ranks, tied values sharing their mean rank, and the size of
+    each tie group in ascending value order."""
+    _, group, counts = np.unique(values, return_inverse=True, return_counts=True)
+    # a group of c values ending at rank e holds ranks e-c+1..e, mean e-(c-1)/2
+    return (np.cumsum(counts) - 0.5 * (counts - 1))[group], counts
 
 
 def _normal_cdf(z: float) -> float:
@@ -124,15 +118,14 @@ def wilcoxon_signed_rank(x: np.ndarray, y: np.ndarray) -> WilcoxonResult:
         raise ValueError("no nonzero pairs")
     if n < 10:
         raise ValueError(f"need at least 10 nonzero pairs, got {n}")
-    ranks = _average_ranks(np.abs(diffs))
+    ranks, tie_counts = _average_ranks(np.abs(diffs))
     w_plus = float(ranks[diffs > 0].sum())
     w_minus = float(ranks[diffs < 0].sum())
     statistic = min(w_plus, w_minus)
     mean = n * (n + 1) / 4.0
     variance = n * (n + 1) * (2 * n + 1) / 24.0
     # tie correction on the variance
-    _, counts = np.unique(ranks, return_counts=True)
-    variance -= float(((counts ** 3 - counts) / 48.0).sum())
+    variance -= float(((tie_counts ** 3 - tie_counts) / 48.0).sum())
     numerator = statistic - mean
     if numerator != 0.0:
         numerator -= 0.5 * math.copysign(1.0, numerator)  # continuity correction

@@ -9,7 +9,7 @@ model fit on them targets the missing-row distribution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +37,6 @@ class PropensityModel:
 
     coefficients: np.ndarray
     intercept: float
-    l2_penalty: float
     converged: bool
     n_iter: int
 
@@ -53,24 +52,19 @@ class PropensityModel:
 
 @dataclass(frozen=True)
 class WeightVector:
-    """Nonnegative importance weights over the observed rows of one column.
-
-    ``propensity`` is the fitted classifier the weights came from, when there
-    is one.
-    """
+    """Mean-1 nonnegative importance weights over the observed rows of one
+    column, and the fitted classifier ``propensity`` they came from."""
 
     weights: np.ndarray
-    clip_epsilon: float
-    normalized: bool
-    propensity: PropensityModel | None = None
+    propensity: PropensityModel | None
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
         object.__setattr__(self, "weights", w)
         if not np.all(np.isfinite(w)) or (w < 0).any():
             raise ValueError("weights must be finite and nonnegative")
-        if self.normalized and w.size and abs(w.mean() - 1.0) > 1e-12:
-            raise ValueError("normalized weights must have mean 1")
+        if w.size and abs(w.mean() - 1.0) > 1e-12:
+            raise ValueError("weights must have mean 1")
 
 
 def _penalized_nll(z, r, coef, l2):
@@ -141,25 +135,23 @@ def fit_propensity(x: np.ndarray, r: np.ndarray, l2: float = DEFAULT_L2,
             trial_nll = _penalized_nll(z_trial, r, trial[:p], l2)
             shrink += 1
         beta, nll, z = trial, trial_nll, z_trial
-    return PropensityModel(beta[:p].copy(), float(beta[p]), l2, converged, it)
+    return PropensityModel(beta[:p].copy(), float(beta[p]), converged, it)
 
 
-def weights_from_propensity(eta: np.ndarray, clip_epsilon: float = DEFAULT_CLIP,
-                            normalize: bool = True) -> WeightVector:
+def weights_from_propensity(eta: np.ndarray,
+                            clip_epsilon: float = DEFAULT_CLIP) -> np.ndarray:
     """Turn propensities into importance weights: clip, take odds, normalize.
 
-    eta is clipped to [eps, 1 - eps], then w = (1 - eta)/eta; with
-    ``normalize`` the weights are rescaled to mean 1 (the odds are only
-    proportional to the true density ratio, so the scale is free).
+    eta is clipped to [eps, 1 - eps], then w = (1 - eta)/eta, rescaled to
+    mean 1 (the odds are only proportional to the true density ratio, so the
+    scale is free).
     """
     eta = np.asarray(eta, dtype=float)
     if not 0.0 < clip_epsilon < 0.5:
         raise ValueError("clip_epsilon must be in (0, 0.5)")
     eta = np.clip(eta, clip_epsilon, 1.0 - clip_epsilon)
     w = (1.0 - eta) / eta
-    if normalize and w.size:
-        w = w / w.mean()
-    return WeightVector(w, clip_epsilon, normalized=normalize)
+    return w / w.mean()
 
 
 def weights_for_column(design: np.ndarray, obs_col: np.ndarray,
@@ -177,7 +169,7 @@ def weights_for_column(design: np.ndarray, obs_col: np.ndarray,
     obs_col = np.asarray(obs_col, dtype=bool)
     model = fit_propensity(design, obs_col.astype(float), l2, init=init)
     eta_obs = model.predict_proba(design[obs_col])
-    return replace(weights_from_propensity(eta_obs, clip_epsilon), propensity=model)
+    return WeightVector(weights_from_propensity(eta_obs, clip_epsilon), model)
 
 
 def effective_sample_size(weights: np.ndarray) -> float:

@@ -8,14 +8,14 @@ Three model classes minimize the same weighted mean squared error
   splits, and weighted leaf means;
 - mlp: one tanh hidden layer trained by seeded mini-batch gradient descent.
 
-All fits are deterministic given their spec (forest trees use seed+tree_index
-so parallel and serial builds agree by construction).
+All fits are deterministic given their spec and seed (forest trees use
+seed+tree_index so parallel and serial builds agree by construction).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,7 +52,6 @@ class ForestSpec(JsonRecord):
     min_leaf_weight: float = 5.0
     feature_subsample: float = 1.0 / 3.0
     bootstrap: bool = True
-    seed: int = 0
 
     def __post_init__(self):
         if self.n_trees < 1 or self.max_depth < 1:
@@ -69,7 +68,6 @@ class MlpSpec(JsonRecord):
     learning_rate: float = 0.02
     epochs: int = 150
     batch_size: int = 64
-    seed: int = 0
 
     def __post_init__(self):
         if min(self.hidden_units, self.epochs, self.batch_size) < 1:
@@ -92,13 +90,6 @@ class RegressorSpec(JsonRecord):
             raise ValueError(f"unknown regressor kind {self.kind!r}")
         if self.ridge_lambda < 0:
             raise ValueError("ridge_lambda must be nonnegative")
-
-    def with_seed(self, seed: int) -> "RegressorSpec":
-        return replace(
-            self,
-            forest=replace(self.forest, seed=seed),
-            mlp=replace(self.mlp, seed=seed),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -281,19 +272,20 @@ def _build_tree(x, y, w, rows, depth, spec: ForestSpec, rng) -> TreeNode:
 
 
 def fit_weighted_forest(x: np.ndarray, y: np.ndarray, w: np.ndarray,
-                        spec: ForestSpec) -> ForestModel:
+                        spec: ForestSpec, seed: int) -> ForestModel:
     """Bagged CART regressors honoring row weights everywhere.
 
     With bootstrap on, each tree draws n rows with probability proportional to
     the weights and fits them with unit weight (multiplicity carries the
     weighting). With bootstrap off, the tree sees every row once with its
     weight in the split criterion and leaf means, so an integer-weighted fit
-    equals the unweighted fit on the row-replicated dataset.
+    equals the unweighted fit on the row-replicated dataset. Tree ``t`` draws
+    from ``seed + t``.
     """
     x, y, w = _check_xyw(x, y, w)
     trees = []
     for t in range(spec.n_trees):
-        rng = np.random.default_rng(spec.seed + t)
+        rng = np.random.default_rng(seed + t)
         if spec.bootstrap:
             idx = rng.choice(x.shape[0], size=x.shape[0], replace=True, p=w / w.sum())
             xt, yt, wt = x[idx], y[idx], np.ones(x.shape[0])
@@ -356,7 +348,7 @@ def mlp_loss_and_gradient(params, x, y, w):
 
 
 def fit_weighted_mlp(x: np.ndarray, y: np.ndarray, w: np.ndarray,
-                     spec: MlpSpec) -> MlpModel:
+                     spec: MlpSpec, seed: int) -> MlpModel:
     """Mini-batch gradient descent on the weighted MSE; seeded and deterministic.
 
     Zero-weight rows are dropped before batching, so the fit is identical to
@@ -369,7 +361,7 @@ def fit_weighted_mlp(x: np.ndarray, y: np.ndarray, w: np.ndarray,
     x, y, w = x[keep], y[keep], w[keep]
     n, p = x.shape
     h = spec.hidden_units
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(seed)
     w_hidden = _glorot(rng, p, h, (p, h))
     b_hidden = np.zeros(h)
     w_out = _glorot(rng, h, 1, (h,))
@@ -405,12 +397,13 @@ def fit_weighted_mlp(x: np.ndarray, y: np.ndarray, w: np.ndarray,
 # Common surface
 # ---------------------------------------------------------------------------
 
-def fit_regressor(spec: RegressorSpec, x, y, w):
+def fit_regressor(spec: RegressorSpec, x, y, w, seed: int):
+    """Fit the model ``spec`` names; ``seed`` drives the forest and the MLP."""
     if spec.kind == "ridge":
         return fit_weighted_ridge(x, y, w, spec.ridge_lambda)
     if spec.kind == "forest":
-        return fit_weighted_forest(x, y, w, spec.forest)
-    return fit_weighted_mlp(x, y, w, spec.mlp)
+        return fit_weighted_forest(x, y, w, spec.forest, seed)
+    return fit_weighted_mlp(x, y, w, spec.mlp, seed)
 
 
 def predict(model, x: np.ndarray) -> np.ndarray:

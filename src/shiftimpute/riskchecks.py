@@ -31,7 +31,6 @@ __all__ = [
     "draw_synthetic",
     "constant_imputer",
     "observed_mean_imputer",
-    "oracle_imputer",
     "check_risk_decomposition",
     "check_weighting_identity",
     "check_linear_fit_ignores_indicators",
@@ -117,12 +116,6 @@ def observed_mean_imputer():
     def g(i, values, observed):
         col_obs = observed[:, i]
         return np.full(values.shape[0], values[col_obs, i].mean())
-    return g
-
-
-def oracle_imputer():
-    def g(i, values, observed):
-        return values[:, i].copy()
     return g
 
 

@@ -179,10 +179,10 @@ def test_criterion_6_numerical_kernels():
     yi = rng.integers(-8, 9, size=30).astype(float)
     wi = rng.integers(1, 4, size=30).astype(float)
     spec = ForestSpec(n_trees=1, max_depth=5, min_leaf_weight=2.0,
-                      feature_subsample=1.0, bootstrap=False, seed=0)
-    weighted = fit_weighted_forest(xi, yi, wi, spec)
+                      feature_subsample=1.0, bootstrap=False)
+    weighted = fit_weighted_forest(xi, yi, wi, spec, 0)
     reps = np.repeat(np.arange(30), wi.astype(int))
-    replicated = fit_weighted_forest(xi[reps], yi[reps], np.ones(len(reps)), spec)
+    replicated = fit_weighted_forest(xi[reps], yi[reps], np.ones(len(reps)), spec, 0)
     checks.append(("forest_replication", weighted.trees == replicated.trees,
                    "exact tree equality"))
 

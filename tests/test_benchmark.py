@@ -179,6 +179,13 @@ class TestGridConfig:
         assert grid.seeds == (0, 1, 2, 3, 4)
         assert ExperimentGrid(seeds=5) == grid
 
+    def test_python_seeds_must_be_integers(self):
+        # a float seed was truncated before (1.5 -> 1); numpy integers pass
+        with pytest.raises(TypeError):
+            ExperimentGrid(seeds=(0, 1.5))
+        grid = ExperimentGrid(seeds=(np.int64(0), np.int32(1)))
+        assert grid.seeds == (0, 1) and type(grid.seeds[1]) is int
+
     def test_dataset_header_flag_must_be_boolean(self):
         with pytest.raises(ValueError, match="DatasetSource.has_header"):
             ExperimentGrid.from_dict({"dataset": {"kind": "csv", "path": "t.csv",

@@ -216,6 +216,9 @@ BENCHMARK = ["benchmark", "--out", "out.csv", "--grid"]
     (BENCHMARK, '{"n_sweeps": 0}', "n_sweeps must be >= 1"),
     (BENCHMARK, "[1, 2]", "ExperimentGrid must be a JSON object, got [1, 2]"),
     (BENCHMARK, None, "[Errno 2] No such file or directory"),
+    (IMPUTE, '{"regressor": {"forest": {"seed": 7}}}', "unknown ForestSpec keys: seed"),
+    (IMPUTE, '{"regressor": {"mlp": {"seed": 7}}}', "unknown MlpSpec keys: seed"),
+    (BENCHMARK, '{"mlp": {"seed": 7}}', "unknown MlpSpec keys: seed"),
 ])
 def test_bad_config_file_is_a_one_line_error(tmp_path, monkeypatch, argv, text,
                                               message):
@@ -245,6 +248,19 @@ def test_bad_config_exits_nonzero_without_traceback(tmp_path):
                            "a JSON boolean, got 'false'\n")
 
 
+def _good_argv(command, truth, masked):
+    """A command line that succeeds on the complete CSV ``truth`` and its
+    masked version ``masked``."""
+    return {
+        "impute": ["impute", "--input", masked, "--output", "out.csv"],
+        "simulate-mask": ["simulate-mask", "--input", truth, "--output", "out.csv",
+                          "--mechanism", "mech.json", "--missing-cols", "2",
+                          "--predictors", "2"],
+        "metrics": ["metrics", "--truth", truth, "--imputed", truth, "--mask", masked,
+                    "--out", "out.csv"],
+    }[command]
+
+
 @pytest.mark.parametrize("command, flag", [
     ("impute", "--input"), ("simulate-mask", "--input"),
     ("metrics", "--truth"), ("metrics", "--imputed"), ("metrics", "--mask"),
@@ -253,17 +269,10 @@ def test_bad_config_exits_nonzero_without_traceback(tmp_path):
     (None, "[Errno 2] No such file or directory"),
     ("a,b\n1,x\n", "cannot parse 'x' as a number at row 0, column b"),
 ])
-def test_bad_input_csv_is_a_one_line_error(tmp_path, monkeypatch, truth_csv,
+def test_bad_input_csv_is_a_one_line_error(tmp_path, monkeypatch, truth_csv, masked_csv,
                                            command, flag, text, message):
     monkeypatch.chdir(tmp_path)
-    good = str(truth_csv)
-    argv = {
-        "impute": ["impute", "--input", good, "--output", "out.csv"],
-        "simulate-mask": ["simulate-mask", "--input", good, "--output", "out.csv",
-                          "--mechanism", "mech.json"],
-        "metrics": ["metrics", "--truth", good, "--imputed", good, "--mask", good,
-                    "--out", "out.csv"],
-    }[command]
+    argv = _good_argv(command, str(truth_csv), str(masked_csv))
     path = tmp_path / "bad.csv"
     if text is not None:
         path.write_text(text)
@@ -271,6 +280,30 @@ def test_bad_input_csv_is_a_one_line_error(tmp_path, monkeypatch, truth_csv,
     with pytest.raises(SystemExit) as info:
         main(argv)
     assert str(info.value).startswith(f"shiftimpute: {path}: {message}")
+    assert "\n" not in str(info.value)
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("command, flag, value, message", [
+    ("metrics", "--imputed", "narrow.csv", "shape (1, 2) differs from the truth's (300, 6)"),
+    ("metrics", "--mask", "narrow.csv", "shape (1, 2) differs from the truth's (300, 6)"),
+    ("metrics", "--mask", "truth.csv", "no masked cells to score"),
+    ("simulate-mask", "--missing-cols", "5", "n_missing_cols must be in 1..4"),
+    ("simulate-mask", "--rate", "0.995", "target_rate must be in (0.01, 0.99)"),
+    ("impute", "--output", "no_such_dir/out.csv", "[Errno 2] No such file or directory"),
+])
+def test_bad_argument_is_a_one_line_error(tmp_path, monkeypatch, truth_csv, masked_csv,
+                                          command, flag, value, message):
+    # the message names the file being read or written: the flag's own, or
+    # for a masking setting the table it does not fit
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "narrow.csv").write_text("a,b\n1,2\n")
+    argv = _good_argv(command, str(truth_csv), str(masked_csv))
+    argv += [flag, value]  # the last value counts
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    named = str(truth_csv) if command == "simulate-mask" else value
+    assert str(info.value).startswith(f"shiftimpute: {named}: {message}")
     assert "\n" not in str(info.value)
     assert not (tmp_path / "out.csv").exists()
 

@@ -317,7 +317,7 @@ def golden_records():
             regressor=RegressorSpec(
                 kind="forest", ridge_lambda=0.25,
                 forest=ForestSpec(n_trees=7, max_depth=3, min_leaf_weight=2.5,
-                                  bootstrap=False, seed=4),
+                                  bootstrap=False),
                 mlp=MlpSpec(hidden_units=4, learning_rate=0.1)),
             weighted=False, n_sweeps=3, visitation=(2, 0, 1), clip_epsilon=0.02,
             propensity_l2=0.001, seed=11),

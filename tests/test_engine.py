@@ -131,8 +131,7 @@ class TestImpute:
         baseline = impute(ds, cfg_unweighted)
 
         def unit_weights(design, obs_col, **kwargs):
-            return WeightVector(np.ones(int(np.asarray(obs_col).sum())),
-                                clip_epsilon=1e-3, normalized=True)
+            return WeightVector(np.ones(int(np.asarray(obs_col).sum())), None)
 
         monkeypatch.setattr(engine_mod, "weights_for_column", unit_weights)
         forced = impute(ds, ridge_config(weighted=True, n_sweeps=3, seed=1))
@@ -408,6 +407,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             ImputationConfig(n_sweeps=0)
 
+    def test_visitation_validated(self):
+        # the one check of the policy name; visitation_order trusts it
+        with pytest.raises(ValueError, match="unknown visitation policy 'random'"):
+            ImputationConfig(visitation="random")
+        # a float column was truncated before (5.7 -> 5); numpy integers pass
+        with pytest.raises(TypeError):
+            ImputationConfig(visitation=(5.7, 3))
+        cfg = ImputationConfig(visitation=(np.int64(5), 3))
+        assert cfg.visitation == (5, 3) and type(cfg.visitation[0]) is int
+
     def test_json_integer_reads_as_float_field(self):
         cfg = ImputationConfig.from_dict({"clip_epsilon": 0,
                                           "regressor": {"ridge_lambda": 1}})
@@ -432,6 +441,9 @@ class TestConfig:
         ({"visitation": [3, True]},
          "ImputationConfig.visitation[1] must be a JSON integer, got True"),
         ({"regressor": {"kind": 1}}, "RegressorSpec.kind must be a JSON string, got 1"),
+        # each fit's seed derives from the top-level seed, not a per-model one
+        ({"regressor": {"forest": {"seed": 7}}}, "unknown ForestSpec keys: seed"),
+        ({"regressor": {"mlp": {"seed": 7}}}, "unknown MlpSpec keys: seed"),
     ])
     def test_misread_config_rejected(self, config, message):
         with pytest.raises(ValueError) as info:

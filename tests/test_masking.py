@@ -265,3 +265,13 @@ class TestMarSpecInvariants:
             MarSpec.from_dict(d)
         assert str(info.value) == \
             "MarSpec.predictor_sets[1][1] must be a JSON integer, got 4.5"
+
+    def test_python_columns_must_be_integers(self):
+        # a float column was truncated before (1.9 -> 1); numpy integers pass
+        with pytest.raises(TypeError):
+            MarSpec((1.9,), ((0.2,),), 1.0, 0.3, 0)
+        with pytest.raises(TypeError):
+            MarSpec((1,), ((0.2,),), 1.0, 0.3, 0)
+        spec = MarSpec((np.int64(1),), ((np.int32(0),),), 1.0, 0.3, 0)
+        assert spec == MarSpec((1,), ((0,),), 1.0, 0.3, 0)
+        assert type(spec.missing_cols[0]) is int

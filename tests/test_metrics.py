@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 from shiftimpute.data import DataMatrix, MaskMatrix
 from shiftimpute.metrics import (
+    _average_ranks,
     evaluate_imputation,
     rmse_masked,
     wasserstein_1d,
@@ -216,6 +218,17 @@ class TestWilcoxon:
             approx = wilcoxon_signed_rank(diffs, np.zeros(n)).p_value
             exact = exact_wilcoxon_p(diffs, np.zeros(n))
             assert abs(approx - exact) < 0.08
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 6), min_size=1, max_size=60),
+       st.sampled_from([1.0, 0.1, 0.37]))
+def test_average_ranks_equal_rankdata_with_tie_groups(values, scale):
+    # tie-heavy magnitudes; average ranks are half-integers, so exact
+    v = np.array(values) * scale
+    ranks, counts = _average_ranks(v)
+    assert np.array_equal(ranks, rankdata(v, method="average"))
+    assert np.array_equal(counts, np.unique(ranks, return_counts=True)[1])
 
 
 class TestEvaluate:

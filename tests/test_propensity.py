@@ -16,6 +16,7 @@ from shiftimpute.propensity import (
     _penalized_nll,
     effective_sample_size,
     fit_propensity,
+    WeightVector,
     weight_diagnostics,
     weights_for_column,
     weights_from_propensity,
@@ -111,27 +112,23 @@ class TestFitPropensity:
 
 class TestWeightsFromPropensity:
     def test_symmetric_propensity_gives_unit_weights(self):
-        wv = weights_from_propensity(np.full(10, 0.5))
-        np.testing.assert_allclose(wv.weights, 1.0)
+        np.testing.assert_allclose(weights_from_propensity(np.full(10, 0.5)), 1.0)
 
     def test_constant_propensity_normalizes_to_one(self):
-        raw = weights_from_propensity(np.array([0.8, 0.8]), normalize=False)
-        np.testing.assert_allclose(raw.weights, 0.25)
-        wv = weights_from_propensity(np.array([0.8, 0.8]))
-        np.testing.assert_allclose(wv.weights, 1.0)
+        w = weights_from_propensity(np.array([0.8, 0.8]))
+        np.testing.assert_allclose(w, 1.0)
 
     def test_clipping_before_odds(self):
-        raw = weights_from_propensity(np.array([1e-9]), clip_epsilon=1e-3,
-                                      normalize=False)
-        assert raw.weights[0] == pytest.approx(CLIPPED_RAW_WEIGHT, abs=1e-9)
+        # against an unclipped eta=0.5 row of odds 1, the clipped row keeps
+        # its raw odds as the ratio
+        w = weights_from_propensity(np.array([1e-9, 0.5]), clip_epsilon=1e-3)
+        assert w[0] / w[1] == pytest.approx(CLIPPED_RAW_WEIGHT, abs=1e-9)
 
     def test_normalization_idempotent(self):
         rng = np.random.default_rng(3)
         eta = rng.uniform(0.05, 0.95, 200)
-        once = weights_from_propensity(eta).weights
-        twice = weights_from_propensity(eta).weights / np.mean(
-            weights_from_propensity(eta).weights
-        )
+        once = weights_from_propensity(eta)
+        twice = once / np.mean(once)
         np.testing.assert_allclose(once, twice, rtol=0, atol=1e-15)
         assert once.mean() == pytest.approx(1.0, abs=1e-12)
 
@@ -139,12 +136,23 @@ class TestWeightsFromPropensity:
     @given(st.floats(1e-6, 1 - 1e-6), st.floats(1e-6, 1 - 1e-6))
     def test_clipping_monotone_in_eta(self, a, b):
         lo, hi = min(a, b), max(a, b)
-        w = weights_from_propensity(np.array([lo, hi]), normalize=False).weights
+        w = weights_from_propensity(np.array([lo, hi]))
         assert w[0] >= w[1]
 
     def test_epsilon_validated(self):
         with pytest.raises(ValueError):
             weights_from_propensity(np.array([0.5]), clip_epsilon=0.7)
+
+
+class TestWeightVector:
+    @pytest.mark.parametrize("weights, message", [
+        ([1.0, np.nan], "finite and nonnegative"),
+        ([2.5, -0.5], "finite and nonnegative"),
+        ([0.5, 0.5], "mean 1"),
+    ])
+    def test_checks(self, weights, message):
+        with pytest.raises(ValueError, match=message):
+            WeightVector(np.array(weights), None)
 
 
 def _masked_gaussian(n, d, alpha, seed, missing_col=0, predictors=(1, 2)):
@@ -189,7 +197,7 @@ class TestBayesRatioIdentity:
         x_std = standardize(x.reshape(-1, 1))
         model = fit_propensity(x_std, r.astype(float), l2=1e-4)
         eta = model.predict_proba(x_std[r])
-        est = weights_from_propensity(eta).weights
+        est = weights_from_propensity(eta)
         true = np.exp(x[r] - 0.5)
         true /= true.mean()
         central = np.abs(x[r]) <= 3.0

@@ -89,8 +89,8 @@ class TestWeightedForest:
         rng = np.random.default_rng(2)
         x = rng.normal(size=(40, 3))
         y = np.full(40, 3.25)
-        spec = ForestSpec(n_trees=5, max_depth=4, min_leaf_weight=1.0, seed=1)
-        model = fit_weighted_forest(x, y, np.ones(40), spec)
+        spec = ForestSpec(n_trees=5, max_depth=4, min_leaf_weight=1.0)
+        model = fit_weighted_forest(x, y, np.ones(40), spec, 1)
         preds = predict(model, rng.normal(size=(10, 3)))
         np.testing.assert_allclose(preds, 3.25, atol=1e-12)
 
@@ -100,10 +100,10 @@ class TestWeightedForest:
         # weighted tree must equal the tree on the row-replicated dataset
         x, y, w = _integer_problem(seed)
         spec = ForestSpec(n_trees=1, max_depth=5, min_leaf_weight=2.0,
-                          feature_subsample=1.0, bootstrap=False, seed=0)
-        weighted = fit_weighted_forest(x, y, w, spec)
+                          feature_subsample=1.0, bootstrap=False)
+        weighted = fit_weighted_forest(x, y, w, spec, 0)
         reps = np.repeat(np.arange(len(y)), w.astype(int))
-        replicated = fit_weighted_forest(x[reps], y[reps], np.ones(len(reps)), spec)
+        replicated = fit_weighted_forest(x[reps], y[reps], np.ones(len(reps)), spec, 0)
         assert weighted.trees == replicated.trees
 
     def test_step_function_split_matches_exhaustive_scan(self):
@@ -112,8 +112,8 @@ class TestWeightedForest:
         cut = 0.5 * (x[11, 0] + x[12, 0])
         y = (x[:, 0] > cut).astype(float) * 2.0
         spec = ForestSpec(n_trees=1, max_depth=1, min_leaf_weight=1.0,
-                          feature_subsample=1.0, bootstrap=False, seed=0)
-        model = fit_weighted_forest(x, y, np.ones(20), spec)
+                          feature_subsample=1.0, bootstrap=False)
+        model = fit_weighted_forest(x, y, np.ones(20), spec, 0)
         root = model.trees[0]
         # exhaustive scan oracle over every midpoint
         best_gain, best_thr = -np.inf, None
@@ -137,8 +137,8 @@ class TestWeightedForest:
         x = np.array([[a]] * 4 + [[b]] * 4)
         y = np.array([0.0] * 4 + [1.0] * 4)
         spec = ForestSpec(n_trees=1, max_depth=1, min_leaf_weight=1.0,
-                          feature_subsample=1.0, bootstrap=False, seed=0)
-        model = fit_weighted_forest(x, y, np.ones(8), spec)
+                          feature_subsample=1.0, bootstrap=False)
+        model = fit_weighted_forest(x, y, np.ones(8), spec, 0)
         root = model.trees[0]
         assert a <= root.threshold < b
         np.testing.assert_array_equal(predict(model, x), y)
@@ -149,7 +149,7 @@ class TestWeightedForest:
         y = rng.normal(size=200) * 3.0
         w = rng.uniform(0.0, 2.0, 200)
         w[0] = 1.0  # keep positive mass
-        model = fit_weighted_forest(x, y, w, ForestSpec(n_trees=10, seed=2))
+        model = fit_weighted_forest(x, y, w, ForestSpec(n_trees=10), 2)
         preds = predict(model, rng.normal(size=(500, 4)))
         assert preds.min() >= y.min() - 1e-12
         assert preds.max() <= y.max() + 1e-12
@@ -158,9 +158,9 @@ class TestWeightedForest:
         rng = np.random.default_rng(5)
         x = rng.normal(size=(80, 3))
         y = rng.normal(size=80)
-        spec = ForestSpec(n_trees=4, max_depth=3, seed=9)
-        a = fit_weighted_forest(x, y, np.ones(80), spec)
-        b = fit_weighted_forest(x, y, np.ones(80), spec)
+        spec = ForestSpec(n_trees=4, max_depth=3)
+        a = fit_weighted_forest(x, y, np.ones(80), spec, 9)
+        b = fit_weighted_forest(x, y, np.ones(80), spec, 9)
         assert a.trees == b.trees
 
 
@@ -190,12 +190,12 @@ def _reference_glorot(rng, fan_in, fan_out, shape):
     return rng.uniform(-limit, limit, size=shape)
 
 
-def _reference_fit_mlp(x, y, w, spec):
+def _reference_fit_mlp(x, y, w, spec, seed):
     keep = w > 0
     x, y, w = x[keep], y[keep], w[keep]
     n, p = x.shape
     h = spec.hidden_units
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(seed)
     w_hidden = _reference_glorot(rng, p, h, (p, h))
     b_hidden = np.zeros(h)
     w_out = _reference_glorot(rng, h, 1, (h,))
@@ -247,15 +247,15 @@ class TestMlpMatchesReferenceLoop:
         w[rng.random(n) < zero_frac] = 0.0
         w[rng.integers(n)] = 1.0  # positive total mass
         spec = MlpSpec(hidden_units=hidden_units, learning_rate=learning_rate,
-                       epochs=epochs, batch_size=batch, seed=seed % 1000)
+                       epochs=epochs, batch_size=batch)
         try:
-            params, trace = _reference_fit_mlp(x, y, w, spec)
+            params, trace = _reference_fit_mlp(x, y, w, spec, seed % 1000)
         except RuntimeError as exc:
             with pytest.raises(RuntimeError) as info:
-                fit_weighted_mlp(x, y, w, spec)
+                fit_weighted_mlp(x, y, w, spec, seed % 1000)
             assert str(info.value) == str(exc)
             return
-        model = fit_weighted_mlp(x, y, w, spec)
+        model = fit_weighted_mlp(x, y, w, spec, seed % 1000)
         for got, want in zip(model.params, params):
             assert np.array_equal(got, want)
         assert model.loss_trace == trace
@@ -279,9 +279,9 @@ class TestWeightedMlp:
         dead = rng.random(50) < 0.3
         w[dead] = 0.0
         spec = MlpSpec(hidden_units=8, learning_rate=0.05, epochs=20,
-                       batch_size=16, seed=3)
-        with_zeros = fit_weighted_mlp(x, y, w, spec)
-        deleted = fit_weighted_mlp(x[~dead], y[~dead], w[~dead], spec)
+                       batch_size=16)
+        with_zeros = fit_weighted_mlp(x, y, w, spec, 3)
+        deleted = fit_weighted_mlp(x[~dead], y[~dead], w[~dead], spec, 3)
         assert with_zeros.loss_trace[-1] == pytest.approx(
             deleted.loss_trace[-1], abs=1e-10
         )
@@ -332,8 +332,8 @@ class TestWeightedMlp:
         x = (x - x.mean()) / x.std()
         y = (y - y.mean()) / y.std()
         spec = MlpSpec(hidden_units=32, learning_rate=0.05, epochs=300,
-                       batch_size=64, seed=5)
-        model = fit_weighted_mlp(x, y, np.ones(400), spec)
+                       batch_size=64)
+        model = fit_weighted_mlp(x, y, np.ones(400), spec, 5)
         ridge = fit_weighted_ridge(x, y, np.ones(400), 0.0)
         assert float(np.sqrt(np.mean((predict(ridge, x) - y) ** 2))) < 1e-10
         rmse = float(np.sqrt(np.mean((predict(model, x) - y) ** 2)))
@@ -344,8 +344,8 @@ class TestWeightedMlp:
         x = rng.normal(size=(300, 2))
         y = np.tanh(x[:, 0]) + 0.3 * x[:, 1]
         spec = MlpSpec(hidden_units=16, learning_rate=0.02, epochs=100,
-                       batch_size=32, seed=6)
-        model = fit_weighted_mlp(x, y, np.ones(300), spec)
+                       batch_size=32)
+        model = fit_weighted_mlp(x, y, np.ones(300), spec, 6)
         trace = np.array(model.loss_trace)
         smoothed = np.convolve(trace, np.ones(5) / 5, mode="valid")
         assert np.all(np.diff(smoothed) <= 1e-6)
@@ -355,9 +355,9 @@ class TestWeightedMlp:
         x = rng.normal(size=(60, 2)) * 10
         y = rng.normal(size=60) * 10
         spec = MlpSpec(hidden_units=8, learning_rate=50.0, epochs=50,
-                       batch_size=16, seed=7)
+                       batch_size=16)
         with pytest.raises(RuntimeError, match="diverged"):
-            fit_weighted_mlp(x, y, np.ones(60), spec)
+            fit_weighted_mlp(x, y, np.ones(60), spec, 7)
 
 
 class TestPredict:
@@ -369,17 +369,16 @@ class TestPredict:
     def test_forest_of_constants(self):
         x = np.zeros((5, 2)) + np.arange(5).reshape(-1, 1)
         y = np.full(5, 4.5)
-        model = fit_weighted_forest(x, y, np.ones(5),
-                                    ForestSpec(n_trees=3, seed=0))
+        model = fit_weighted_forest(x, y, np.ones(5), ForestSpec(n_trees=3), 0)
         np.testing.assert_allclose(predict(model, x), 4.5, atol=1e-12)
 
     def test_empty_query(self):
         x = np.array([[0.0], [1.0]])
         ridge = fit_weighted_ridge(x, np.array([0.0, 1.0]), np.ones(2), 0.0)
         forest = fit_weighted_forest(x, np.array([0.0, 1.0]), np.ones(2),
-                                     ForestSpec(n_trees=2, seed=0))
+                                     ForestSpec(n_trees=2), 0)
         mlp = fit_weighted_mlp(x, np.array([0.0, 1.0]), np.ones(2),
-                               MlpSpec(hidden_units=4, epochs=2, seed=0))
+                               MlpSpec(hidden_units=4, epochs=2), 0)
         for model in (ridge, forest, mlp):
             assert predict(model, np.empty((0, 1))).shape == (0,)
 
@@ -388,7 +387,7 @@ class TestPredict:
             spec = RegressorSpec(kind=kind, forest=ForestSpec(n_trees=2),
                                  mlp=MlpSpec(hidden_units=4, epochs=2))
             model = fit_regressor(spec, np.array([[0.0], [1.0]]),
-                                  np.array([0.0, 1.0]), np.ones(2))
+                                  np.array([0.0, 1.0]), np.ones(2), 0)
             with pytest.raises(ValueError, match="model expects 1 features, got 2"):
                 predict(model, np.zeros((3, 2)))
 
@@ -445,7 +444,7 @@ class TestArgminConsistency:
 class TestRegressorSpec:
     def test_json_round_trip(self):
         spec = RegressorSpec(kind="forest", ridge_lambda=0.5,
-                             forest=ForestSpec(n_trees=7, seed=3),
+                             forest=ForestSpec(n_trees=7, max_depth=3),
                              mlp=MlpSpec(hidden_units=4))
         assert RegressorSpec.from_dict(spec.to_dict()) == spec
 

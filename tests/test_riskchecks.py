@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import oracle_imputer
 from shiftimpute.masking import MarSpec
 from shiftimpute.riskchecks import (
     SyntheticSpec,
@@ -12,7 +13,6 @@ from shiftimpute.riskchecks import (
     draw_synthetic,
     indicator_regression,
     observed_mean_imputer,
-    oracle_imputer,
     indicator_spec,
     run_all_checks,
     weighting_spec,
