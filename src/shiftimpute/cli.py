@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import contextmanager
 
@@ -39,7 +40,22 @@ def _input_errors(path):
         raise SystemExit(f"shiftimpute: {path}: {exc}") from None
 
 
+def _check_writable(*paths):
+    """End the command with a one-line message before it does any work if an
+    output path cannot be opened for writing; ``None`` (an output not asked
+    for) is skipped. Creates no file and changes none."""
+    for path in paths:
+        if path is None:
+            continue
+        existed = os.path.lexists(path)
+        with _input_errors(path), open(path, "a", encoding="utf-8"):
+            pass
+        if not existed:
+            os.remove(path)
+
+
 def _cmd_simulate_mask(args) -> int:
+    _check_writable(args.output, args.mechanism)
     # errors name the input: the file itself, or a layout or rate it cannot take
     with _input_errors(args.input):
         data = load_csv(args.input, has_header=not args.no_header)
@@ -52,8 +68,10 @@ def _cmd_simulate_mask(args) -> int:
             target_missing_rate=args.rate,
         )
         masked, mechanism = apply_mar_mask(data, spec)
-    save_masked_csv(masked, args.output, header=not args.no_header)
-    mechanism.save_json(args.mechanism)
+    with _input_errors(args.output):
+        save_masked_csv(masked, args.output, header=not args.no_header)
+    with _input_errors(args.mechanism):
+        mechanism.save_json(args.mechanism)
     achieved = float((~masked.mask.observed[:, list(spec.missing_cols)]).mean())
     print(f"masked {args.output}: columns {list(spec.missing_cols)}, "
           f"achieved missing rate {achieved:.4f}")
@@ -74,6 +92,7 @@ def _load_config(cls, path):
 
 def _cmd_impute(args) -> int:
     cfg = _load_config(ImputationConfig, args.config)
+    _check_writable(args.output, args.diagnostics)
     with _input_errors(args.input):
         ds = load_masked_csv(args.input, has_header=not args.no_header)
     if ds.missing_columns():
@@ -102,6 +121,7 @@ def _check_shape(array, truth):
 
 
 def _cmd_metrics(args) -> int:
+    _check_writable(args.out)
     with _input_errors(args.truth):
         truth = load_csv(args.truth, has_header=not args.no_header)
     with _input_errors(args.imputed):
@@ -113,17 +133,18 @@ def _cmd_metrics(args) -> int:
         report = evaluate_imputation(truth, imputed.values, mask)  # needs a hidden cell
     payload = json.dumps(report.to_dict(), indent=2)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
+        with _input_errors(args.out), open(args.out, "w", encoding="utf-8") as handle:
             handle.write(payload + "\n")
     print(payload)
     return 0
 
 
 def _cmd_verify(args) -> int:
+    _check_writable(args.out)
     results = run_all_checks()
     payload = json.dumps(results, indent=2)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
+        with _input_errors(args.out), open(args.out, "w", encoding="utf-8") as handle:
             handle.write(payload + "\n")
     for entry in results:
         status = "PASS" if entry["passed"] else "FAIL"
@@ -133,10 +154,13 @@ def _cmd_verify(args) -> int:
 
 def _cmd_benchmark(args) -> int:
     grid = _load_config(ExperimentGrid, args.grid)
+    _check_writable(args.out, args.summary)  # before the grid, not after it
     result = run_benchmark(grid, jobs=args.jobs)
-    records_to_csv(result.records, args.out)
+    with _input_errors(args.out):
+        records_to_csv(result.records, args.out)
     if args.summary:
-        with open(args.summary, "w", encoding="utf-8") as handle:
+        with _input_errors(args.summary), \
+                open(args.summary, "w", encoding="utf-8") as handle:
             json.dump(build_summary(result), handle, indent=2)
     print(f"{len(result.records)} records -> {args.out}; "
           f"{len(result.failures)} failures")

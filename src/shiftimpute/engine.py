@@ -11,8 +11,9 @@ predicts the rest. Observed cells are never altered.
 
 A run keeps the column means and scales both standardizations need in step
 with the completion (a column step changes one column, so only its entries
-are recomputed), and starts each column's propensity fit from that column's
-fit in the previous sweep.
+are recomputed), starts each column's propensity fit from that column's
+fit in the previous sweep, and refills one set of step arrays allocated at
+its start instead of allocating them at every step.
 """
 
 from __future__ import annotations
@@ -137,17 +138,31 @@ def _mean_scale(values: np.ndarray):
 
 
 class _Scalings:
-    """Per-column (mean, scale) of the current completion, and row sets.
+    """Per-column (mean, scale) of the current completion, row sets, and the
+    column step's workspace.
 
     ``all_rows`` standardizes the propensity design (statistics over every
     row); ``by_target[i]`` standardizes the regression predictors of target
     ``i`` (statistics over the rows where ``i`` is observed). After a step
     overwrites column ``k``, :meth:`refresh` recomputes column ``k``'s
     entries and nothing else.
+
+    The workspace is one allocation per :func:`impute` call, refilled in
+    place by every step: the raw predictor block, one observed-row and one
+    missing-row predictor buffer, each sized to the largest row set, and
+    the propensity design with its trailing column of ones (weighted runs
+    only). BLAS rounding depends on memory order, so a buffer that a fit or
+    prediction reads has the layout numpy gives the expression it replaces:
+    the design that of ``np.hstack([completed[:, others], ones])`` (Fortran
+    order from three columns on, C order with two), the row buffers that of
+    a row gather (C order). The raw block feeds only element-wise copies and
+    arithmetic; C order lets ``np.take`` fill it and gather rows from it
+    without a hidden copy.
     """
 
-    def __init__(self, completed: np.ndarray, observed: np.ndarray, targets):
-        d = completed.shape[1]
+    def __init__(self, completed: np.ndarray, observed: np.ndarray, targets,
+                 weighted: bool):
+        n, d = completed.shape
         self.others = {i: np.delete(np.arange(d), i) for i in targets}
         self.obs_rows = {i: np.flatnonzero(observed[:, i]) for i in targets}
         self.miss_rows = {i: np.flatnonzero(~observed[:, i]) for i in targets}
@@ -155,6 +170,25 @@ class _Scalings:
         self.by_target = {i: (np.empty(d), np.empty(d)) for i in targets}
         for k in range(d):
             self.refresh(completed, k)
+        n_obs = max(rows.shape[0] for rows in self.obs_rows.values())
+        n_miss = max(rows.shape[0] for rows in self.miss_rows.values())
+        # one allocation, not one per buffer: on the MLP path, separate
+        # buffers measured slower than the per-step arrays they replace
+        sizes = [n * (d - 1), n_obs * (d - 1), n_miss * (d - 1),
+                 n * d if weighted else 0]
+        block, train, miss, design = np.split(np.empty(sum(sizes)),
+                                              np.cumsum(sizes)[:-1])
+        self.block = block.reshape(n, d - 1)
+        self.train = train.reshape(n_obs, d - 1)
+        self.miss = miss.reshape(n_miss, d - 1)
+        self.design = None
+        if weighted:
+            # numpy's layout for the expression, which the row count leaves alone
+            others = self.others[targets[0]]
+            probe = np.hstack([completed[:2, others], np.ones((min(n, 2), 1))])
+            fortran = probe.flags.f_contiguous and not probe.flags.c_contiguous
+            self.design = design.reshape((n, d), order="F" if fortran else "C")
+            self.design[:, -1] = 1.0
 
     def refresh(self, completed: np.ndarray, k: int) -> None:
         column = completed[:, k]
@@ -164,12 +198,31 @@ class _Scalings:
             mean, scale = self.by_target[i]
             mean[k], scale[k] = _mean_scale(column[rows])
 
+    def fill_block(self, completed: np.ndarray, i: int) -> None:
+        """The completed values of every column but ``i``, into the block."""
+        # any mode but the default "raise" writes straight into ``out``
+        np.take(completed, self.others[i], axis=1, out=self.block, mode="clip")
 
-def _standardize(block: np.ndarray, stats, cols: np.ndarray) -> np.ndarray:
+    def propensity_design(self, i: int) -> np.ndarray:
+        """The filled block standardized over all rows, with the ones column."""
+        x = self.design[:, :-1]
+        np.copyto(x, self.block)
+        _standardize(x, self.all_rows, self.others[i])
+        return self.design
+
+    def predictors(self, i: int, rows: np.ndarray, buffer: np.ndarray):
+        """The filled block's ``rows``, standardized for target ``i``."""
+        x = np.take(self.block, rows, axis=0, out=buffer[:rows.shape[0]],
+                    mode="clip")
+        return _standardize(x, self.by_target[i], self.others[i])
+
+
+def _standardize(x: np.ndarray, stats, cols: np.ndarray) -> np.ndarray:
+    """Standardize ``x`` in place with the statistics of columns ``cols``."""
     mean, scale = stats
-    out = block - mean[cols]
-    out /= scale[cols]  # in place: one n x (d-1) temporary, not two
-    return out
+    x -= mean[cols]
+    x /= scale[cols]
+    return x
 
 
 def _column_step(values, observed, completed, i, cfg, sweep, scalings,
@@ -181,23 +234,21 @@ def _column_step(values, observed, completed, i, cfg, sweep, scalings,
     when unweighted), which carry this sweep's propensity model.
     """
     obs_rows, miss_rows = scalings.obs_rows[i], scalings.miss_rows[i]
-    others = scalings.others[i]
-    block = completed[:, others]
+    scalings.fill_block(completed, i)
     wv = propensity = None
     if cfg.weighted:
         wv = weights_for_column(
-            _standardize(block, scalings.all_rows, others), observed[:, i],
+            scalings.propensity_design(i), observed[:, i],
             l2=cfg.propensity_l2, clip_epsilon=cfg.clip_epsilon, init=init,
         )
         weights, propensity = wv.weights, wv.propensity
     else:
         weights = np.ones(obs_rows.shape[0])
-    predictors = _standardize(block, scalings.by_target[i], others)
-    x_train = predictors[obs_rows]
+    x_train = scalings.predictors(i, obs_rows, scalings.train)
     y_train = values[obs_rows, i]
     model = fit_regressor(cfg.regressor, x_train, y_train, weights,
                           _step_seed(cfg, sweep, i))
-    preds = predict(model, predictors[miss_rows])
+    preds = predict(model, scalings.predictors(i, miss_rows, scalings.miss))
     diag = ColumnDiagnostics(
         column=int(i),
         train_weighted_mse=weighted_mse(model, x_train, y_train, weights),
@@ -224,7 +275,7 @@ def impute(ds: MaskedDataset, cfg: ImputationConfig) -> ImputationResult:
     completed = initial_impute(ds)
     values = ds.data.values
     observed = ds.mask.observed
-    scalings = _Scalings(completed, observed, order)
+    scalings = _Scalings(completed, observed, order, cfg.weighted)
     # each column's weights from the previous sweep, whose propensity model
     # warm-starts the next fit; local to this call so results never depend
     # on what ran before

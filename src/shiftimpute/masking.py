@@ -190,7 +190,8 @@ def apply_mar_mask(data: DataMatrix, spec: MarSpec):
 
     Cells are masked by independent Bernoulli draws, deterministic given
     ``spec.seed``. If a planted column comes out fully missing or fully
-    observed, the mask is redrawn once with seed+1 before giving up.
+    observed, the mask is redrawn once with seed+1 before giving up with a
+    ValueError.
     """
     for col in spec.missing_cols:
         if not 0 <= col < data.n_cols:
@@ -216,7 +217,7 @@ def apply_mar_mask(data: DataMatrix, spec: MarSpec):
                       if observed[:, c].all() or not observed[:, c].any()]
         if not degenerate:
             return MaskedDataset(data, MaskMatrix(observed)), mechanism
-    raise RuntimeError(
+    raise ValueError(
         f"degenerate mask for columns {degenerate} after one resample; "
         "lower the rate or increase n"
     )

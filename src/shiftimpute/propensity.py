@@ -73,22 +73,28 @@ def _penalized_nll(z, r, coef, l2):
     return nll + 0.5 * l2 * float(coef @ coef)
 
 
-def fit_propensity(x: np.ndarray, r: np.ndarray, l2: float = DEFAULT_L2,
+def fit_propensity(design: np.ndarray, r: np.ndarray, l2: float = DEFAULT_L2,
                    init: PropensityModel | None = None) -> PropensityModel:
     """Fit p(observed | x) by IRLS on the L2-penalized mean log-likelihood.
 
-    The intercept is unpenalized. Converged when the max absolute gradient
-    falls below 1e-8 within 100 iterations; otherwise the model is returned
-    with ``converged=False`` rather than failing silently. IRLS starts from
+    ``design`` is the predictor matrix x with a trailing column of ones for
+    the intercept, ``[x, 1]``; a last column that is not all ones is
+    rejected. The model's coefficients are those of x's ``d`` columns. The
+    intercept is unpenalized. Converged when the max absolute gradient falls
+    below 1e-8 within 100 iterations; otherwise the model is returned with
+    ``converged=False`` rather than failing silently. IRLS starts from
     ``init``'s parameters when given (a fit on nearby data converges in fewer
     iterations), else from zero. With ``l2 > 0`` the objective is strictly
-    convex in the coefficients, so fewer rows than columns is allowed.
+    convex in the coefficients, so fewer rows than predictors is allowed.
     """
-    x = np.asarray(x, dtype=float)
+    design = np.asarray(design, dtype=float)
     r = np.asarray(r, dtype=float).ravel()
-    if x.ndim != 2:
-        raise ValueError("x must be 2-D")
-    n, p = x.shape
+    if design.ndim != 2:
+        raise ValueError("design must be 2-D")
+    n, p = design.shape[0], design.shape[1] - 1
+    if p < 0 or not np.all(design[:, -1] == 1.0):
+        raise ValueError("the design's last column must be all ones "
+                         "(the intercept column)")
     if r.shape[0] != n:
         raise ValueError("label length mismatch")
     if n < p and l2 == 0:
@@ -99,7 +105,6 @@ def fit_propensity(x: np.ndarray, r: np.ndarray, l2: float = DEFAULT_L2,
     if ones == 0 or ones == n:
         raise ValueError("both label classes must be present (column not imputable)")
 
-    design = np.hstack([x, np.ones((n, 1))])
     penalty = np.append(np.full(p, l2), 0.0)
     if init is None:
         beta = np.zeros(p + 1)
@@ -107,7 +112,8 @@ def fit_propensity(x: np.ndarray, r: np.ndarray, l2: float = DEFAULT_L2,
         beta = np.append(init.coefficients, init.intercept)
         if beta.shape[0] != p + 1:
             raise ValueError(
-                f"init has {beta.shape[0] - 1} coefficients, x has {p} columns")
+                f"init has {beta.shape[0] - 1} coefficients, the design has "
+                f"{p} predictor columns")
     # reused for design.T * s each iteration, in the layout that product has
     scaled_t = np.empty_like(design).T
     z = design @ beta
@@ -161,14 +167,15 @@ def weights_for_column(design: np.ndarray, obs_col: np.ndarray,
     """Importance weights for the observed rows of one column.
 
     ``design`` holds the standardized completed values of every other column
-    (all rows) and ``obs_col`` the column's observedness indicator. The
-    classifier is trained on all rows; weights are evaluated at the observed
-    rows only. ``init`` warm-starts the fit. The returned weights carry the
-    fitted model.
+    (all rows) followed by a column of ones, as :func:`fit_propensity` takes
+    it, and ``obs_col`` the column's observedness indicator. The classifier
+    is trained on all rows; weights are evaluated at the observed rows only.
+    ``init`` warm-starts the fit. The returned weights carry the fitted
+    model.
     """
     obs_col = np.asarray(obs_col, dtype=bool)
     model = fit_propensity(design, obs_col.astype(float), l2, init=init)
-    eta_obs = model.predict_proba(design[obs_col])
+    eta_obs = model.predict_proba(design[obs_col, :-1])
     return WeightVector(weights_from_propensity(eta_obs, clip_epsilon), model)
 
 

@@ -15,11 +15,16 @@ def standardize(values: np.ndarray) -> np.ndarray:
     return (values - values.mean(axis=0)) / np.where(std > 0, std, 1.0)
 
 
+def with_intercept(x: np.ndarray) -> np.ndarray:
+    """``x`` with a trailing column of ones: the design the propensity fit takes."""
+    return np.hstack([x, np.ones((x.shape[0], 1))])
+
+
 def cold_column_weights(completed: np.ndarray, observed: np.ndarray, i: int,
                         l2: float = DEFAULT_L2, clip_epsilon: float = DEFAULT_CLIP):
     """Column ``i``'s weights from a cold propensity fit on the other columns
     of ``completed``, each standardized over all rows."""
-    design = standardize(np.delete(completed, i, axis=1))
+    design = with_intercept(standardize(np.delete(completed, i, axis=1)))
     return weights_for_column(design, observed[:, i], l2=l2,
                               clip_epsilon=clip_epsilon)
 
@@ -37,7 +42,7 @@ def ridge_normal_equation_residual(model, x, y, w, ridge_lambda: float) -> float
     y = np.asarray(y, dtype=float).ravel()
     w = np.asarray(w, dtype=float).ravel()
     w = w / w.mean()
-    design = np.hstack([x, np.ones((x.shape[0], 1))])
+    design = with_intercept(x)
     penalty = np.append(np.full(x.shape[1], ridge_lambda), 0.0)
     beta = np.append(model.coefficients, model.intercept)
     wd = design * w[:, None]

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import shiftimpute
+import shiftimpute.cli as cli_mod
 from shiftimpute.benchmark import make_benchmark_dataset
 from shiftimpute.cli import main
 from shiftimpute.data import load_csv, load_masked_csv, save_csv
@@ -254,10 +255,12 @@ def _good_argv(command, truth, masked):
     return {
         "impute": ["impute", "--input", masked, "--output", "out.csv"],
         "simulate-mask": ["simulate-mask", "--input", truth, "--output", "out.csv",
-                          "--mechanism", "mech.json", "--missing-cols", "2",
+                          "--mechanism", "out.json", "--missing-cols", "2",
                           "--predictors", "2"],
         "metrics": ["metrics", "--truth", truth, "--imputed", truth, "--mask", masked,
                     "--out", "out.csv"],
+        "verify": ["verify", "--out", "out.csv"],
+        "benchmark": ["benchmark", "--out", "out.csv"],
     }[command]
 
 
@@ -291,21 +294,63 @@ def test_bad_input_csv_is_a_one_line_error(tmp_path, monkeypatch, truth_csv, mas
     ("simulate-mask", "--missing-cols", "5", "n_missing_cols must be in 1..4"),
     ("simulate-mask", "--rate", "0.995", "target_rate must be in (0.01, 0.99)"),
     ("impute", "--output", "no_such_dir/out.csv", "[Errno 2] No such file or directory"),
+    ("impute", "--diagnostics", "no_such_dir/d.json", "[Errno 2] No such file or directory"),
+    ("simulate-mask", "--output", "no_such_dir/m.csv", "[Errno 2] No such file or directory"),
+    ("simulate-mask", "--mechanism", "no_such_dir/m.json",
+     "[Errno 2] No such file or directory"),
+    ("simulate-mask", "--output", ".", "[Errno 21] Is a directory"),
+    ("metrics", "--out", "no_such_dir/r.json", "[Errno 2] No such file or directory"),
+    ("verify", "--out", "no_such_dir/r.json", "[Errno 2] No such file or directory"),
+    ("benchmark", "--out", "no_such_dir/r.csv", "[Errno 2] No such file or directory"),
+    ("benchmark", "--summary", "no_such_dir/s.json", "[Errno 2] No such file or directory"),
 ])
 def test_bad_argument_is_a_one_line_error(tmp_path, monkeypatch, truth_csv, masked_csv,
                                           command, flag, value, message):
     # the message names the file being read or written: the flag's own, or
-    # for a masking setting the table it does not fit
+    # for a masking setting the table it does not fit; an output that cannot
+    # be written is found before any work and leaves no other output behind
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran before checking its outputs")
+
+    monkeypatch.setattr(cli_mod, "run_benchmark", no_work)
+    monkeypatch.setattr(cli_mod, "run_all_checks", no_work)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "narrow.csv").write_text("a,b\n1,2\n")
     argv = _good_argv(command, str(truth_csv), str(masked_csv))
     argv += [flag, value]  # the last value counts
     with pytest.raises(SystemExit) as info:
         main(argv)
-    named = str(truth_csv) if command == "simulate-mask" else value
+    named = str(truth_csv) if flag in ("--missing-cols", "--rate") else value
     assert str(info.value).startswith(f"shiftimpute: {named}: {message}")
     assert "\n" not in str(info.value)
     assert not (tmp_path / "out.csv").exists()
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_degenerate_mask_is_a_one_line_error(tmp_path):
+    # at rate 0.98 both draws leave 3 rows fully missing in the planted column
+    table = tmp_path / "tiny.csv"
+    table.write_text("a,b\n1,2\n3,5\n4,4\n")
+    with pytest.raises(SystemExit) as info:
+        main(["simulate-mask", "--input", str(table),
+              "--output", str(tmp_path / "out.csv"),
+              "--mechanism", str(tmp_path / "mech.json"),
+              "--missing-cols", "1", "--predictors", "1", "--rate", "0.98"])
+    assert str(info.value) == (
+        f"shiftimpute: {table}: degenerate mask for columns [1] after one "
+        "resample; lower the rate or increase n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["tiny.csv"]
+
+
+def test_output_check_keeps_existing_files(tmp_path, truth_csv, masked_csv):
+    # the writability check opens for appending: a file it finds is neither
+    # truncated nor removed when a later step fails
+    out = tmp_path / "out.csv"
+    out.write_text("keep me\n")
+    with pytest.raises(SystemExit):
+        main(["impute", "--input", str(tmp_path / "missing.csv"),
+              "--output", str(out)])
+    assert out.read_text() == "keep me\n"
 
 
 def test_visitation_not_fitting_the_table_is_a_one_line_error(tmp_path, masked_csv):

@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 from pathlib import Path
 
@@ -312,6 +313,28 @@ class TestColumnStepState:
                 assert np.isfinite(col.effective_sample_size)
 
 
+class TestRidgeGolden:
+    # ridge_masked.csv is make_benchmark_dataset(200, 6, seed=7) under
+    # MarSpec((1, 5), ((0, 2), (2, 3)), alpha=3.0, target_missing_rate=0.3,
+    # seed=8). The completions and per-sweep diagnostics were written by an
+    # earlier engine that allocated every step's arrays afresh; BLAS rounding
+    # depends on memory order, so a workspace of another layout shows here.
+
+    @pytest.mark.parametrize("tag, weighted", [("weighted", True),
+                                               ("unweighted", False)])
+    def test_completion_and_diagnostics_reproduce_golden_bytes(
+            self, tag, weighted, tmp_path):
+        ds = load_masked_csv(DATA / "ridge_masked.csv")
+        cfg = ImputationConfig(regressor=RegressorSpec(kind="ridge"),
+                               weighted=weighted, n_sweeps=3, seed=5)
+        result = impute(ds, cfg)
+        out = tmp_path / "complete.csv"
+        save_csv(DataMatrix(result.completed, ds.data.column_names), out)
+        assert out.read_bytes() == (DATA / f"ridge_{tag}_complete.csv").read_bytes()
+        per_sweep = json.dumps([s.to_dict() for s in result.per_sweep], indent=2)
+        assert per_sweep + "\n" == (DATA / f"ridge_{tag}_per_sweep.json").read_text()
+
+
 class TestImputeProperties:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 30),
@@ -331,6 +354,36 @@ class TestImputeProperties:
             assert first.completed.tobytes() == values.tobytes()
             assert first.completed is not ds.data.values
             assert first.per_sweep == ()
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 30),
+           d=st.integers(2, 5), weighted=st.booleans())
+    def test_results_outlive_the_next_call(self, seed, n, d, weighted):
+        # a call's workspace is its own: the next call on a table of the same
+        # shape leaves this call's results alone and hands back new arrays
+        rng = np.random.default_rng(seed)
+        tables = []
+        for _ in range(2):
+            observed = rng.random((n, d)) >= 0.3
+            observed[:, 0] = observed[0] = True  # no empty row or column
+            observed[1, d - 1] = False           # something to impute
+            tables.append(make_masked(rng.normal(size=(n, d)), observed))
+        cfg = ridge_config(weighted=weighted, n_sweeps=2, ridge_lambda=1e-3)
+
+        def arrays(result):
+            return [result.completed] + [a for i in sorted(result.weights)
+                                         for a in (result.weights[i].weights,
+                                                   result.weights[i].propensity
+                                                   .coefficients)]
+
+        first = impute(tables[0], cfg)
+        kept = [a.tobytes() for a in arrays(first)]
+        second = impute(tables[1], cfg)
+        assert [a.tobytes() for a in arrays(first)] == kept
+        assert len(kept) == (1 + 2 * len(tables[0].missing_columns())
+                             if weighted else 1)
+        assert not any(np.shares_memory(a, b)
+                       for a in arrays(first) for b in arrays(second))
 
 
 class TestSingleColumnSweeps:

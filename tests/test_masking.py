@@ -179,7 +179,8 @@ class TestApplyMarMask:
             first = np.random.default_rng(seed).random(2) < 0.9
             try:
                 ds, _ = apply_mar_mask(data, spec)
-            except RuntimeError:
+            except ValueError as exc:
+                assert "degenerate mask for columns [0]" in str(exc)
                 rejected = True
                 continue
             col = ds.mask.observed[:, 0]

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import spearmanr
 
-from oracles import cold_column_weights, standardize
+from oracles import cold_column_weights, standardize, with_intercept
 from shiftimpute.data import DataMatrix
 from shiftimpute.engine import initial_impute
 from shiftimpute.masking import MarSpec, apply_mar_mask, sigmoid
@@ -34,7 +34,7 @@ class TestFitPropensity:
         n = 4000
         x = rng.normal(size=(n, 3))
         r = rng.random(n) < 0.5
-        model = fit_propensity(x, r.astype(float))
+        model = fit_propensity(with_intercept(x), r.astype(float))
         assert model.converged
         bound = 4.0 / np.sqrt(n)
         assert np.all(np.abs(model.coefficients) < bound)
@@ -46,7 +46,7 @@ class TestFitPropensity:
         n = 20_000
         x = rng.normal(size=(n, 1))
         r = rng.random(n) < sigmoid(2.0 * x[:, 0] + 0.5)
-        model = fit_propensity(x, r.astype(float), l2=1e-4)
+        model = fit_propensity(with_intercept(x), r.astype(float), l2=1e-4)
         assert model.converged
         assert model.coefficients[0] == pytest.approx(2.0, abs=0.1)
         assert model.intercept == pytest.approx(0.5, abs=0.1)
@@ -54,24 +54,27 @@ class TestFitPropensity:
     def test_separable_data_stays_finite(self):
         x = np.linspace(-1, 1, 40).reshape(-1, 1)
         r = (x[:, 0] > 0).astype(float)
-        model = fit_propensity(x, r, l2=0.1)
+        model = fit_propensity(with_intercept(x), r, l2=0.1)
         assert np.all(np.isfinite(model.coefficients))
         assert np.isfinite(model.intercept)
 
     def test_single_class_rejected(self):
         x = np.random.default_rng(2).normal(size=(50, 2))
         with pytest.raises(ValueError, match="both label classes"):
-            fit_propensity(x, np.ones(50))
+            fit_propensity(with_intercept(x), np.ones(50))
 
     def test_needs_more_rows_than_columns(self):
-        with pytest.raises(ValueError, match="n >= d"):
-            fit_propensity(np.ones((3, 4)), np.array([1.0, 0.0, 1.0]), l2=0.0)
+        # d counts the predictors, not the design's ones column
+        with pytest.raises(ValueError, match=r"^need n >= d for an unpenalized "
+                                             r"fit, got n=3, d=4$"):
+            fit_propensity(with_intercept(np.ones((3, 4))),
+                           np.array([1.0, 0.0, 1.0]), l2=0.0)
 
     def test_penalized_fit_allows_fewer_rows_than_columns(self):
         # 4 rows, 8 predictors: separable, but the L2 term keeps it well posed
         design = np.random.default_rng(9).normal(size=(4, 8))
         obs_col = np.array([True, False, True, True])
-        wv = weights_for_column(design, obs_col)
+        wv = weights_for_column(with_intercept(design), obs_col)
         assert wv.propensity.converged
         assert np.all(np.isfinite(wv.propensity.coefficients))
         assert np.all(np.isfinite(wv.weights)) and wv.weights.shape == (3,)
@@ -84,11 +87,11 @@ class TestFitPropensity:
         x = rng.normal(size=(n, p))
         r = (rng.random(n) < sigmoid(x @ rng.normal(size=p) + shift)).astype(float)
         assume(0 < r.sum() < n)
-        cold = fit_propensity(x, r, l2=1e-3)
+        cold = fit_propensity(with_intercept(x), r, l2=1e-3)
         start = replace(cold,
                         coefficients=cold.coefficients + jitter * rng.normal(size=p),
                         intercept=cold.intercept + jitter * rng.normal())
-        warm = fit_propensity(x, r, l2=1e-3, init=start)
+        warm = fit_propensity(with_intercept(x), r, l2=1e-3, init=start)
         assert cold.converged and warm.converged
         np.testing.assert_allclose(warm.coefficients, cold.coefficients,
                                    rtol=0, atol=1e-6)
@@ -106,8 +109,21 @@ class TestFitPropensity:
     def test_init_width_checked(self):
         x = np.random.default_rng(10).normal(size=(50, 2))
         r = np.arange(50) % 2.0
-        with pytest.raises(ValueError, match="init has 3 coefficients"):
-            fit_propensity(x, r, init=fit_propensity(np.hstack([x, x[:, :1]]), r))
+        wider = fit_propensity(with_intercept(np.hstack([x, x[:, :1]])), r)
+        with pytest.raises(ValueError, match="init has 3 coefficients, the "
+                                             "design has 2 predictor columns"):
+            fit_propensity(with_intercept(x), r, init=wider)
+
+    @pytest.mark.parametrize("design", [
+        np.random.default_rng(12).normal(size=(50, 3)),   # no ones column
+        np.hstack([np.ones((50, 2)), np.full((50, 1), 2.0)]),
+        np.ones((50, 0)),
+    ])
+    def test_design_without_trailing_ones_rejected(self, design):
+        with pytest.raises(ValueError, match="last column must be all ones"):
+            fit_propensity(design, np.arange(50) % 2.0)
+        with pytest.raises(ValueError, match="last column must be all ones"):
+            weights_for_column(design, np.arange(50) % 2 == 0)
 
 
 class TestWeightsFromPropensity:
@@ -182,7 +198,7 @@ class TestEstimateWeights:
     def test_fully_observed_column_rejected(self):
         design = np.random.default_rng(6).normal(size=(50, 2))
         with pytest.raises(ValueError, match="both label classes"):
-            weights_for_column(design, np.ones(50, dtype=bool))
+            weights_for_column(with_intercept(design), np.ones(50, dtype=bool))
 
 
 class TestBayesRatioIdentity:
@@ -195,7 +211,7 @@ class TestBayesRatioIdentity:
         r = rng.random(n) < 0.55
         x = np.where(r, rng.normal(0.0, 1.0, n), rng.normal(1.0, 1.0, n))
         x_std = standardize(x.reshape(-1, 1))
-        model = fit_propensity(x_std, r.astype(float), l2=1e-4)
+        model = fit_propensity(with_intercept(x_std), r.astype(float), l2=1e-4)
         eta = model.predict_proba(x_std[r])
         est = weights_from_propensity(eta)
         true = np.exp(x[r] - 0.5)
