@@ -98,7 +98,10 @@ def _cmd_impute(args) -> int:
     if ds.missing_columns():
         with _input_errors(args.config):  # an explicit order must fit the table
             visitation_order(ds, cfg.visitation)
-    result = impute(ds, cfg)
+    try:
+        result = impute(ds, cfg)
+    except RuntimeError as exc:  # names the column, the sweep and the cause
+        raise SystemExit(f"shiftimpute: {exc}") from None
     with _input_errors(args.output):
         save_csv(DataMatrix(result.completed, ds.data.column_names), args.output,
                  header=not args.no_header)

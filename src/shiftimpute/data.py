@@ -9,6 +9,7 @@ optional header row, empty field = missing, UTF-8.
 from __future__ import annotations
 
 import csv
+import math
 import typing
 from dataclasses import asdict, dataclass, fields
 from itertools import chain
@@ -84,6 +85,15 @@ def _tuple_item(hint):
         if typing.get_origin(h) is tuple:
             return typing.get_args(h)[0]
     return None
+
+
+def require_finite(name: str, value: float, *, positive: bool) -> None:
+    """Reject a numeric setting that is not finite or is below its range
+    (``> 0`` when ``positive``, else ``>= 0``), naming it. JSON input reaches
+    here with ``NaN`` and ``Infinity``, which ``json.load`` accepts."""
+    if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+        sign = "positive" if positive else "nonnegative"
+        raise ValueError(f"{name} must be {sign} and finite, got {value!r}")
 
 
 @dataclass(frozen=True)

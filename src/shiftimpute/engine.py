@@ -23,10 +23,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import JsonRecord, MaskedDataset
+from .data import JsonRecord, MaskedDataset, require_finite
 from .propensity import (DEFAULT_CLIP, DEFAULT_L2, WeightVector,
                          effective_sample_size, weights_for_column)
-from .regressors import RegressorSpec, fit_regressor, predict, weighted_mse
+from .regressors import (MlpModel, RegressorSpec, fit_regressor, predict,
+                         weighted_mse)
 
 __all__ = [
     "ImputationConfig",
@@ -56,6 +57,10 @@ class ImputationConfig(JsonRecord):
     def __post_init__(self):
         if self.n_sweeps < 1:
             raise ValueError("n_sweeps must be >= 1")
+        if not 0.0 < self.clip_epsilon < 0.5:
+            raise ValueError(
+                f"clip_epsilon must be in (0, 0.5), got {self.clip_epsilon!r}")
+        require_finite("propensity_l2", self.propensity_l2, positive=False)
         if isinstance(self.visitation, str):
             if self.visitation != ASCENDING_MISSING:
                 raise ValueError(f"unknown visitation policy {self.visitation!r}")
@@ -249,9 +254,14 @@ def _column_step(values, observed, completed, i, cfg, sweep, scalings,
     model = fit_regressor(cfg.regressor, x_train, y_train, weights,
                           _step_seed(cfg, sweep, i))
     preds = predict(model, scalings.predictors(i, miss_rows, scalings.miss))
+    if isinstance(model, MlpModel) and (weights > 0).all():
+        # the fit's last epoch loss is this MSE, over the same rows
+        train_mse = model.loss_trace[-1]
+    else:
+        train_mse = weighted_mse(model, x_train, y_train, weights)
     diag = ColumnDiagnostics(
         column=int(i),
-        train_weighted_mse=weighted_mse(model, x_train, y_train, weights),
+        train_weighted_mse=train_mse,
         mean_abs_update=float(np.mean(np.abs(completed[miss_rows, i] - preds))),
         effective_sample_size=effective_sample_size(weights),
         propensity_n_iter=0 if propensity is None else propensity.n_iter,

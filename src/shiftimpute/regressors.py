@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import JsonRecord
+from .data import JsonRecord, require_finite
 
 __all__ = [
     "ForestSpec",
@@ -56,8 +56,7 @@ class ForestSpec(JsonRecord):
     def __post_init__(self):
         if self.n_trees < 1 or self.max_depth < 1:
             raise ValueError("n_trees and max_depth must be positive")
-        if self.min_leaf_weight <= 0:
-            raise ValueError("min_leaf_weight must be positive")
+        require_finite("min_leaf_weight", self.min_leaf_weight, positive=True)
         if not 0.0 < self.feature_subsample <= 1.0:
             raise ValueError("feature_subsample must be in (0, 1]")
 
@@ -72,8 +71,7 @@ class MlpSpec(JsonRecord):
     def __post_init__(self):
         if min(self.hidden_units, self.epochs, self.batch_size) < 1:
             raise ValueError("hidden_units, epochs, batch_size must be positive")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        require_finite("learning_rate", self.learning_rate, positive=True)
 
 
 @dataclass(frozen=True)
@@ -88,8 +86,7 @@ class RegressorSpec(JsonRecord):
     def __post_init__(self):
         if self.kind not in ("ridge", "forest", "mlp"):
             raise ValueError(f"unknown regressor kind {self.kind!r}")
-        if self.ridge_lambda < 0:
-            raise ValueError("ridge_lambda must be nonnegative")
+        require_finite("ridge_lambda", self.ridge_lambda, positive=False)
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +169,7 @@ def fit_weighted_ridge(x: np.ndarray, y: np.ndarray, w: np.ndarray,
     by Cholesky with one step of iterative refinement.
     """
     x, y, w = _check_xyw(x, y, w)
-    if ridge_lambda < 0:
-        raise ValueError("ridge_lambda must be nonnegative")
+    require_finite("ridge_lambda", ridge_lambda, positive=False)
     if x.shape[1] < 1:
         raise ValueError("need at least one predictor")
     w = w / w.mean()
@@ -318,10 +314,14 @@ def _weighted_mean_square(resid, w) -> float:
     return float((w * resid * resid).sum() / w.sum())
 
 
-def _mlp_forward(params, x):
-    """Hidden activations and predictions of the network ``params`` on ``x``."""
+def _mlp_forward(params, x, out=None):
+    """Hidden activations and predictions of the network ``params`` on ``x``;
+    the activations are written into ``out`` (rows of ``x`` by hidden units)
+    when it is given, else into a new array."""
     w_hidden, b_hidden, w_out, b_out = params
-    hidden = np.tanh(x @ w_hidden + b_hidden)
+    hidden = np.matmul(x, w_hidden, out=out)
+    hidden += b_hidden
+    np.tanh(hidden, out=hidden)
     return hidden, hidden @ w_out + b_out
 
 
@@ -355,10 +355,17 @@ def fit_weighted_mlp(x: np.ndarray, y: np.ndarray, w: np.ndarray,
     one on the surviving rows alone. Each epoch gathers the rows in a fresh
     random order once and steps on consecutive slices of it; the epoch loss
     is one forward pass over all rows. Aborts if it exceeds 1e10.
+
+    The gathered rows and the epoch loss's hidden activations live in
+    buffers allocated once per fit. With every weight positive the rows are
+    read where they are, not copied; the last entry of ``loss_trace`` is
+    then exactly ``weighted_mse`` of the model on ``x, y, w``.
     """
     x, y, w = _check_xyw(x, y, w)
     keep = w > 0
-    x, y, w = x[keep], y[keep], w[keep]
+    if not keep.all():
+        x, y, w = x[keep], y[keep], w[keep]
+    x = np.ascontiguousarray(x)  # a row copy's layout: BLAS rounding follows it
     n, p = x.shape
     h = spec.hidden_units
     rng = np.random.default_rng(seed)
@@ -367,10 +374,14 @@ def fit_weighted_mlp(x: np.ndarray, y: np.ndarray, w: np.ndarray,
     w_out = _glorot(rng, h, 1, (h,))
     b_out = 0.0
     lr, size = spec.learning_rate, spec.batch_size
+    xp, yp, wp = np.empty((n, p)), np.empty(n), np.empty(n)
+    loss_hidden = np.empty((n, h))
     trace = []
     for _ in range(spec.epochs):
         perm = rng.permutation(n)
-        xp, yp, wp = x[perm], y[perm], w[perm]
+        # any mode but the default "raise" writes straight into ``out``
+        for src, dst in ((x, xp), (y, yp), (w, wp)):
+            np.take(src, perm, axis=0, out=dst, mode="clip")
         for start in range(0, n, size):
             xb = xp[start:start + size]
             params = (w_hidden, b_hidden, w_out, b_out)
@@ -382,7 +393,8 @@ def fit_weighted_mlp(x: np.ndarray, y: np.ndarray, w: np.ndarray,
             b_hidden -= lr * g_bhidden
             w_out -= lr * g_wout
             b_out -= lr * g_bout
-        _, pred = _mlp_forward((w_hidden, b_hidden, w_out, b_out), x)
+        _, pred = _mlp_forward((w_hidden, b_hidden, w_out, b_out), x,
+                               out=loss_hidden)
         loss = _weighted_mean_square(pred - y, w)
         if not np.isfinite(loss) or loss > DIVERGENCE_LIMIT:
             raise RuntimeError(

@@ -220,6 +220,28 @@ BENCHMARK = ["benchmark", "--out", "out.csv", "--grid"]
     (IMPUTE, '{"regressor": {"forest": {"seed": 7}}}', "unknown ForestSpec keys: seed"),
     (IMPUTE, '{"regressor": {"mlp": {"seed": 7}}}', "unknown MlpSpec keys: seed"),
     (BENCHMARK, '{"mlp": {"seed": 7}}', "unknown MlpSpec keys: seed"),
+    # json.load reads NaN and Infinity; the config rejects them when built
+    (IMPUTE, '{"regressor": {"ridge_lambda": NaN}}',
+     "ridge_lambda must be nonnegative and finite, got nan"),
+    (IMPUTE, '{"regressor": {"ridge_lambda": Infinity}}',
+     "ridge_lambda must be nonnegative and finite, got inf"),
+    (IMPUTE, '{"propensity_l2": -Infinity}',
+     "propensity_l2 must be nonnegative and finite, got -inf"),
+    (IMPUTE, '{"propensity_l2": -0.5}',
+     "propensity_l2 must be nonnegative and finite, got -0.5"),
+    (IMPUTE, '{"clip_epsilon": 0.7}', "clip_epsilon must be in (0, 0.5), got 0.7"),
+    (IMPUTE, '{"clip_epsilon": NaN}', "clip_epsilon must be in (0, 0.5), got nan"),
+    (IMPUTE, '{"regressor": {"mlp": {"learning_rate": NaN}}}',
+     "learning_rate must be positive and finite, got nan"),
+    (IMPUTE, '{"regressor": {"forest": {"min_leaf_weight": NaN}}}',
+     "min_leaf_weight must be positive and finite, got nan"),
+    (BENCHMARK, '{"ridge_lambda": Infinity}',
+     "ridge_lambda must be nonnegative and finite, got inf"),
+    (BENCHMARK, '{"clip_epsilon": 0.5}', "clip_epsilon must be in (0, 0.5), got 0.5"),
+    (BENCHMARK, '{"propensity_l2": NaN}',
+     "propensity_l2 must be nonnegative and finite, got nan"),
+    (BENCHMARK, '{"mlp": {"learning_rate": 0}}',
+     "learning_rate must be positive and finite, got 0.0"),
 ])
 def test_bad_config_file_is_a_one_line_error(tmp_path, monkeypatch, argv, text,
                                               message):
@@ -247,6 +269,22 @@ def test_bad_config_exits_nonzero_without_traceback(tmp_path):
     assert proc.returncode == 1
     assert proc.stderr == (f"shiftimpute: {path}: ImputationConfig.weighted must be "
                            "a JSON boolean, got 'false'\n")
+
+
+def test_failed_run_is_a_one_line_error(tmp_path, masked_csv):
+    # a config that parses but whose MLP diverges fails inside a column step
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"regressor": {
+        "kind": "mlp", "mlp": {"learning_rate": 50.0, "epochs": 5}}}))
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as info:
+        main(["impute", "--input", str(masked_csv), "--config", str(config),
+              "--output", str(out), "--diagnostics", str(tmp_path / "diag.json")])
+    message = str(info.value)
+    assert message.startswith("shiftimpute: column ")
+    assert " failed at sweep 0: MLP diverged at epoch " in message
+    assert "\n" not in message
+    assert not out.exists() and not (tmp_path / "diag.json").exists()
 
 
 def _good_argv(command, truth, masked):

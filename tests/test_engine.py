@@ -20,8 +20,8 @@ from shiftimpute.engine import (
 from shiftimpute.masking import MarSpec, apply_mar_mask, select_random_spec
 from shiftimpute.metrics import rmse_masked, wilcoxon_signed_rank
 from shiftimpute.propensity import WeightVector
-from shiftimpute.regressors import (MlpSpec, RegressorSpec, fit_weighted_ridge,
-                                    predict)
+from shiftimpute.regressors import (ForestSpec, MlpSpec, RegressorSpec,
+                                    fit_weighted_ridge, predict)
 
 DATA = Path(__file__).parent / "data"
 
@@ -416,19 +416,29 @@ class TestSingleColumnSweeps:
 
 class TestMlpImpute:
     def test_completion_reproduces_golden_bytes(self, tmp_path):
-        # mlp_complete.csv was written by save_csv from the completion the
-        # earlier per-batch-gather training loop made of mlp_masked.csv;
-        # columns 1 and 3 have 26 and 28 observed rows, so every epoch ends
-        # on a partial batch
+        # mlp_complete.csv (the weighted completion) was written by save_csv
+        # from what the earlier per-batch-gather training loop made of
+        # mlp_masked.csv; the unweighted completion and both runs' per-sweep
+        # diagnostics by a later loop that allocated its epoch arrays afresh
+        # and took train_weighted_mse from a separate forward pass. Columns 1
+        # and 3 have 26 and 28 observed rows, so every epoch ends on a
+        # partial batch.
         ds = load_masked_csv(DATA / "mlp_masked.csv")
-        cfg = ImputationConfig(
-            regressor=RegressorSpec(kind="mlp", mlp=MlpSpec(
-                hidden_units=5, learning_rate=0.05, epochs=3, batch_size=8)),
-            n_sweeps=2, seed=11)
-        result = impute(ds, cfg)
-        out = tmp_path / "complete.csv"
-        save_csv(DataMatrix(result.completed, ds.data.column_names), out)
-        assert out.read_bytes() == (DATA / "mlp_complete.csv").read_bytes()
+        for tag, weighted, completion in (
+                ("weighted", True, "mlp_complete.csv"),
+                ("unweighted", False, "mlp_unweighted_complete.csv")):
+            cfg = ImputationConfig(
+                regressor=RegressorSpec(kind="mlp", mlp=MlpSpec(
+                    hidden_units=5, learning_rate=0.05, epochs=3, batch_size=8)),
+                weighted=weighted, n_sweeps=2, seed=11)
+            result = impute(ds, cfg)
+            out = tmp_path / f"{tag}.csv"
+            save_csv(DataMatrix(result.completed, ds.data.column_names), out)
+            assert out.read_bytes() == (DATA / completion).read_bytes(), tag
+            per_sweep = json.dumps([s.to_dict() for s in result.per_sweep],
+                                   indent=2)
+            assert per_sweep + "\n" == (
+                DATA / f"mlp_{tag}_per_sweep.json").read_text(), tag
 
     def test_divergence_names_column_sweep_and_epoch(self):
         # the message, loss included, was recorded from the earlier training
@@ -471,9 +481,9 @@ class TestConfig:
         assert cfg.visitation == (5, 3) and type(cfg.visitation[0]) is int
 
     def test_json_integer_reads_as_float_field(self):
-        cfg = ImputationConfig.from_dict({"clip_epsilon": 0,
+        cfg = ImputationConfig.from_dict({"propensity_l2": 0,
                                           "regressor": {"ridge_lambda": 1}})
-        assert type(cfg.clip_epsilon) is float
+        assert type(cfg.propensity_l2) is float
         assert type(cfg.regressor.ridge_lambda) is float
 
     @pytest.mark.parametrize("config, message", [
@@ -501,4 +511,26 @@ class TestConfig:
     def test_misread_config_rejected(self, config, message):
         with pytest.raises(ValueError) as info:
             ImputationConfig.from_dict(config)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: RegressorSpec(ridge_lambda=float("nan")),
+         "ridge_lambda must be nonnegative and finite, got nan"),
+        (lambda: RegressorSpec(ridge_lambda=float("inf")),
+         "ridge_lambda must be nonnegative and finite, got inf"),
+        (lambda: MlpSpec(learning_rate=float("nan")),
+         "learning_rate must be positive and finite, got nan"),
+        (lambda: ForestSpec(min_leaf_weight=float("nan")),
+         "min_leaf_weight must be positive and finite, got nan"),
+        (lambda: ImputationConfig(clip_epsilon=0.7),
+         "clip_epsilon must be in (0, 0.5), got 0.7"),
+        (lambda: ImputationConfig(clip_epsilon=0.0),
+         "clip_epsilon must be in (0, 0.5), got 0.0"),
+        (lambda: ImputationConfig(propensity_l2=float("inf")),
+         "propensity_l2 must be nonnegative and finite, got inf"),
+    ])
+    def test_setting_out_of_range_rejected_when_built(self, build, message):
+        # before the run: a weighted and an unweighted run reject it alike
+        with pytest.raises(ValueError) as info:
+            build()
         assert str(info.value) == message

@@ -69,6 +69,12 @@ class TestWeightedRidge:
             model = fit_weighted_ridge(x, y, w, lam)
             assert ridge_normal_equation_residual(model, x, y, w, lam) < 1e-8
 
+    @pytest.mark.parametrize("lam", [-1.0, float("nan"), float("inf")])
+    def test_penalty_must_be_nonnegative_and_finite(self, lam):
+        # a NaN penalty would otherwise come back as a NaN model
+        with pytest.raises(ValueError, match="ridge_lambda must be nonnegative"):
+            fit_weighted_ridge(np.eye(3), np.ones(3), np.ones(3), lam)
+
     def test_singular_system_recommends_penalty(self):
         x = np.ones((10, 2))  # duplicate constant columns, singular at lambda 0
         y = np.arange(10.0)
@@ -268,6 +274,44 @@ class TestMlpMatchesReferenceLoop:
             assert np.array_equal(got, want)
         hidden = np.tanh(x @ params[0] + params[1])
         assert np.array_equal(predict(model, x), hidden @ params[2] + params[3])
+
+
+class TestMlpFitReadsItsRowsInPlace:
+    # with every weight positive the fit reads x, y and w where they are, and
+    # the engine takes its train_weighted_mse from the last epoch loss
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 60),
+        p=st.integers(1, 4),
+        hidden_units=st.integers(1, 8),
+        batch=st.one_of(st.just(1), st.integers(2, 30), st.just(1000)),
+        epochs=st.integers(1, 3),
+        offset=st.integers(0, 5),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @example(n=1, p=1, hidden_units=1, batch=1, epochs=1, offset=0, seed=0)
+    @example(n=1, p=2, hidden_units=3, batch=1000, epochs=2, offset=3, seed=1)
+    @example(n=25, p=3, hidden_units=4, batch=1000, epochs=2, offset=2, seed=2)
+    def test_last_epoch_loss_is_the_weighted_mse(self, n, p, hidden_units, batch,
+                                                 epochs, offset, seed):
+        rng = np.random.default_rng(seed)
+        rows = slice(offset, offset + n)
+        block = rng.normal(size=(n + offset + 3, p))
+        y_all = block.sum(axis=1) + rng.normal(size=block.shape[0])
+        w_all = rng.uniform(0.1, 3.0, block.shape[0])
+        kept = block.tobytes(), y_all.tobytes(), w_all.tobytes()
+        x, y, w = block[rows], y_all[rows], w_all[rows]
+        spec = MlpSpec(hidden_units=hidden_units, learning_rate=0.05,
+                       epochs=epochs, batch_size=batch)
+        model = fit_weighted_mlp(x, y, w, spec, seed % 1000)
+        assert model.loss_trace[-1] == weighted_mse(model, x, y, w)
+        fresh = fit_weighted_mlp(x.copy(), y.copy(), w.copy(), spec, seed % 1000)
+        for got, want in zip(model.params, fresh.params):
+            assert np.array_equal(got, want)
+        assert model.loss_trace == fresh.loss_trace
+        assert (block.tobytes(), y_all.tobytes(), w_all.tobytes()) == kept
+        assert not any(np.shares_memory(a, arr) for a in model.params[:3]
+                       for arr in (block, y_all, w_all))
 
 
 class TestWeightedMlp:
