@@ -84,6 +84,7 @@ class DatasetSource(JsonRecord):
     has_header: bool = True
 
     def __post_init__(self):
+        self._check_scalars()
         if self.kind not in ("synthetic", "csv"):
             raise ValueError(f"unknown dataset kind {self.kind!r}")
         if self.kind == "csv" and not self.path:
@@ -118,6 +119,7 @@ class ExperimentGrid(JsonRecord):
     mlp: MlpSpec = field(default_factory=MlpSpec)
 
     def __post_init__(self):
+        self._check_scalars()
         seeds = self.seeds
         if isinstance(seeds, int) and not isinstance(seeds, bool):
             seeds = range(seeds)  # "seeds": n is shorthand for seeds 0..n-1

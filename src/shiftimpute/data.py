@@ -9,7 +9,9 @@ optional header row, empty field = missing, UTF-8.
 from __future__ import annotations
 
 import csv
+import functools
 import math
+import operator
 import typing
 from dataclasses import asdict, dataclass, fields
 from itertools import chain
@@ -46,6 +48,24 @@ class JsonRecord:
     def to_dict(self) -> dict:
         return asdict(self)
 
+    def _check_scalars(self) -> None:
+        """Hold the ``int`` and ``bool`` fields to their types, for records a
+        Python caller builds (``from_dict`` has checked JSON input already):
+        an ``int`` field goes through ``operator.index``, so ``2.5`` is
+        rejected rather than truncated, and a ``bool`` field takes only a
+        bool. Neither takes the other's values. Config records call it first
+        in ``__post_init__``."""
+        for name, hint in _scalar_fields(type(self)):
+            value = getattr(self, name)
+            try:
+                if isinstance(value, (bool, np.bool_)) != (hint is bool):
+                    raise TypeError
+                value = bool(value) if hint is bool else operator.index(value)
+            except TypeError:
+                kind = "a bool" if hint is bool else "an integer"
+                raise TypeError(f"{name} must be {kind}, got {value!r}") from None
+            object.__setattr__(self, name, value)
+
     @classmethod
     def from_dict(cls, d: dict):
         if not isinstance(d, dict):
@@ -56,6 +76,14 @@ class JsonRecord:
         hints = typing.get_type_hints(cls)
         return cls(**{name: _from_json(f"{cls.__name__}.{name}", hints[name], value)
                       for name, value in d.items()})
+
+
+@functools.cache
+def _scalar_fields(cls) -> tuple[tuple[str, type], ...]:
+    """(name, annotation) of each field of ``cls`` annotated ``int`` or ``bool``."""
+    hints = typing.get_type_hints(cls)
+    return tuple((f.name, hints[f.name]) for f in fields(cls)
+                 if hints[f.name] in (int, bool))
 
 
 def _from_json(label: str, hint, value):

@@ -9,11 +9,14 @@ path with unit weights), standardizes the predictor columns with statistics
 of the rows where the target column is observed, fits on those rows, and
 predicts the rest. Observed cells are never altered.
 
-A run keeps the column means and scales both standardizations need in step
+A run keeps the column means and scales the standardizations need in step
 with the completion (a column step changes one column, so only its entries
-are recomputed), starts each column's propensity fit from that column's
-fit in the previous sweep, and refills one set of step arrays allocated at
-its start instead of allocating them at every step.
+are recomputed; the all-rows statistics of the propensity design only in a
+weighted run), starts each column's propensity fit from that column's fit
+in the previous sweep, and refills one set of step arrays allocated at its
+start instead of allocating them at every step. A step gathers its
+training and prediction rows in one pass, observed rows first, and
+standardizes them together.
 """
 
 from __future__ import annotations
@@ -55,6 +58,7 @@ class ImputationConfig(JsonRecord):
     seed: int = 0
 
     def __post_init__(self):
+        self._check_scalars()
         if self.n_sweeps < 1:
             raise ValueError("n_sweeps must be >= 1")
         if not 0.0 < self.clip_epsilon < 0.5:
@@ -146,46 +150,52 @@ class _Scalings:
     """Per-column (mean, scale) of the current completion, row sets, and the
     column step's workspace.
 
-    ``all_rows`` standardizes the propensity design (statistics over every
-    row); ``by_target[i]`` standardizes the regression predictors of target
-    ``i`` (statistics over the rows where ``i`` is observed). After a step
-    overwrites column ``k``, :meth:`refresh` recomputes column ``k``'s
-    entries and nothing else.
+    ``rows[i]`` lists target ``i``'s observed rows, then its missing rows;
+    ``obs_rows[i]`` and ``miss_rows[i]`` are its two parts. ``by_target[i]``
+    standardizes the regression predictors of target ``i``, the columns
+    ``others[i]`` (statistics over the rows where ``i`` is observed, one
+    entry per column of ``others[i]``). ``all_rows`` standardizes the
+    propensity design (statistics over every row, one entry per column of
+    the table) and is kept in weighted runs only. After a step overwrites
+    column ``k``, :meth:`refresh` recomputes column ``k``'s entries and
+    nothing else.
 
     The workspace is one allocation per :func:`impute` call, refilled in
-    place by every step: the raw predictor block, one observed-row and one
-    missing-row predictor buffer, each sized to the largest row set, and
-    the propensity design with its trailing column of ones (weighted runs
-    only). BLAS rounding depends on memory order, so a buffer that a fit or
-    prediction reads has the layout numpy gives the expression it replaces:
-    the design that of ``np.hstack([completed[:, others], ones])`` (Fortran
-    order from three columns on, C order with two), the row buffers that of
-    a row gather (C order). The raw block feeds only element-wise copies and
-    arithmetic; C order lets ``np.take`` fill it and gather rows from it
-    without a hidden copy.
+    place by every step: the raw predictor block, one predictor buffer that
+    holds a target's rows in ``rows[i]`` order, and the propensity design
+    with its trailing column of ones (weighted runs only). BLAS rounding
+    depends on memory order, so a buffer that a fit or prediction reads has
+    the layout numpy gives the expression it replaces: the design that of
+    ``np.hstack([completed[:, others], ones])`` (Fortran order from three
+    columns on, C order with two), the predictor buffer that of a row gather
+    (C order), whose observed-row and missing-row parts are each contiguous.
+    The raw block feeds only element-wise copies and arithmetic; C order
+    lets ``np.take`` fill it and gather rows from it without a hidden copy.
     """
 
     def __init__(self, completed: np.ndarray, observed: np.ndarray, targets,
                  weighted: bool):
         n, d = completed.shape
         self.others = {i: np.delete(np.arange(d), i) for i in targets}
-        self.obs_rows = {i: np.flatnonzero(observed[:, i]) for i in targets}
-        self.miss_rows = {i: np.flatnonzero(~observed[:, i]) for i in targets}
-        self.all_rows = (np.empty(d), np.empty(d))
-        self.by_target = {i: (np.empty(d), np.empty(d)) for i in targets}
+        self.rows, self.obs_rows, self.miss_rows = {}, {}, {}
+        for i in targets:
+            obs, miss = (np.flatnonzero(observed[:, i]),
+                         np.flatnonzero(~observed[:, i]))
+            self.rows[i] = rows = np.concatenate([obs, miss])
+            self.obs_rows[i] = rows[:obs.shape[0]]
+            self.miss_rows[i] = rows[obs.shape[0]:]
+        self.all_rows = (np.empty(d), np.empty(d)) if weighted else None
+        self.by_target = {i: (np.empty(d - 1), np.empty(d - 1))
+                          for i in targets}
         for k in range(d):
             self.refresh(completed, k)
-        n_obs = max(rows.shape[0] for rows in self.obs_rows.values())
-        n_miss = max(rows.shape[0] for rows in self.miss_rows.values())
         # one allocation, not one per buffer: on the MLP path, separate
         # buffers measured slower than the per-step arrays they replace
-        sizes = [n * (d - 1), n_obs * (d - 1), n_miss * (d - 1),
-                 n * d if weighted else 0]
-        block, train, miss, design = np.split(np.empty(sum(sizes)),
-                                              np.cumsum(sizes)[:-1])
+        sizes = [n * (d - 1), n * (d - 1), n * d if weighted else 0]
+        block, gathered, design = np.split(np.empty(sum(sizes)),
+                                           np.cumsum(sizes)[:-1])
         self.block = block.reshape(n, d - 1)
-        self.train = train.reshape(n_obs, d - 1)
-        self.miss = miss.reshape(n_miss, d - 1)
+        self.gathered = gathered.reshape(n, d - 1)
         self.design = None
         if weighted:
             # numpy's layout for the expression, which the row count leaves alone
@@ -197,11 +207,15 @@ class _Scalings:
 
     def refresh(self, completed: np.ndarray, k: int) -> None:
         column = completed[:, k]
-        mean, scale = self.all_rows
-        mean[k], scale[k] = _mean_scale(column)
+        if self.all_rows is not None:
+            mean, scale = self.all_rows
+            mean[k], scale[k] = _mean_scale(column)
         for i, rows in self.obs_rows.items():
-            mean, scale = self.by_target[i]
-            mean[k], scale[k] = _mean_scale(column[rows])
+            if i != k:
+                # column k's place among target i's predictors
+                j = k - (k > i)
+                mean, scale = self.by_target[i]
+                mean[j], scale[j] = _mean_scale(column[rows])
 
     def fill_block(self, completed: np.ndarray, i: int) -> None:
         """The completed values of every column but ``i``, into the block."""
@@ -212,22 +226,22 @@ class _Scalings:
         """The filled block standardized over all rows, with the ones column."""
         x = self.design[:, :-1]
         np.copyto(x, self.block)
-        _standardize(x, self.all_rows, self.others[i])
+        mean, scale = self.all_rows
+        cols = self.others[i]
+        x -= mean[cols]
+        x /= scale[cols]
         return self.design
 
-    def predictors(self, i: int, rows: np.ndarray, buffer: np.ndarray):
-        """The filled block's ``rows``, standardized for target ``i``."""
-        x = np.take(self.block, rows, axis=0, out=buffer[:rows.shape[0]],
+    def predictors(self, i: int):
+        """The filled block's observed rows and missing rows, standardized
+        for target ``i``: two contiguous parts of one gather."""
+        x = np.take(self.block, self.rows[i], axis=0, out=self.gathered,
                     mode="clip")
-        return _standardize(x, self.by_target[i], self.others[i])
-
-
-def _standardize(x: np.ndarray, stats, cols: np.ndarray) -> np.ndarray:
-    """Standardize ``x`` in place with the statistics of columns ``cols``."""
-    mean, scale = stats
-    x -= mean[cols]
-    x /= scale[cols]
-    return x
+        mean, scale = self.by_target[i]
+        x -= mean
+        x /= scale
+        n_obs = self.obs_rows[i].shape[0]
+        return x[:n_obs], x[n_obs:]
 
 
 def _column_step(values, observed, completed, i, cfg, sweep, scalings,
@@ -249,11 +263,12 @@ def _column_step(values, observed, completed, i, cfg, sweep, scalings,
         weights, propensity = wv.weights, wv.propensity
     else:
         weights = np.ones(obs_rows.shape[0])
-    x_train = scalings.predictors(i, obs_rows, scalings.train)
+    x_train, x_miss = scalings.predictors(i)
     y_train = values[obs_rows, i]
-    model = fit_regressor(cfg.regressor, x_train, y_train, weights,
-                          _step_seed(cfg, sweep, i))
-    preds = predict(model, scalings.predictors(i, miss_rows, scalings.miss))
+    # ridge takes no seed, so none is derived for it
+    seed = None if cfg.regressor.kind == "ridge" else _step_seed(cfg, sweep, i)
+    model = fit_regressor(cfg.regressor, x_train, y_train, weights, seed)
+    preds = predict(model, x_miss)
     if isinstance(model, MlpModel) and (weights > 0).all():
         # the fit's last epoch loss is this MSE, over the same rows
         train_mse = model.loss_trace[-1]

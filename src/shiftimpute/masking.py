@@ -52,6 +52,7 @@ class MarSpec(JsonRecord):
     seed: int
 
     def __post_init__(self):
+        self._check_scalars()
         object.__setattr__(self, "missing_cols",
                            tuple(map(operator.index, self.missing_cols)))
         object.__setattr__(
@@ -114,12 +115,18 @@ class CalibratedMechanism:
             json.dump(self.to_dict(), handle, indent=2)
 
 
-def sigmoid(z):
-    """Numerically stable logistic function, elementwise."""
+def sigmoid(z, *, e=None):
+    """Numerically stable logistic function, elementwise.
+
+    ``e`` is ``exp(-|z|)``, for a caller that has it already; it is computed
+    when not given.
+    """
     z = np.asarray(z, dtype=float)
-    # exp(-|z|) never overflows; each branch is the usual formula for its sign
-    e = np.exp(-np.abs(z))
-    out = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    if e is None:
+        # exp(-|z|) never overflows; each branch is the usual formula for its sign
+        e = np.exp(-np.abs(z))
+    # the branches share the denominator 1 + e: one sum and one division
+    out = np.where(z >= 0, 1.0, e) / (1.0 + e)
     if out.ndim == 0:
         return float(out)
     return out

@@ -68,9 +68,16 @@ class WeightVector:
 
 
 def _penalized_nll(z, r, coef, l2):
+    return _penalized_nll_and_exp(z, r, coef, l2)[0]
+
+
+def _penalized_nll_and_exp(z, r, coef, l2):
+    """The penalized NLL and the ``exp(-|z|)`` it is computed from, which
+    :func:`~shiftimpute.masking.sigmoid` takes to skip its own exponential."""
     # mean Bernoulli NLL from logits; log(1 + e^z) written so exp never overflows
-    nll = np.mean(np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z))) - r * z)
-    return nll + 0.5 * l2 * float(coef @ coef)
+    e = np.exp(-np.abs(z))
+    nll = np.mean(np.maximum(z, 0.0) + np.log1p(e) - r * z)
+    return nll + 0.5 * l2 * float(coef @ coef), e
 
 
 def fit_propensity(design: np.ndarray, r: np.ndarray, l2: float = DEFAULT_L2,
@@ -106,6 +113,7 @@ def fit_propensity(design: np.ndarray, r: np.ndarray, l2: float = DEFAULT_L2,
         raise ValueError("both label classes must be present (column not imputable)")
 
     penalty = np.append(np.full(p, l2), 0.0)
+    hess_penalty = np.diag(penalty)
     if init is None:
         beta = np.zeros(p + 1)
     else:
@@ -117,30 +125,30 @@ def fit_propensity(design: np.ndarray, r: np.ndarray, l2: float = DEFAULT_L2,
     # reused for design.T * s each iteration, in the layout that product has
     scaled_t = np.empty_like(design).T
     z = design @ beta
-    nll = _penalized_nll(z, r, beta[:p], l2)
+    nll, e = _penalized_nll_and_exp(z, r, beta[:p], l2)
     converged = False
     it = 0
     for it in range(1, MAX_ITER + 1):
-        eta = sigmoid(z)
+        eta = sigmoid(z, e=e)
         grad = design.T @ (eta - r) / n + penalty * beta
         if np.max(np.abs(grad)) < GRADIENT_TOL:
             converged = True
             break
         s = np.clip(eta * (1.0 - eta), 1e-12, None)
-        hess = np.multiply(design.T, s, out=scaled_t) @ design / n + np.diag(penalty)
+        hess = np.multiply(design.T, s, out=scaled_t) @ design / n + hess_penalty
         step = np.linalg.solve(hess, grad)
         # backtrack if the Newton step overshoots (rare; separable-ish data)
         trial = beta - step
         z_trial = design @ trial
-        trial_nll = _penalized_nll(z_trial, r, trial[:p], l2)
+        trial_nll, e_trial = _penalized_nll_and_exp(z_trial, r, trial[:p], l2)
         shrink = 0
         while trial_nll > nll + 1e-12 and shrink < 30:
             step *= 0.5
             trial = beta - step
             z_trial = design @ trial
-            trial_nll = _penalized_nll(z_trial, r, trial[:p], l2)
+            trial_nll, e_trial = _penalized_nll_and_exp(z_trial, r, trial[:p], l2)
             shrink += 1
-        beta, nll, z = trial, trial_nll, z_trial
+        beta, nll, z, e = trial, trial_nll, z_trial, e_trial
     return PropensityModel(beta[:p].copy(), float(beta[p]), converged, it)
 
 

@@ -54,6 +54,7 @@ class ForestSpec(JsonRecord):
     bootstrap: bool = True
 
     def __post_init__(self):
+        self._check_scalars()
         if self.n_trees < 1 or self.max_depth < 1:
             raise ValueError("n_trees and max_depth must be positive")
         require_finite("min_leaf_weight", self.min_leaf_weight, positive=True)
@@ -69,6 +70,7 @@ class MlpSpec(JsonRecord):
     batch_size: int = 64
 
     def __post_init__(self):
+        self._check_scalars()
         if min(self.hidden_units, self.epochs, self.batch_size) < 1:
             raise ValueError("hidden_units, epochs, batch_size must be positive")
         require_finite("learning_rate", self.learning_rate, positive=True)
@@ -409,8 +411,9 @@ def fit_weighted_mlp(x: np.ndarray, y: np.ndarray, w: np.ndarray,
 # Common surface
 # ---------------------------------------------------------------------------
 
-def fit_regressor(spec: RegressorSpec, x, y, w, seed: int):
-    """Fit the model ``spec`` names; ``seed`` drives the forest and the MLP."""
+def fit_regressor(spec: RegressorSpec, x, y, w, seed: int | None):
+    """Fit the model ``spec`` names; ``seed`` drives the forest and the MLP
+    (ridge reads none)."""
     if spec.kind == "ridge":
         return fit_weighted_ridge(x, y, w, spec.ridge_lambda)
     if spec.kind == "forest":

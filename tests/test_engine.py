@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shiftimpute.engine as engine_mod
-from shiftimpute.benchmark import ExperimentGrid, make_benchmark_dataset
+from shiftimpute.benchmark import (DatasetSource, ExperimentGrid,
+                                  make_benchmark_dataset)
 from shiftimpute.data import (DataMatrix, MaskMatrix, MaskedDataset,
                               load_masked_csv, save_csv)
 from shiftimpute.engine import (
@@ -264,22 +265,28 @@ class TestColumnStepState:
         assert impute(ds, replace(cfg, weighted=False)).weights == {}
 
     def test_cached_scalings_track_the_completion(self, monkeypatch):
-        ds, cfg = paper_cell()
+        # only the entries a step reads: target t's statistics over its
+        # observed rows for the other columns, and the all-rows statistics
+        # of the propensity design, which an unweighted run does not keep
         original = engine_mod._column_step
         steps = []
 
         def checked_step(*args):
             out = original(*args)
-            completed, scalings = args[2], args[6]
+            completed, cfg, scalings = args[2], args[4], args[6]
 
             def fresh(block):
                 std = block.std(axis=0)
                 return block.mean(axis=0), np.where(std > 0, std, 1.0)
 
-            cached = [scalings.all_rows] + [scalings.by_target[t]
-                                            for t in scalings.obs_rows]
-            expected = [fresh(completed)] + [fresh(completed[rows])
-                                             for rows in scalings.obs_rows.values()]
+            cached = [scalings.by_target[t] for t in scalings.obs_rows]
+            expected = [fresh(completed[rows][:, scalings.others[t]])
+                        for t, rows in scalings.obs_rows.items()]
+            if cfg.weighted:
+                cached.append(scalings.all_rows)
+                expected.append(fresh(completed))
+            else:
+                assert scalings.all_rows is None
             for (mean, scale), (fresh_mean, fresh_scale) in zip(cached, expected):
                 np.testing.assert_allclose(mean, fresh_mean, rtol=0, atol=1e-12)
                 np.testing.assert_allclose(scale, fresh_scale, rtol=0, atol=1e-12)
@@ -287,8 +294,24 @@ class TestColumnStepState:
             return out
 
         monkeypatch.setattr(engine_mod, "_column_step", checked_step)
+        for weighted in (True, False):
+            ds, cfg = paper_cell(weighted=weighted)
+            steps.clear()
+            impute(ds, cfg)
+            assert len(steps) == cfg.n_sweeps * len(ds.missing_columns())
+
+    def test_only_seeded_fits_derive_a_seed(self, monkeypatch):
+        ds, cfg = paper_cell(weighted=False)
+        cfg = replace(cfg, n_sweeps=1)
+        derived = []
+        original = engine_mod._step_seed
+        monkeypatch.setattr(engine_mod, "_step_seed",
+                            lambda *args: derived.append(args) or original(*args))
         impute(ds, cfg)
-        assert len(steps) == cfg.n_sweeps * len(ds.missing_columns())
+        assert derived == []
+        tiny = RegressorSpec(kind="forest", forest=ForestSpec(n_trees=1, max_depth=1))
+        impute(ds, replace(cfg, regressor=tiny))
+        assert len(derived) == len(ds.missing_columns())
 
     def test_warm_state_does_not_leak_between_calls(self):
         ds, cfg = paper_cell()
@@ -534,3 +557,38 @@ class TestConfig:
         with pytest.raises(ValueError) as info:
             build()
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("record, name, value, kind", [
+        (ImputationConfig, "n_sweeps", 2.5, "an integer"),
+        (ImputationConfig, "n_sweeps", True, "an integer"),
+        (ImputationConfig, "seed", 1.5, "an integer"),
+        (ImputationConfig, "weighted", "no", "a bool"),
+        (ImputationConfig, "weighted", 1, "a bool"),
+        (MlpSpec, "epochs", 1.5, "an integer"),
+        (MlpSpec, "hidden_units", np.float64(4.0), "an integer"),
+        (MlpSpec, "batch_size", "64", "an integer"),
+        (ForestSpec, "n_trees", 2.5, "an integer"),
+        (ForestSpec, "max_depth", 3.0, "an integer"),
+        (ForestSpec, "bootstrap", 0, "a bool"),
+        (ExperimentGrid, "n_missing_cols", 2.0, "an integer"),
+        (ExperimentGrid, "n_predictors", False, "an integer"),
+        (ExperimentGrid, "n_sweeps", 2.5, "an integer"),
+        (DatasetSource, "n", 100.0, "an integer"),
+        (DatasetSource, "d", None, "an integer"),
+        (DatasetSource, "seed", 0.5, "an integer"),
+        (DatasetSource, "has_header", "yes", "a bool"),
+        (MarSpec, "seed", 1.5, "an integer"),
+    ])
+    def test_scalar_type_checked_when_built(self, record, name, value, kind):
+        # a Python caller gets what a config file gets: no float truncated,
+        # no truthy value read as a bool; numpy scalars of the right kind pass
+        required = {"missing_cols": (0,), "predictor_sets": ((1,),),
+                    "alpha": 1.0, "target_missing_rate": 0.3, "seed": 0}
+        base = required if record is MarSpec else {}
+        with pytest.raises(TypeError) as info:
+            record(**{**base, name: value})
+        assert str(info.value) == f"{name} must be {kind}, got {value!r}"
+        good = np.bool_(True) if kind == "a bool" else np.int64(3)
+        built = record(**{**base, name: good})
+        assert getattr(built, name) == good
+        assert type(getattr(built, name)) is (bool if kind == "a bool" else int)

@@ -4,16 +4,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import spearmanr
 
-from oracles import cold_column_weights, standardize, with_intercept
+import oracles
+from oracles import (cold_column_weights, reference_fit_propensity,
+                     reference_weights_for_column, standardize, with_intercept)
 from shiftimpute.data import DataMatrix
 from shiftimpute.engine import initial_impute
 from shiftimpute.masking import MarSpec, apply_mar_mask, sigmoid
 from shiftimpute.propensity import (
+    PropensityModel,
     _penalized_nll,
+    _penalized_nll_and_exp,
     effective_sample_size,
     fit_propensity,
     WeightVector,
@@ -124,6 +128,100 @@ class TestFitPropensity:
             fit_propensity(design, np.arange(50) % 2.0)
         with pytest.raises(ValueError, match="last column must be all ones"):
             weights_for_column(design, np.arange(50) % 2 == 0)
+
+
+def _propensity_case(n, p, l2, labels, start, layout, seed):
+    """A design, labels and warm start for the fit; ``near_separable`` labels
+    with a ``far`` start make the line search backtrack."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, p))
+    score = x @ (3.0 * rng.normal(size=p))
+    if labels == "near_separable":
+        r = (score + 0.1 * rng.normal(size=n) > 0).astype(float)
+    else:
+        r = (rng.random(n) < sigmoid(0.3 * score + 0.5)).astype(float)
+    order = {"C": np.ascontiguousarray, "F": np.asfortranarray}[layout]
+    design = order(with_intercept(x))
+    init = None
+    if start == "near":
+        coef, intercept, _, _ = reference_fit_propensity(design, r, l2)
+        init = PropensityModel(coef + 0.3 * rng.normal(size=p),
+                               intercept + 0.3 * rng.normal(), False, 0)
+    elif start == "far":
+        init = PropensityModel(10.0 * rng.normal(size=p),
+                               10.0 * rng.normal(), False, 0)
+    return design, r, init
+
+
+class TestFitMatchesReferenceLoop:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(2, 80),
+        p=st.integers(1, 6),
+        l2=st.sampled_from([0.0, 1e-4, 0.05, 1.0]),
+        labels=st.sampled_from(["logistic", "near_separable"]),
+        start=st.sampled_from(["cold", "near", "far"]),
+        layout=st.sampled_from(["C", "F"]),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @example(n=4, p=8, l2=1e-4, labels="logistic", start="cold", layout="F",
+             seed=0)   # fewer rows than predictors
+    @example(n=60, p=3, l2=0.0, labels="near_separable", start="far",
+             layout="F", seed=0)   # backtracks; see below
+    @example(n=60, p=3, l2=0.05, labels="near_separable", start="far",
+             layout="C", seed=1)   # backtracks; see below
+    def test_fit_and_weights_are_bit_identical(self, n, p, l2, labels, start,
+                                               layout, seed):
+        # without a penalty, p + 1 parameters need more rows than that
+        assume(l2 > 0 or n > p + 1)
+        design, r, init = _propensity_case(n, p, l2, labels, start, layout, seed)
+        assume(0 < r.sum() < n)
+        try:
+            coef, intercept, converged, n_iter = reference_fit_propensity(
+                design, r, l2, init)
+        except np.linalg.LinAlgError:
+            with pytest.raises(np.linalg.LinAlgError):
+                fit_propensity(design, r, l2, init=init)
+            return
+        model = fit_propensity(design, r, l2, init=init)
+        assert np.array_equal(model.coefficients, coef)
+        assert model.intercept == intercept
+        assert model.n_iter == n_iter
+        assert model.converged == converged
+        wv = weights_for_column(design, r == 1.0, l2, init=init)
+        assert np.array_equal(wv.weights,
+                              reference_weights_for_column(design, r == 1.0, l2,
+                                                           init=init))
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 300), scale=st.sampled_from([0.1, 3.0, 40.0]),
+           l2=st.sampled_from([0.0, 1e-4, 0.05]), seed=st.integers(0, 2**31 - 1))
+    def test_nll_and_logistic_are_bit_identical(self, n, scale, l2, seed):
+        # the line search compares NLLs with a 1e-12 slack, so a last-bit
+        # change in the NLL seldom reaches the fit; checked here directly
+        rng = np.random.default_rng(seed)
+        z = rng.normal(scale=scale, size=n)
+        r = (rng.random(n) < 0.5).astype(float)
+        coef = rng.normal(size=3)
+        nll, e = _penalized_nll_and_exp(z, r, coef, l2)
+        assert nll == oracles._reference_penalized_nll(z, r, coef, l2)
+        assert sigmoid(z, e=e).tobytes() == oracles._reference_sigmoid(z).tobytes()
+        assert sigmoid(z).tobytes() == oracles._reference_sigmoid(z).tobytes()
+
+    @pytest.mark.parametrize("l2, layout, seed", [(0.0, "F", 0), (0.05, "C", 1)])
+    def test_near_separable_far_start_backtracks(self, monkeypatch, l2, layout,
+                                                 seed):
+        # the bit-identity examples above reach the backtracking branch,
+        # which no benchmark-grid fit does
+        calls = []
+        nll = oracles._reference_penalized_nll
+        monkeypatch.setattr(oracles, "_reference_penalized_nll",
+                            lambda *args: calls.append(1) or nll(*args))
+        design, r, init = _propensity_case(60, 3, l2, "near_separable", "far",
+                                           layout, seed)
+        _, _, converged, n_iter = reference_fit_propensity(design, r, l2, init)
+        # one call up front and one per Newton step when no step backtracks
+        assert len(calls) > 1 + n_iter - converged
 
 
 class TestWeightsFromPropensity:
