@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .data import DataMatrix, JsonRecord, load_csv
+from .data import DataMatrix, JsonRecord, load_csv, require_seed
 from .engine import ImputationConfig, impute
 from .masking import apply_mar_mask, select_random_spec
 from .metrics import evaluate_imputation, wilcoxon_signed_rank
@@ -85,6 +85,7 @@ class DatasetSource(JsonRecord):
 
     def __post_init__(self):
         self._check_scalars()
+        require_seed("seed", self.seed)
         if self.kind not in ("synthetic", "csv"):
             raise ValueError(f"unknown dataset kind {self.kind!r}")
         if self.kind == "csv" and not self.path:
@@ -124,6 +125,8 @@ class ExperimentGrid(JsonRecord):
         if isinstance(seeds, int) and not isinstance(seeds, bool):
             seeds = range(seeds)  # "seeds": n is shorthand for seeds 0..n-1
         object.__setattr__(self, "seeds", tuple(map(operator.index, seeds)))
+        for seed in self.seeds:
+            require_seed("seeds", seed)
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
         object.__setattr__(self, "models", tuple(self.models))
         for name in ("seeds", "alphas", "models"):

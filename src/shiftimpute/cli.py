@@ -55,6 +55,8 @@ def _check_writable(*paths):
 
 
 def _cmd_simulate_mask(args) -> int:
+    if args.seed < 0:  # numpy's generators take none; blame the option, not the CSV
+        raise SystemExit(f"shiftimpute: --seed must be nonnegative, got {args.seed}")
     _check_writable(args.output, args.mechanism)
     # errors name the input: the file itself, or a layout or rate it cannot take
     with _input_errors(args.input):

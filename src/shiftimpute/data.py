@@ -124,6 +124,13 @@ def require_finite(name: str, value: float, *, positive: bool) -> None:
         raise ValueError(f"{name} must be {sign} and finite, got {value!r}")
 
 
+def require_seed(name: str, value: int) -> None:
+    """Reject a negative seed, naming it, when its record is built rather
+    than deep in a run: numpy's generators take no negative seed."""
+    if value < 0:
+        raise ValueError(f"{name} must be nonnegative, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DataMatrix:
     """An n x d matrix of finite reals plus column names.

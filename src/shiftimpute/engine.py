@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import JsonRecord, MaskedDataset, require_finite
+from .data import JsonRecord, MaskedDataset, require_finite, require_seed
 from .propensity import (DEFAULT_CLIP, DEFAULT_L2, WeightVector,
                          effective_sample_size, weights_for_column)
 from .regressors import (MlpModel, RegressorSpec, fit_regressor, predict,
@@ -59,6 +59,7 @@ class ImputationConfig(JsonRecord):
 
     def __post_init__(self):
         self._check_scalars()
+        require_seed("seed", self.seed)
         if self.n_sweeps < 1:
             raise ValueError("n_sweeps must be >= 1")
         if not 0.0 < self.clip_epsilon < 0.5:

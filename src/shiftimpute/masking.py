@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataMatrix, JsonRecord, MaskMatrix, MaskedDataset
+from .data import (DataMatrix, JsonRecord, MaskMatrix, MaskedDataset,
+                   require_seed)
 
 __all__ = [
     "MarSpec",
@@ -53,6 +54,7 @@ class MarSpec(JsonRecord):
 
     def __post_init__(self):
         self._check_scalars()
+        require_seed("seed", self.seed)
         object.__setattr__(self, "missing_cols",
                            tuple(map(operator.index, self.missing_cols)))
         object.__setattr__(

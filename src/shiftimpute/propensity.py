@@ -92,7 +92,8 @@ def fit_propensity(design: np.ndarray, r: np.ndarray, l2: float = DEFAULT_L2,
     ``converged=False`` rather than failing silently. IRLS starts from
     ``init``'s parameters when given (a fit on nearby data converges in fewer
     iterations), else from zero. With ``l2 > 0`` the objective is strictly
-    convex in the coefficients, so fewer rows than predictors is allowed.
+    convex in the coefficients, so fewer rows than predictors is allowed;
+    with ``l2 = 0`` the intercept makes d + 1 parameters, so n must exceed d.
     """
     design = np.asarray(design, dtype=float)
     r = np.asarray(r, dtype=float).ravel()
@@ -104,8 +105,9 @@ def fit_propensity(design: np.ndarray, r: np.ndarray, l2: float = DEFAULT_L2,
                          "(the intercept column)")
     if r.shape[0] != n:
         raise ValueError("label length mismatch")
-    if n < p and l2 == 0:
-        raise ValueError(f"need n >= d for an unpenalized fit, got n={n}, d={p}")
+    if n <= p and l2 == 0:
+        raise ValueError(f"need n > d for an unpenalized fit (d predictors plus "
+                         f"the intercept), got n={n}, d={p}")
     if l2 < 0:
         raise ValueError("l2 must be nonnegative")
     ones = r.sum()

@@ -5,7 +5,9 @@ Three model classes minimize the same weighted mean squared error
 
 - ridge: closed-form weighted normal equations, unpenalized intercept;
 - forest: CART trees with weighted bootstrap, weighted variance-reduction
-  splits, and weighted leaf means;
+  splits (one vectorized cut scan per node and feature, ties to the lowest
+  feature then threshold), and weighted leaf means; a tree is flat node
+  arrays, and predict moves every row down one level per pass;
 - mlp: one tanh hidden layer trained by seeded mini-batch gradient descent.
 
 All fits are deterministic given their spec and seed (forest trees use
@@ -15,7 +17,7 @@ seed+tree_index so parallel and serial builds agree by construction).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -26,7 +28,7 @@ __all__ = [
     "MlpSpec",
     "RegressorSpec",
     "RidgeModel",
-    "TreeNode",
+    "Tree",
     "ForestModel",
     "MlpModel",
     "fit_weighted_ridge",
@@ -105,23 +107,27 @@ class RidgeModel:
         return self.coefficients.shape[0]
 
 
-@dataclass(frozen=True)
-class TreeNode:
-    """Binary CART node; a leaf has feature None and carries ``value``."""
+@dataclass(frozen=True, eq=False)
+class Tree:
+    """One CART tree as node arrays in depth-first order, root at 0. Node k
+    sends a row to ``left[k]`` if ``x[feature[k]] <= threshold[k]``, else to
+    ``right[k]``; a leaf has feature -1, threshold 0, and is its own children."""
 
-    feature: int | None
-    threshold: float | None
-    value: float
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
 
-    def is_leaf(self) -> bool:
-        return self.feature is None
+    def __eq__(self, other):
+        return isinstance(other, Tree) and all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name))
+            for f in fields(Tree))
 
 
 @dataclass(frozen=True)
 class ForestModel:
-    trees: tuple[TreeNode, ...]
+    trees: tuple[Tree, ...]
     n_features: int
 
 
@@ -209,64 +215,62 @@ def _best_split(x, y, w, rows, features, min_leaf_weight):
     """Scan candidate splits; returns (gain, feature, threshold) or None.
 
     Candidates are midpoints between consecutive distinct values (the left
-    value itself where the midpoint is not below the right one). Ties break
-    to the lowest feature index then lowest threshold because features and
-    thresholds are scanned ascending and only a strictly larger gain wins.
+    value itself where the midpoint is not below the right one), scored per
+    feature in one array expression. Ties break to the lowest feature index
+    then lowest threshold: ``argmax`` takes a feature's first maximum, and a
+    later feature must gain strictly more.
     """
-    yw = w[rows] * y[rows]
-    sw = w[rows].sum()
-    swy = yw.sum()
-    swyy = (yw * y[rows]).sum()
+    wn, yn = w[rows], y[rows]
+    yw = wn * yn
+    sw, swy, swyy = wn.sum(), yw.sum(), (yw * yn).sum()
     node_sse = _weighted_sse(sw, swy, swyy)
     floor = SPLIT_GAIN_FLOOR * max(1.0, abs(node_sse))
     best = None
     for f in features:
         xv = x[rows, f]
         order = np.argsort(xv, kind="stable")
-        xs = xv[order]
-        ws = w[rows][order]
-        wys = yw[order]
-        wyys = wys * y[rows][order]
-        cw = np.cumsum(ws)
-        cwy = np.cumsum(wys)
-        cwyy = np.cumsum(wyys)
-        cut = np.flatnonzero(xs[:-1] < xs[1:])  # last index of each left block
-        for t in cut:
-            wl = cw[t]
-            wr = sw - wl
-            if wl < min_leaf_weight or wr < min_leaf_weight:
-                continue
-            gain = node_sse - _weighted_sse(wl, cwy[t], cwyy[t]) \
-                - _weighted_sse(wr, swy - cwy[t], swyy - cwyy[t])
-            if gain > floor and (best is None or gain > best[0]):
-                threshold = 0.5 * (xs[t] + xs[t + 1])
-                if not threshold < xs[t + 1]:
-                    # adjacent floats: the midpoint rounds up to the right
-                    # value, and x <= threshold would send every row left
-                    threshold = xs[t]
-                best = (gain, int(f), threshold)
+        xs, wys = xv[order], yw[order]
+        cw, cwy, cwyy = np.cumsum([wn[order], wys, wys * yn[order]], axis=1)
+        # last index of each left block, where both sides carry enough weight
+        cut = np.flatnonzero((xs[:-1] < xs[1:]) & (cw[:-1] >= min_leaf_weight)
+                             & (sw - cw[:-1] >= min_leaf_weight))
+        if cut.size == 0:
+            continue
+        wl, wyl, wyyl = cw[cut], cwy[cut], cwyy[cut]
+        gain = node_sse - _weighted_sse(wl, wyl, wyyl) \
+            - _weighted_sse(sw - wl, swy - wyl, swyy - wyyl)
+        k = np.argmax(gain)
+        if gain[k] > floor and (best is None or gain[k] > best[0]):
+            t = cut[k]
+            threshold = 0.5 * (xs[t] + xs[t + 1])
+            if not threshold < xs[t + 1]:
+                # adjacent floats: the midpoint rounds up to the right
+                # value, and x <= threshold would send every row left
+                threshold = xs[t]
+            best = (gain[k], int(f), threshold)
     return best
 
 
-def _build_tree(x, y, w, rows, depth, spec: ForestSpec, rng) -> TreeNode:
-    sw = w[rows].sum()
-    value = float((w[rows] * y[rows]).sum() / sw)
+def _grow(x, y, w, rows, depth, spec: ForestSpec, rng, nodes) -> int:
+    """Append the subtree on ``rows`` to ``nodes``, one [feature, threshold,
+    left, right, value] per node, and return its root's index. The left
+    subtree is grown first, so nodes draw their feature subsets in preorder."""
+    node, sw = len(nodes), w[rows].sum()
+    nodes.append([-1, 0.0, node, node, float((w[rows] * y[rows]).sum() / sw)])
     if depth >= spec.max_depth or sw < 2 * spec.min_leaf_weight:
-        return TreeNode(None, None, value)
+        return node
     n_feat = x.shape[1]
-    if spec.feature_subsample >= 1.0:
-        features = range(n_feat)
-    else:
-        m = max(1, int(round(spec.feature_subsample * n_feat)))
-        features = np.sort(rng.choice(n_feat, size=m, replace=False))
+    m = max(1, int(round(spec.feature_subsample * n_feat)))
+    features = (range(n_feat) if spec.feature_subsample >= 1.0
+                else np.sort(rng.choice(n_feat, size=m, replace=False)))
     best = _best_split(x, y, w, rows, features, spec.min_leaf_weight)
-    if best is None:
-        return TreeNode(None, None, value)
-    _, feature, threshold = best
-    go_left = x[rows, feature] <= threshold
-    left = _build_tree(x, y, w, rows[go_left], depth + 1, spec, rng)
-    right = _build_tree(x, y, w, rows[~go_left], depth + 1, spec, rng)
-    return TreeNode(feature, threshold, value, left, right)
+    if best is not None:
+        _, feature, threshold = best
+        go_left = x[rows, feature] <= threshold
+        nodes[node][:4] = (feature, threshold,
+                           _grow(x, y, w, rows[go_left], depth + 1, spec, rng, nodes),
+                           _grow(x, y, w, rows[~go_left], depth + 1, spec, rng, nodes))
+    return node
 
 
 def fit_weighted_forest(x: np.ndarray, y: np.ndarray, w: np.ndarray,
@@ -290,17 +294,20 @@ def fit_weighted_forest(x: np.ndarray, y: np.ndarray, w: np.ndarray,
         else:
             keep = w > 0
             xt, yt, wt = x[keep], y[keep], w[keep]
-        trees.append(_build_tree(xt, yt, wt, np.arange(xt.shape[0]), 0, spec, rng))
+        nodes = []
+        _grow(xt, yt, wt, np.arange(xt.shape[0]), 0, spec, rng, nodes)
+        trees.append(Tree(*map(np.array, zip(*nodes))))
     return ForestModel(tuple(trees), x.shape[1])
 
 
-def _tree_predict(node: TreeNode, x: np.ndarray, rows: np.ndarray, out: np.ndarray):
-    if node.is_leaf():
-        out[rows] = node.value
-        return
-    go_left = x[rows, node.feature] <= node.threshold
-    _tree_predict(node.left, x, rows[go_left], out)
-    _tree_predict(node.right, x, rows[~go_left], out)
+def _tree_predict(tree: Tree, x: np.ndarray) -> np.ndarray:
+    """Each row's leaf value; every row moves down one level per pass."""
+    rows = np.arange(x.shape[0])
+    node = np.zeros(x.shape[0], dtype=np.intp)
+    while (tree.feature[node] >= 0).any():
+        go_left = x[rows, tree.feature[node]] <= tree.threshold[node]
+        node = np.where(go_left, tree.left[node], tree.right[node])
+    return tree.value[node]
 
 
 # ---------------------------------------------------------------------------
@@ -436,15 +443,7 @@ def predict(model, x: np.ndarray) -> np.ndarray:
         return x @ model.coefficients + model.intercept
     if isinstance(model, MlpModel):
         return _mlp_forward(model.params, x)[1]
-    if x.shape[0] == 0:
-        return np.empty(0)
-    acc = np.zeros(x.shape[0])
-    rows = np.arange(x.shape[0])
-    scratch = np.empty(x.shape[0])
-    for tree in model.trees:
-        _tree_predict(tree, x, rows, scratch)
-        acc += scratch
-    return acc / len(model.trees)
+    return sum(_tree_predict(tree, x) for tree in model.trees) / len(model.trees)
 
 
 def weighted_mse(model, x, y, w) -> float:

@@ -4,10 +4,13 @@ Each one restates, in the most direct numpy, a quantity the package computes
 by a faster or more incremental route.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from shiftimpute.propensity import (DEFAULT_CLIP, DEFAULT_L2, GRADIENT_TOL,
                                    MAX_ITER, weights_for_column)
+from shiftimpute.regressors import SPLIT_GAIN_FLOOR, ForestSpec
 
 
 def standardize(values: np.ndarray) -> np.ndarray:
@@ -121,3 +124,144 @@ def reference_weights_for_column(design, obs_col, l2=DEFAULT_L2,
     eta = np.clip(eta, clip_epsilon, 1.0 - clip_epsilon)
     w = (1.0 - eta) / eta
     return w / w.mean()
+
+
+# The CART as it stood before trees became flat arrays: one node object per
+# split, a Python loop over every candidate cut, and a recursive predict.
+# Kept verbatim as the oracle the flat trees must reproduce bit for bit.
+@dataclass(frozen=True)
+class TreeNode:
+    """Binary CART node; a leaf has feature None and carries ``value``."""
+
+    feature: int | None
+    threshold: float | None
+    value: float
+    left: "TreeNode | None" = None
+    right: "TreeNode | None" = None
+
+    def is_leaf(self) -> bool:
+        return self.feature is None
+
+
+def _weighted_sse(sw, swy, swyy):
+    # sum w*(y - mean)^2 written in accumulated form
+    return swyy - swy * swy / sw
+
+
+def _best_split(x, y, w, rows, features, min_leaf_weight):
+    """Scan candidate splits; returns (gain, feature, threshold) or None.
+
+    Candidates are midpoints between consecutive distinct values (the left
+    value itself where the midpoint is not below the right one). Ties break
+    to the lowest feature index then lowest threshold because features and
+    thresholds are scanned ascending and only a strictly larger gain wins.
+    """
+    yw = w[rows] * y[rows]
+    sw = w[rows].sum()
+    swy = yw.sum()
+    swyy = (yw * y[rows]).sum()
+    node_sse = _weighted_sse(sw, swy, swyy)
+    floor = SPLIT_GAIN_FLOOR * max(1.0, abs(node_sse))
+    best = None
+    for f in features:
+        xv = x[rows, f]
+        order = np.argsort(xv, kind="stable")
+        xs = xv[order]
+        ws = w[rows][order]
+        wys = yw[order]
+        wyys = wys * y[rows][order]
+        cw = np.cumsum(ws)
+        cwy = np.cumsum(wys)
+        cwyy = np.cumsum(wyys)
+        cut = np.flatnonzero(xs[:-1] < xs[1:])  # last index of each left block
+        for t in cut:
+            wl = cw[t]
+            wr = sw - wl
+            if wl < min_leaf_weight or wr < min_leaf_weight:
+                continue
+            gain = node_sse - _weighted_sse(wl, cwy[t], cwyy[t]) \
+                - _weighted_sse(wr, swy - cwy[t], swyy - cwyy[t])
+            if gain > floor and (best is None or gain > best[0]):
+                threshold = 0.5 * (xs[t] + xs[t + 1])
+                if not threshold < xs[t + 1]:
+                    # adjacent floats: the midpoint rounds up to the right
+                    # value, and x <= threshold would send every row left
+                    threshold = xs[t]
+                best = (gain, int(f), threshold)
+    return best
+
+
+def _build_tree(x, y, w, rows, depth, spec: ForestSpec, rng) -> TreeNode:
+    sw = w[rows].sum()
+    value = float((w[rows] * y[rows]).sum() / sw)
+    if depth >= spec.max_depth or sw < 2 * spec.min_leaf_weight:
+        return TreeNode(None, None, value)
+    n_feat = x.shape[1]
+    if spec.feature_subsample >= 1.0:
+        features = range(n_feat)
+    else:
+        m = max(1, int(round(spec.feature_subsample * n_feat)))
+        features = np.sort(rng.choice(n_feat, size=m, replace=False))
+    best = _best_split(x, y, w, rows, features, spec.min_leaf_weight)
+    if best is None:
+        return TreeNode(None, None, value)
+    _, feature, threshold = best
+    go_left = x[rows, feature] <= threshold
+    left = _build_tree(x, y, w, rows[go_left], depth + 1, spec, rng)
+    right = _build_tree(x, y, w, rows[~go_left], depth + 1, spec, rng)
+    return TreeNode(feature, threshold, value, left, right)
+
+
+def _tree_predict(node: TreeNode, x: np.ndarray, rows: np.ndarray, out: np.ndarray):
+    if node.is_leaf():
+        out[rows] = node.value
+        return
+    go_left = x[rows, node.feature] <= node.threshold
+    _tree_predict(node.left, x, rows[go_left], out)
+    _tree_predict(node.right, x, rows[~go_left], out)
+
+
+def reference_forest(x, y, w, spec: ForestSpec, seed: int) -> list[TreeNode]:
+    """The root nodes ``fit_weighted_forest`` grew, from the same draws."""
+    x, y, w = (np.asarray(a, dtype=float) for a in (x, y, w))
+    trees = []
+    for t in range(spec.n_trees):
+        rng = np.random.default_rng(seed + t)
+        if spec.bootstrap:
+            idx = rng.choice(x.shape[0], size=x.shape[0], replace=True, p=w / w.sum())
+            xt, yt, wt = x[idx], y[idx], np.ones(x.shape[0])
+        else:
+            keep = w > 0
+            xt, yt, wt = x[keep], y[keep], w[keep]
+        trees.append(_build_tree(xt, yt, wt, np.arange(xt.shape[0]), 0, spec, rng))
+    return trees
+
+
+def reference_forest_predict(trees: list[TreeNode], x: np.ndarray) -> np.ndarray:
+    """The forest's mean prediction by the recursive walk."""
+    acc = np.zeros(x.shape[0])
+    rows = np.arange(x.shape[0])
+    scratch = np.empty(x.shape[0])
+    for tree in trees:
+        _tree_predict(tree, x, rows, scratch)
+        acc += scratch
+    return acc / len(trees)
+
+
+def flatten_preorder(root: TreeNode):
+    """(feature, threshold, left, right, value) lists of ``root``'s subtree in
+    preorder; a leaf gets feature -1, threshold 0 and itself as both children."""
+    columns = ([], [], [], [], [])
+
+    def visit(node):
+        k = len(columns[0])
+        for column, entry in zip(columns, (-1, 0.0, k, k, node.value)):
+            column.append(entry)
+        if not node.is_leaf():
+            columns[0][k], columns[1][k] = node.feature, node.threshold
+            columns[2][k] = visit(node.left)
+            columns[3][k] = visit(node.right)
+        return k
+
+    visit(root)
+    return columns

@@ -365,6 +365,17 @@ def test_bad_argument_is_a_one_line_error(tmp_path, monkeypatch, truth_csv, mask
     assert not (tmp_path / "out.json").exists()
 
 
+def test_negative_seed_names_the_option(tmp_path, monkeypatch, truth_csv, masked_csv):
+    # numpy would reject it while the CSV is being masked, and the message
+    # would then name the CSV
+    monkeypatch.chdir(tmp_path)
+    argv = _good_argv("simulate-mask", str(truth_csv), str(masked_csv))
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--seed", "-1"])
+    assert str(info.value) == "shiftimpute: --seed must be nonnegative, got -1"
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_degenerate_mask_is_a_one_line_error(tmp_path):
     # at rate 0.98 both draws leave 3 rows fully missing in the planted column
     table = tmp_path / "tiny.csv"

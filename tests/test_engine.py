@@ -558,6 +558,24 @@ class TestConfig:
             build()
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: ImputationConfig(seed=-1), "seed must be nonnegative, got -1"),
+        (lambda: ImputationConfig.from_dict({"seed": -1}),
+         "seed must be nonnegative, got -1"),
+        (lambda: MarSpec((0,), ((1,),), 1.0, 0.3, seed=-5),
+         "seed must be nonnegative, got -5"),
+        (lambda: DatasetSource(seed=-2), "seed must be nonnegative, got -2"),
+        (lambda: ExperimentGrid(seeds=(0, -1)), "seeds must be nonnegative, got -1"),
+        (lambda: ExperimentGrid.from_dict({"seeds": [3, -4]}),
+         "seeds must be nonnegative, got -4"),
+    ])
+    def test_negative_seed_rejected_when_built(self, build, message):
+        # numpy's generators take no negative seed: fail here, not cell by
+        # cell or column by column inside a run
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("record, name, value, kind", [
         (ImputationConfig, "n_sweeps", 2.5, "an integer"),
         (ImputationConfig, "n_sweeps", True, "an integer"),

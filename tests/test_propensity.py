@@ -67,12 +67,15 @@ class TestFitPropensity:
         with pytest.raises(ValueError, match="both label classes"):
             fit_propensity(with_intercept(x), np.ones(50))
 
-    def test_needs_more_rows_than_columns(self):
-        # d counts the predictors, not the design's ones column
-        with pytest.raises(ValueError, match=r"^need n >= d for an unpenalized "
-                                             r"fit, got n=3, d=4$"):
-            fit_propensity(with_intercept(np.ones((3, 4))),
-                           np.array([1.0, 0.0, 1.0]), l2=0.0)
+    @pytest.mark.parametrize("n, d", [(3, 4), (2, 2)])
+    def test_needs_more_rows_than_columns(self, n, d):
+        # d counts the predictors, not the design's ones column; with n == d
+        # the d + 1 parameters would leave a singular Newton system
+        x = np.random.default_rng(n).normal(size=(n, d))
+        with pytest.raises(ValueError, match=r"^need n > d for an unpenalized "
+                                             r"fit \(d predictors plus the "
+                                             rf"intercept\), got n={n}, d={d}$"):
+            fit_propensity(with_intercept(x), np.arange(n) % 2.0, l2=0.0)
 
     def test_penalized_fit_allows_fewer_rows_than_columns(self):
         # 4 rows, 8 predictors: separable, but the L2 term keeps it well posed
