@@ -162,16 +162,11 @@ class _Scalings:
     nothing else.
 
     The workspace is one allocation per :func:`impute` call, refilled in
-    place by every step: the raw predictor block, one predictor buffer that
-    holds a target's rows in ``rows[i]`` order, and the propensity design
-    with its trailing column of ones (weighted runs only). BLAS rounding
-    depends on memory order, so a buffer that a fit or prediction reads has
-    the layout numpy gives the expression it replaces: the design that of
-    ``np.hstack([completed[:, others], ones])`` (Fortran order from three
-    columns on, C order with two), the predictor buffer that of a row gather
-    (C order), whose observed-row and missing-row parts are each contiguous.
-    The raw block feeds only element-wise copies and arithmetic; C order
-    lets ``np.take`` fill it and gather rows from it without a hidden copy.
+    place by every step and column-major like the completion: the raw
+    predictor block and one predictor buffer that holds a target's rows in
+    ``rows[i]`` order (one contiguous row per predictor; a fit reads its
+    observed-row and missing-row parts as transposed views), and in weighted
+    runs the propensity design with its trailing column of ones.
     """
 
     def __init__(self, completed: np.ndarray, observed: np.ndarray, targets,
@@ -192,19 +187,10 @@ class _Scalings:
             self.refresh(completed, k)
         # one allocation, not one per buffer: on the MLP path, separate
         # buffers measured slower than the per-step arrays they replace
-        sizes = [n * (d - 1), n * (d - 1), n * d if weighted else 0]
-        block, gathered, design = np.split(np.empty(sum(sizes)),
-                                           np.cumsum(sizes)[:-1])
-        self.block = block.reshape(n, d - 1)
-        self.gathered = gathered.reshape(n, d - 1)
-        self.design = None
-        if weighted:
-            # numpy's layout for the expression, which the row count leaves alone
-            others = self.others[targets[0]]
-            probe = np.hstack([completed[:2, others], np.ones((min(n, 2), 1))])
-            fortran = probe.flags.f_contiguous and not probe.flags.c_contiguous
-            self.design = design.reshape((n, d), order="F" if fortran else "C")
-            self.design[:, -1] = 1.0
+        work = np.empty((3 * d - 2 if weighted else 2 * d - 2, n))
+        self.block, self.gathered, design = np.split(work, [d - 1, 2 * d - 2])
+        design[-1:] = 1.0  # the intercept column; no rows when unweighted
+        self.design = design.T if weighted else None
 
     def refresh(self, completed: np.ndarray, k: int) -> None:
         column = completed[:, k]
@@ -221,28 +207,28 @@ class _Scalings:
     def fill_block(self, completed: np.ndarray, i: int) -> None:
         """The completed values of every column but ``i``, into the block."""
         # any mode but the default "raise" writes straight into ``out``
-        np.take(completed, self.others[i], axis=1, out=self.block, mode="clip")
+        np.take(completed.T, self.others[i], axis=0, out=self.block,
+                mode="clip")
 
     def propensity_design(self, i: int) -> np.ndarray:
         """The filled block standardized over all rows, with the ones column."""
-        x = self.design[:, :-1]
-        np.copyto(x, self.block)
+        x = self.design[:, :-1].T
         mean, scale = self.all_rows
         cols = self.others[i]
-        x -= mean[cols]
-        x /= scale[cols]
+        np.subtract(self.block, mean[cols, None], out=x)
+        x /= scale[cols, None]
         return self.design
 
     def predictors(self, i: int):
         """The filled block's observed rows and missing rows, standardized
-        for target ``i``: two contiguous parts of one gather."""
-        x = np.take(self.block, self.rows[i], axis=0, out=self.gathered,
+        for target ``i``: two parts of one gather, as transposed views."""
+        x = np.take(self.block, self.rows[i], axis=1, out=self.gathered,
                     mode="clip")
         mean, scale = self.by_target[i]
-        x -= mean
-        x /= scale
+        x -= mean[:, None]
+        x /= scale[:, None]
         n_obs = self.obs_rows[i].shape[0]
-        return x[:n_obs], x[n_obs:]
+        return x[:, :n_obs].T, x[:, n_obs:].T
 
 
 def _column_step(values, observed, completed, i, cfg, sweep, scalings,
@@ -298,7 +284,7 @@ def impute(ds: MaskedDataset, cfg: ImputationConfig) -> ImputationResult:
     if not ds.missing_columns():
         return ImputationResult(ds.data.values.copy(), (), cfg)
     order = visitation_order(ds, cfg.visitation)
-    completed = initial_impute(ds)
+    completed = np.asfortranarray(initial_impute(ds))
     values = ds.data.values
     observed = ds.mask.observed
     scalings = _Scalings(completed, observed, order, cfg.weighted)

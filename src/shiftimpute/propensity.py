@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .masking import sigmoid
+from .regressors import weighted_gram
 
 __all__ = [
     "PropensityModel",
@@ -124,8 +125,7 @@ def fit_propensity(design: np.ndarray, r: np.ndarray, l2: float = DEFAULT_L2,
             raise ValueError(
                 f"init has {beta.shape[0] - 1} coefficients, the design has "
                 f"{p} predictor columns")
-    # reused for design.T * s each iteration, in the layout that product has
-    scaled_t = np.empty_like(design).T
+    scaled_t = None  # design.T * s, allocated once and reused
     z = design @ beta
     nll, e = _penalized_nll_and_exp(z, r, beta[:p], l2)
     converged = False
@@ -137,7 +137,8 @@ def fit_propensity(design: np.ndarray, r: np.ndarray, l2: float = DEFAULT_L2,
             converged = True
             break
         s = np.clip(eta * (1.0 - eta), 1e-12, None)
-        hess = np.multiply(design.T, s, out=scaled_t) @ design / n + hess_penalty
+        gram, scaled_t = weighted_gram(design, s, scaled_t)
+        hess = gram / n + hess_penalty
         step = np.linalg.solve(hess, grad)
         # backtrack if the Newton step overshoots (rare; separable-ish data)
         trial = beta - step

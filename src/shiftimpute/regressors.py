@@ -31,6 +31,7 @@ __all__ = [
     "Tree",
     "ForestModel",
     "MlpModel",
+    "weighted_gram",
     "fit_weighted_ridge",
     "fit_weighted_forest",
     "fit_weighted_mlp",
@@ -156,9 +157,10 @@ def _check_xyw(x, y, w):
         raise ValueError("X must be 2-D")
     if y.shape[0] != x.shape[0] or w.shape[0] != x.shape[0]:
         raise ValueError("X, y, w must have the same number of rows")
-    if (w < 0).any():
-        raise ValueError("weights must be nonnegative")
-    if w.sum() <= 0:
+    total = w.sum()  # infinite if a weight is; a NaN weight fails w >= 0
+    if not ((w >= 0).all() and np.isfinite(total)):
+        raise ValueError("weights must be finite and nonnegative")
+    if total <= 0:
         raise ValueError("weights must have positive total mass")
     return x, y, w
 
@@ -167,6 +169,14 @@ def _check_xyw(x, y, w):
 # Ridge
 # ---------------------------------------------------------------------------
 
+def weighted_gram(x: np.ndarray, s: np.ndarray, out=None):
+    """``x' diag(s) x`` and the scaled transpose ``x' diag(s)``, written into
+    ``out`` when given. The one place a weighted Gram's layout is decided: the
+    scaled transpose takes that of ``x.T``, and BLAS rounding follows it."""
+    scaled = np.multiply(x.T, s, out=out)
+    return scaled @ x, scaled
+
+
 def fit_weighted_ridge(x: np.ndarray, y: np.ndarray, w: np.ndarray,
                        ridge_lambda: float) -> RidgeModel:
     """Closed-form weighted ridge with an internal unpenalized intercept.
@@ -174,19 +184,21 @@ def fit_weighted_ridge(x: np.ndarray, y: np.ndarray, w: np.ndarray,
     Weights are normalized to mean 1 before solving, so rescaling all weights
     by a positive constant leaves the solution unchanged. Solves
     (X'WX + lambda*D) beta = X'Wy (D penalizes everything but the intercept)
-    by Cholesky with one step of iterative refinement.
+    by Cholesky with one step of iterative refinement, in blocks formed from
+    ``x`` itself: ``[[x'Wx + lambda*I, x'w], [w'x, sum w]]``, ``[x'Wy, sum wy]``.
     """
     x, y, w = _check_xyw(x, y, w)
     require_finite("ridge_lambda", ridge_lambda, positive=False)
-    if x.shape[1] < 1:
+    p = x.shape[1]
+    if p < 1:
         raise ValueError("need at least one predictor")
     w = w / w.mean()
-    design = np.hstack([x, np.ones((x.shape[0], 1))])
-    p = x.shape[1]
-    penalty = np.append(np.full(p, ridge_lambda), 0.0)
-    wd = design * w[:, None]
-    lhs = design.T @ wd + np.diag(penalty)
-    rhs = wd.T @ y
+    lhs = np.empty((p + 1, p + 1))
+    lhs[:p, :p], xw = weighted_gram(x, w)
+    lhs[:p, p] = lhs[p, :p] = w @ x
+    lhs[p, p] = w.sum()
+    lhs.flat[:p * (p + 2):p + 2] += ridge_lambda  # x'Wx's diagonal
+    rhs = np.append(xw @ y, w @ y)
     try:
         chol = np.linalg.cholesky(lhs)
     except np.linalg.LinAlgError:

@@ -10,7 +10,9 @@ import numpy as np
 
 from shiftimpute.propensity import (DEFAULT_CLIP, DEFAULT_L2, GRADIENT_TOL,
                                    MAX_ITER, weights_for_column)
-from shiftimpute.regressors import SPLIT_GAIN_FLOOR, ForestSpec
+from shiftimpute.data import require_finite
+from shiftimpute.regressors import (SPLIT_GAIN_FLOOR, ForestSpec, RidgeModel,
+                                    _check_xyw)
 
 
 def standardize(values: np.ndarray) -> np.ndarray:
@@ -52,6 +54,38 @@ def ridge_normal_equation_residual(model, x, y, w, ridge_lambda: float) -> float
     wd = design * w[:, None]
     resid = (design.T @ wd + np.diag(penalty)) @ beta - wd.T @ y
     return float(np.max(np.abs(resid)))
+
+
+# The ridge fit as it stood before its normal equations were formed in
+# blocks: it copies the predictors with a ones column and again with the
+# weights applied. Kept verbatim as the oracle the block form must match to
+# rounding.
+def reference_fit_weighted_ridge(x: np.ndarray, y: np.ndarray, w: np.ndarray,
+                                 ridge_lambda: float) -> RidgeModel:
+    x, y, w = _check_xyw(x, y, w)
+    require_finite("ridge_lambda", ridge_lambda, positive=False)
+    if x.shape[1] < 1:
+        raise ValueError("need at least one predictor")
+    w = w / w.mean()
+    design = np.hstack([x, np.ones((x.shape[0], 1))])
+    p = x.shape[1]
+    penalty = np.append(np.full(p, ridge_lambda), 0.0)
+    wd = design * w[:, None]
+    lhs = design.T @ wd + np.diag(penalty)
+    rhs = wd.T @ y
+    try:
+        chol = np.linalg.cholesky(lhs)
+    except np.linalg.LinAlgError:
+        raise ValueError(
+            "singular weighted normal equations; use ridge_lambda > 0"
+        ) from None
+
+    def solve(b):
+        return np.linalg.solve(chol.T, np.linalg.solve(chol, b))
+
+    beta = solve(rhs)
+    beta = beta + solve(rhs - lhs @ beta)  # one refinement pass
+    return RidgeModel(beta[:p].copy(), float(beta[p]))
 
 
 # The propensity fit as it stood before the IRLS reused each iteration's

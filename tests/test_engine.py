@@ -339,9 +339,10 @@ class TestColumnStepState:
 class TestRidgeGolden:
     # ridge_masked.csv is make_benchmark_dataset(200, 6, seed=7) under
     # MarSpec((1, 5), ((0, 2), (2, 3)), alpha=3.0, target_missing_rate=0.3,
-    # seed=8). The completions and per-sweep diagnostics were written by an
-    # earlier engine that allocated every step's arrays afresh; BLAS rounding
-    # depends on memory order, so a workspace of another layout shows here.
+    # seed=8). The completions and per-sweep diagnostics were written by the
+    # engine with column-major buffers and block-form ridge normal equations;
+    # BLAS rounding depends on memory order and on how a system is formed,
+    # so a change to either shows here.
 
     @pytest.mark.parametrize("tag, weighted", [("weighted", True),
                                                ("unweighted", False)])
@@ -408,6 +409,30 @@ class TestImputeProperties:
         assert not any(np.shares_memory(a, b)
                        for a in arrays(first) for b in arrays(second))
 
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(30, 80),
+           d=st.integers(2, 5), alpha=st.sampled_from([0.0, 1.5, 3.0]),
+           weighted=st.booleans())
+    def test_row_permutation_permutes_the_completion(self, seed, n, d, alpha,
+                                                     weighted):
+        # permuting the rows only reorders every sum the run takes, so the
+        # completion moves by rounding: at most 1.3e-10 over 4000 such
+        # unit-scale tables (30-80 rows), held here to 1e-8
+        rng = np.random.default_rng(seed)
+        values = rng.normal(size=(n, d))
+        # missing more often where column 0 is large: a shift to correct
+        p_missing = 1.0 / (1.0 + np.exp(-alpha * values[:, :1] - 1.0))
+        observed = rng.random((n, d)) >= p_missing
+        observed[:, 0] = observed[0] = True  # no empty row or column
+        observed[1, d - 1] = False           # something to impute
+        perm = rng.permutation(n)
+        cfg = ridge_config(weighted=weighted, n_sweeps=3, ridge_lambda=1e-3)
+        completed = impute(make_masked(values, observed), cfg).completed
+        values, observed = values[perm], observed[perm]
+        permuted = impute(make_masked(values, observed), cfg).completed
+        assert permuted[observed].tobytes() == values[observed].tobytes()
+        np.testing.assert_allclose(permuted, completed[perm], rtol=0, atol=1e-8)
+
 
 class TestSingleColumnSweeps:
     # linear_pair_dataset has missing cells in column 1 only, so each sweep
@@ -464,8 +489,8 @@ class TestMlpImpute:
                 DATA / f"mlp_{tag}_per_sweep.json").read_text(), tag
 
     def test_divergence_names_column_sweep_and_epoch(self):
-        # the message, loss included, was recorded from the earlier training
-        # loop on this input; the epoch and loss depend on every update
+        # the message, loss included, was recorded from the column-major
+        # propensity design; the epoch and loss depend on every update
         rng = np.random.default_rng(21)
         x1 = rng.normal(size=60)
         data = DataMatrix(np.column_stack([x1, 2.0 * x1]), ("x1", "x2"))
@@ -479,7 +504,7 @@ class TestMlpImpute:
             impute(ds, cfg)
         assert str(info.value) == (
             "column 1 failed at sweep 0: MLP diverged at epoch 6: "
-            "loss=7789557134508.799 (learning_rate=0.4)")
+            "loss=7789557134102.064 (learning_rate=0.4)")
 
 
 class TestConfig:
