@@ -13,7 +13,7 @@ import functools
 import math
 import operator
 import typing
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from itertools import chain
 
 import numpy as np
@@ -174,21 +174,32 @@ class MaskMatrix:
     Every row must have at least one observed entry, and no column may be
     entirely missing (a column with at least one missing entry belongs to the
     imputed set and must retain observed entries to train on).
+
+    ``observed`` is a read-only copy of the array given, so the per-column
+    missing counts, taken once at construction from a column-major copy
+    (where each column is one contiguous run), always describe it.
     """
 
     observed: np.ndarray
+    _missing: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        observed = np.asarray(self.observed, dtype=bool)
+        observed = np.array(self.observed, dtype=bool)
+        observed.flags.writeable = False
         object.__setattr__(self, "observed", observed)
         if observed.ndim != 2:
             raise ValueError(f"mask must be 2-D, got shape {observed.shape}")
-        rows_empty = ~observed.any(axis=1)
+        by_column = np.asfortranarray(observed)
+        rows_empty = ~by_column.any(axis=1)
         if rows_empty.any():
             raise ValueError(
                 f"row {int(np.argmax(rows_empty))} has no observed entries"
             )
-        cols_empty = ~observed.any(axis=0)
+        n = observed.shape[0]
+        missing = np.array([n - np.count_nonzero(c) for c in by_column.T],
+                           dtype=np.intp)
+        object.__setattr__(self, "_missing", missing)
+        cols_empty = missing == n
         if cols_empty.any():
             raise ValueError(
                 f"column {int(np.argmax(cols_empty))} is entirely missing"
@@ -196,10 +207,10 @@ class MaskMatrix:
 
     def missing_columns(self) -> list[int]:
         """Indices of columns with at least one missing entry (the imputed set)."""
-        return [int(j) for j in np.flatnonzero(~self.observed.all(axis=0))]
+        return np.flatnonzero(self._missing).tolist()
 
     def missing_count(self, j: int) -> int:
-        return int((~self.observed[:, j]).sum())
+        return int(self._missing[j])
 
 
 @dataclass(frozen=True)

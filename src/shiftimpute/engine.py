@@ -11,8 +11,9 @@ predicts the rest. Observed cells are never altered.
 
 A run keeps the column means and scales the standardizations need in step
 with the completion (a column step changes one column, so only its entries
-are recomputed; the all-rows statistics of the propensity design only in a
-weighted run), starts each column's propensity fit from that column's fit
+are recomputed; in a weighted run, also that column of a copy of the
+completion standardized over all rows, from which the propensity design is
+copied), starts each column's propensity fit from that column's fit
 in the previous sweep, and refills one set of step arrays allocated at its
 start instead of allocating them at every step. A step gathers its
 training and prediction rows in one pass, observed rows first, and
@@ -103,13 +104,14 @@ class ImputationResult:
 
 
 def initial_impute(ds: MaskedDataset) -> np.ndarray:
-    """A copy of the data matrix with every missing cell set to its column's
-    observed mean."""
-    completed = ds.data.values.copy()
-    obs = ds.mask.observed
+    """A column-major (Fortran-order) copy of the data matrix with every
+    missing cell set to its column's observed mean, the layout the engine's
+    column steps read and write."""
+    completed = np.array(ds.data.values, order="F")
+    observed = ds.mask.observed
     for j in ds.missing_columns():
-        col_obs = obs[:, j]
-        completed[~col_obs, j] = ds.data.values[col_obs, j].mean()
+        column, col_obs = completed[:, j], observed[:, j]
+        column[~col_obs] = column[col_obs].mean()
     return completed
 
 
@@ -155,18 +157,19 @@ class _Scalings:
     ``obs_rows[i]`` and ``miss_rows[i]`` are its two parts. ``by_target[i]``
     standardizes the regression predictors of target ``i``, the columns
     ``others[i]`` (statistics over the rows where ``i`` is observed, one
-    entry per column of ``others[i]``). ``all_rows`` standardizes the
-    propensity design (statistics over every row, one entry per column of
-    the table) and is kept in weighted runs only. After a step overwrites
-    column ``k``, :meth:`refresh` recomputes column ``k``'s entries and
-    nothing else.
+    entry per column of ``others[i]``). In weighted runs ``standardized``
+    mirrors the completion standardized over every row, one row per column
+    of the table, which the propensity design copies. After a step
+    overwrites column ``k``, :meth:`refresh` recomputes column ``k``'s
+    entries and mirror row and nothing else.
 
     The workspace is one allocation per :func:`impute` call, refilled in
     place by every step and column-major like the completion: the raw
     predictor block and one predictor buffer that holds a target's rows in
     ``rows[i]`` order (one contiguous row per predictor; a fit reads its
     observed-row and missing-row parts as transposed views), and in weighted
-    runs the propensity design with its trailing column of ones.
+    runs the propensity design with its trailing column of ones and the
+    standardized mirror.
     """
 
     def __init__(self, completed: np.ndarray, observed: np.ndarray, targets,
@@ -180,23 +183,26 @@ class _Scalings:
             self.rows[i] = rows = np.concatenate([obs, miss])
             self.obs_rows[i] = rows[:obs.shape[0]]
             self.miss_rows[i] = rows[obs.shape[0]:]
-        self.all_rows = (np.empty(d), np.empty(d)) if weighted else None
         self.by_target = {i: (np.empty(d - 1), np.empty(d - 1))
                           for i in targets}
-        for k in range(d):
-            self.refresh(completed, k)
         # one allocation, not one per buffer: on the MLP path, separate
         # buffers measured slower than the per-step arrays they replace
-        work = np.empty((3 * d - 2 if weighted else 2 * d - 2, n))
-        self.block, self.gathered, design = np.split(work, [d - 1, 2 * d - 2])
+        work = np.empty((4 * d - 2 if weighted else 2 * d - 2, n))
+        self.block, self.gathered, design, standardized = np.split(
+            work, [d - 1, 2 * d - 2, 3 * d - 2])
         design[-1:] = 1.0  # the intercept column; no rows when unweighted
         self.design = design.T if weighted else None
+        self.standardized = standardized if weighted else None
+        for k in range(d):
+            self.refresh(completed, k)
 
     def refresh(self, completed: np.ndarray, k: int) -> None:
         column = completed[:, k]
-        if self.all_rows is not None:
-            mean, scale = self.all_rows
-            mean[k], scale[k] = _mean_scale(column)
+        if self.standardized is not None:
+            mean, scale = _mean_scale(column)
+            row = self.standardized[k]
+            np.subtract(column, mean, out=row)
+            row /= scale
         for i, rows in self.obs_rows.items():
             if i != k:
                 # column k's place among target i's predictors
@@ -211,12 +217,10 @@ class _Scalings:
                 mode="clip")
 
     def propensity_design(self, i: int) -> np.ndarray:
-        """The filled block standardized over all rows, with the ones column."""
-        x = self.design[:, :-1].T
-        mean, scale = self.all_rows
-        cols = self.others[i]
-        np.subtract(self.block, mean[cols, None], out=x)
-        x /= scale[cols, None]
+        """Every column but ``i`` standardized over all rows, with the ones
+        column: the mirror's rows, copied in."""
+        np.take(self.standardized, self.others[i], axis=0,
+                out=self.design[:, :-1].T, mode="clip")
         return self.design
 
     def predictors(self, i: int):
@@ -284,7 +288,7 @@ def impute(ds: MaskedDataset, cfg: ImputationConfig) -> ImputationResult:
     if not ds.missing_columns():
         return ImputationResult(ds.data.values.copy(), (), cfg)
     order = visitation_order(ds, cfg.visitation)
-    completed = np.asfortranarray(initial_impute(ds))
+    completed = initial_impute(ds)
     values = ds.data.values
     observed = ds.mask.observed
     scalings = _Scalings(completed, observed, order, cfg.weighted)

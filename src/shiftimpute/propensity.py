@@ -46,10 +46,6 @@ class PropensityModel:
                 and np.isfinite(self.intercept)):
             raise ValueError("propensity fit produced non-finite parameters")
 
-    def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return sigmoid(x @ self.coefficients + self.intercept)
-
 
 @dataclass(frozen=True)
 class WeightVector:
@@ -82,7 +78,8 @@ def _penalized_nll_and_exp(z, r, coef, l2):
 
 
 def fit_propensity(design: np.ndarray, r: np.ndarray, l2: float = DEFAULT_L2,
-                   init: PropensityModel | None = None) -> PropensityModel:
+                   init: PropensityModel | None = None,
+                   out: np.ndarray | None = None) -> PropensityModel:
     """Fit p(observed | x) by IRLS on the L2-penalized mean log-likelihood.
 
     ``design`` is the predictor matrix x with a trailing column of ones for
@@ -95,6 +92,11 @@ def fit_propensity(design: np.ndarray, r: np.ndarray, l2: float = DEFAULT_L2,
     iterations), else from zero. With ``l2 > 0`` the objective is strictly
     convex in the coefficients, so fewer rows than predictors is allowed;
     with ``l2 = 0`` the intercept makes d + 1 parameters, so n must exceed d.
+
+    ``out``, an n-vector, receives the fitted probabilities of every row at
+    the returned parameters, ``sigmoid(design @ [coefficients, intercept])``:
+    after convergence those of the last gradient check, otherwise one more
+    logistic of the final logits. Its shape is checked before fitting.
     """
     design = np.asarray(design, dtype=float)
     r = np.asarray(r, dtype=float).ravel()
@@ -106,6 +108,8 @@ def fit_propensity(design: np.ndarray, r: np.ndarray, l2: float = DEFAULT_L2,
                          "(the intercept column)")
     if r.shape[0] != n:
         raise ValueError("label length mismatch")
+    if out is not None and out.shape != (n,):
+        raise ValueError(f"out must have shape ({n},), got {out.shape}")
     if n <= p and l2 == 0:
         raise ValueError(f"need n > d for an unpenalized fit (d predictors plus "
                          f"the intercept), got n={n}, d={p}")
@@ -136,7 +140,8 @@ def fit_propensity(design: np.ndarray, r: np.ndarray, l2: float = DEFAULT_L2,
         if np.max(np.abs(grad)) < GRADIENT_TOL:
             converged = True
             break
-        s = np.clip(eta * (1.0 - eta), 1e-12, None)
+        s = eta * (1.0 - eta)
+        np.maximum(s, 1e-12, out=s)
         gram, scaled_t = weighted_gram(design, s, scaled_t)
         hess = gram / n + hess_penalty
         step = np.linalg.solve(hess, grad)
@@ -152,6 +157,9 @@ def fit_propensity(design: np.ndarray, r: np.ndarray, l2: float = DEFAULT_L2,
             trial_nll, e_trial = _penalized_nll_and_exp(z_trial, r, trial[:p], l2)
             shrink += 1
         beta, nll, z, e = trial, trial_nll, z_trial, e_trial
+    if out is not None:
+        # without convergence, eta is that of the parameters before the last step
+        out[:] = eta if converged else sigmoid(z, e=e)
     return PropensityModel(beta[:p].copy(), float(beta[p]), converged, it)
 
 
@@ -181,13 +189,14 @@ def weights_for_column(design: np.ndarray, obs_col: np.ndarray,
     (all rows) followed by a column of ones, as :func:`fit_propensity` takes
     it, and ``obs_col`` the column's observedness indicator. The classifier
     is trained on all rows; weights are evaluated at the observed rows only.
-    ``init`` warm-starts the fit. The returned weights carry the fitted
-    model.
+    ``init`` warm-starts the fit. The propensities are those the fit leaves
+    in its ``out`` vector, so no row of the design is gathered again. The
+    returned weights carry the fitted model.
     """
     obs_col = np.asarray(obs_col, dtype=bool)
-    model = fit_propensity(design, obs_col.astype(float), l2, init=init)
-    eta_obs = model.predict_proba(design[obs_col, :-1])
-    return WeightVector(weights_from_propensity(eta_obs, clip_epsilon), model)
+    eta = np.empty(obs_col.shape[0])
+    model = fit_propensity(design, obs_col.astype(float), l2, init=init, out=eta)
+    return WeightVector(weights_from_propensity(eta[obs_col], clip_epsilon), model)
 
 
 def effective_sample_size(weights: np.ndarray) -> float:

@@ -295,6 +295,56 @@ class TestMaskedDatasetInvariants:
             MaskMatrix(np.array([[True, False], [True, False]]))
 
 
+def _mask_in_layout(observed: np.ndarray, layout: str) -> np.ndarray:
+    """``observed`` as a C-order, Fortran-order or strided (every other
+    column of a wider array) view with the same entries."""
+    if layout in ("C", "F"):
+        return np.array(observed, order=layout)
+    wide = np.zeros((observed.shape[0], 2 * observed.shape[1]), dtype=bool)
+    wide[:, ::2] = observed
+    return wide[:, ::2]
+
+
+class TestMaskCounts:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40),
+           d=st.integers(1, 8), rate=st.sampled_from([0.0, 0.1, 0.5, 0.9]),
+           layout=st.sampled_from(["C", "F", "strided"]))
+    def test_counts_match_a_direct_restatement(self, seed, n, d, rate, layout):
+        rng = np.random.default_rng(seed)
+        observed = rng.random((n, d)) >= rate
+        # no empty row or column
+        observed[np.arange(n), rng.integers(d, size=n)] = True
+        observed[rng.integers(n, size=d), np.arange(d)] = True
+        mask = MaskMatrix(_mask_in_layout(observed, layout))
+        counts = [sum(not observed[k, j] for k in range(n)) for j in range(d)]
+        assert mask.missing_columns() == [j for j in range(d) if counts[j]]
+        assert all(type(j) is int for j in mask.missing_columns())
+        for j in range(d):
+            assert mask.missing_count(j) == counts[j]
+            assert type(mask.missing_count(j)) is int
+        assert np.array_equal(mask.observed, observed)
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_source_writes_leave_the_mask_alone(self, layout):
+        observed = np.array([[True, True], [True, False], [True, True]])
+        source = _mask_in_layout(observed, layout)
+        mask = MaskMatrix(source)
+        source[:, 1] = False
+        source[1, 1] = True
+        assert np.array_equal(mask.observed, observed)
+        assert mask.missing_columns() == [1]
+        assert mask.missing_count(1) == 1
+
+    def test_observed_is_read_only(self):
+        mask = MaskMatrix(np.array([[True, True], [True, False]]))
+        with pytest.raises(ValueError, match="read-only"):
+            mask.observed[1, 1] = True
+        with pytest.raises(ValueError, match="read-only"):
+            mask.observed[:] = True
+        assert mask.missing_columns() == [1]
+
+
 class TestDataMatrixInvariants:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):

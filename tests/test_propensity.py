@@ -13,6 +13,7 @@ from oracles import (cold_column_weights, reference_fit_propensity,
                      reference_weights_for_column, standardize, with_intercept)
 from shiftimpute.data import DataMatrix
 from shiftimpute.engine import initial_impute
+from shiftimpute import propensity
 from shiftimpute.masking import MarSpec, apply_mar_mask, sigmoid
 from shiftimpute.propensity import (
     PropensityModel,
@@ -192,9 +193,16 @@ class TestFitMatchesReferenceLoop:
         assert model.n_iter == n_iter
         assert model.converged == converged
         wv = weights_for_column(design, r == 1.0, l2, init=init)
-        assert np.array_equal(wv.weights,
-                              reference_weights_for_column(design, r == 1.0, l2,
-                                                           init=init))
+        # the weights come from the probabilities of the fit's last pass, the
+        # logits of every row at the returned parameters
+        eta = sigmoid(design @ np.append(coef, intercept))
+        assert np.array_equal(wv.weights, weights_from_propensity(eta[r == 1.0]))
+        # the reference evaluates x @ coef + b on the observed rows instead,
+        # which rounds differently in the last bits
+        np.testing.assert_allclose(
+            wv.weights,
+            reference_weights_for_column(design, r == 1.0, l2, init=init),
+            rtol=1e-12, atol=0)
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(1, 300), scale=st.sampled_from([0.1, 3.0, 40.0]),
@@ -225,6 +233,49 @@ class TestFitMatchesReferenceLoop:
         _, _, converged, n_iter = reference_fit_propensity(design, r, l2, init)
         # one call up front and one per Newton step when no step backtracks
         assert len(calls) > 1 + n_iter - converged
+
+
+class TestFittedProbabilities:
+    # fit_propensity's ``out`` receives sigmoid(design @ [coef, intercept]),
+    # which weights_for_column turns into weights without another pass
+
+    def _case(self):
+        design, r, _ = _propensity_case(200, 3, 1e-4, "logistic", "cold", "F", 4)
+        return design, r
+
+    def _expected(self, design, model):
+        return sigmoid(design @ np.append(model.coefficients, model.intercept))
+
+    def test_converged_fit_leaves_its_last_check(self):
+        design, r = self._case()
+        out = np.full(r.shape[0], np.nan)
+        model = fit_propensity(design, r, out=out)
+        assert model.converged
+        assert out.tobytes() == self._expected(design, model).tobytes()
+
+    @pytest.mark.parametrize("max_iter", [0, 1, 2])
+    def test_nonconverged_fit_evaluates_its_final_parameters(
+            self, monkeypatch, max_iter):
+        monkeypatch.setattr(propensity, "MAX_ITER", max_iter)
+        design, r = self._case()
+        out = np.full(r.shape[0], np.nan)
+        model = fit_propensity(design, r, out=out)
+        assert not model.converged and model.n_iter == max_iter
+        assert out.tobytes() == self._expected(design, model).tobytes()
+        wv = weights_for_column(design, r == 1.0)
+        assert np.array_equal(wv.weights, weights_from_propensity(out[r == 1.0]))
+
+    @pytest.mark.parametrize("shape", [(199,), (201,), (200, 1), ()])
+    def test_wrong_shape_rejected_before_fitting(self, monkeypatch, shape):
+        calls = []
+        monkeypatch.setattr(propensity, "_penalized_nll_and_exp",
+                            lambda *args: calls.append(args))
+        design, r = self._case()
+        out = np.zeros(shape)
+        with pytest.raises(ValueError, match=r"out must have shape \(200,\)"):
+            fit_propensity(design, r, out=out)
+        assert calls == []
+        assert not out.any()
 
 
 class TestWeightsFromPropensity:
@@ -313,7 +364,7 @@ class TestBayesRatioIdentity:
         x = np.where(r, rng.normal(0.0, 1.0, n), rng.normal(1.0, 1.0, n))
         x_std = standardize(x.reshape(-1, 1))
         model = fit_propensity(with_intercept(x_std), r.astype(float), l2=1e-4)
-        eta = model.predict_proba(x_std[r])
+        eta = sigmoid(x_std[r] @ model.coefficients + model.intercept)
         est = weights_from_propensity(eta)
         true = np.exp(x[r] - 0.5)
         true /= true.mean()
@@ -341,9 +392,9 @@ class TestDiagnostics:
         assert sum(entry["weight_histogram"]["counts"]) == n_obs
 
     def test_dump_unchanged_on_fixed_input(self):
-        # the expected file was written by an earlier implementation that fit
-        # the models itself; cold fits on the same completion, formatted
-        # here, must reproduce it byte for byte
+        # the expected file was written with weights taken from the
+        # propensity fit's last pass; cold fits on the same completion,
+        # formatted here, must reproduce it byte for byte
         rng = np.random.default_rng(31)
         data = DataMatrix(rng.normal(size=(400, 5)), tuple(f"c{j}" for j in range(5)))
         spec = MarSpec((0, 3), ((1, 2), (2, 4)), alpha=2.0,
