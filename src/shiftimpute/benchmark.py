@@ -10,6 +10,7 @@ the cell coordinates, which makes results independent of worker count.
 
 from __future__ import annotations
 
+import math
 import operator
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -20,7 +21,8 @@ import numpy as np
 
 from .data import DataMatrix, JsonRecord, load_csv, require_seed
 from .engine import ImputationConfig, impute
-from .masking import apply_mar_mask, select_random_spec
+from .masking import (MAX_MISSING_COLS, MAX_PREDICTORS, MISSING_RATE_RANGE,
+                      apply_mar_mask, select_random_spec)
 from .metrics import evaluate_imputation, wilcoxon_signed_rank
 from .propensity import DEFAULT_CLIP
 from .regressors import ForestSpec, MlpSpec, RegressorSpec
@@ -138,7 +140,16 @@ class ExperimentGrid(JsonRecord):
         for kind in self.models:
             if kind not in ("ridge", "forest", "mlp"):
                 raise ValueError(f"unknown model kind {kind!r}")
-        # the runs' own checks (n_sweeps, ridge_lambda), before any cell runs
+        # the masking's and the runs' own checks, before any cell runs
+        low, high = MISSING_RATE_RANGE
+        if not low < self.missing_rate < high:
+            raise ValueError(f"target_rate must be in ({low}, {high})")
+        if not 1 <= self.n_missing_cols <= MAX_MISSING_COLS:
+            raise ValueError(f"n_missing_cols must be in 1..{MAX_MISSING_COLS}")
+        if not 1 <= self.n_predictors <= MAX_PREDICTORS:
+            raise ValueError(f"n_predictors must be in 1..{MAX_PREDICTORS}")
+        if not all(map(math.isfinite, self.alphas)):
+            raise ValueError("scores must be finite")
         self.imputation_config(self.models[0], True, 0)
 
     def imputation_config(self, kind: str, weighted: bool,

@@ -3,8 +3,10 @@
 A cell in a planted column goes missing with probability
 ``1 - sigmoid(alpha * sum of its standardized predictor columns + intercept)``,
 where the per-column intercept is calibrated by bisection so the expected
-missing rate hits a target. ``alpha = 0`` reduces exactly to MCAR at the
-target rate.
+missing rate hits a target. The bisection is replayed from two Newton-found
+intercepts that bound its answer, so it returns the same intercept bit for
+bit with about 6 evaluations of the rate instead of about 23. ``alpha = 0``
+reduces exactly to MCAR at the target rate.
 
 Predictor columns are standardized before the score is computed so that a
 given ``alpha`` means the same shift strength on any dataset.
@@ -13,6 +15,7 @@ given ``alpha`` means the same shift strength on any dataset.
 from __future__ import annotations
 
 import json
+import math
 import operator
 from dataclasses import dataclass
 
@@ -33,6 +36,11 @@ __all__ = [
 PROB_FLOOR = 1e-12  # observation probabilities are kept strictly inside (0, 1)
 CALIBRATION_TOL = 1e-6  # bisection stops once the missing rate is this close
 CALIBRATION_MAX_ITER = 200
+# a computed rate is a mean of terms in [0, 1], far closer than 1e-9 to the
+# exact one; a gap beyond the tolerance by this margin fixes a bisection step
+_REPLAY_MARGIN = CALIBRATION_TOL + 1e-9
+_NEWTON_STEPS = 8
+MISSING_RATE_RANGE = (0.01, 0.99)  # open interval of calibratable target rates
 MAX_MISSING_COLS = 4
 MAX_PREDICTORS = 4
 
@@ -140,44 +148,107 @@ def calibrate_intercept(scores: np.ndarray, target_rate: float) -> float:
     Bisection over [-50, 50]; the objective is strictly decreasing in the
     intercept. Raises if the interval does not bracket the target (pathological
     scores) rather than clamping silently.
+
+    The bisection is replayed, not run: every midpoint at or left of
+    ``_replay_bounds``' lower intercept has a gap above the tolerance, every
+    one at or right of its upper intercept a gap below it (the gap falls
+    strictly), so those midpoints take their side unevaluated. The rate is
+    evaluated only in between, and the result is the plain bisection's, bit
+    for bit.
     """
     scores = np.asarray(scores, dtype=float)
     if not np.all(np.isfinite(scores)):
         raise ValueError("scores must be finite")
-    if not 0.01 < target_rate < 0.99:
-        raise ValueError("target_rate must be in (0.01, 0.99)")
+    low, high = MISSING_RATE_RANGE
+    if not low < target_rate < high:
+        raise ValueError(f"target_rate must be in ({low}, {high})")
 
     def gap(b):
         return float(np.mean(1.0 - sigmoid(scores + b))) - target_rate
 
+    lower, upper = _replay_bounds(scores, target_rate)
     lo, hi = -50.0, 50.0
-    g_lo, g_hi = gap(lo), gap(hi)
-    if g_lo < 0 or g_hi > 0:
-        raise ValueError(
-            f"cannot bracket target rate {target_rate} over [-50, 50]; "
-            f"rate({lo})={g_lo + target_rate:.4g}, rate({hi})={g_hi + target_rate:.4g}"
-        )
+    if not lo <= lower < upper <= hi:  # the bounds did not prove the bracket
+        g_lo, g_hi = gap(lo), gap(hi)
+        if g_lo < 0 or g_hi > 0:
+            raise ValueError(
+                f"cannot bracket target rate {target_rate} over [-50, 50]; "
+                f"rate({lo})={g_lo + target_rate:.4g}, "
+                f"rate({hi})={g_hi + target_rate:.4g}"
+            )
     for _ in range(CALIBRATION_MAX_ITER):
         mid = 0.5 * (lo + hi)
-        g_mid = gap(mid)
-        if abs(g_mid) <= CALIBRATION_TOL:
-            return mid
-        if g_mid > 0:
+        if lower < mid < upper:
+            g_mid = gap(mid)
+            if abs(g_mid) <= CALIBRATION_TOL:
+                return mid
+            rate_too_high = g_mid > 0
+        else:
+            rate_too_high = mid <= lower
+        if rate_too_high:
             lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
 
 
+def _replay_bounds(scores: np.ndarray, target_rate: float):
+    """Intercepts (lower, upper) in [-50, 50] whose computed gaps exceed
+    ``_REPLAY_MARGIN`` and fall below ``-_REPLAY_MARGIN``; -inf or inf for a
+    side not found.
+
+    Safeguarded Newton steps on the gap (its slope is -mean(p(1 - p))) from
+    the intercept that is exact for constant scores. Each step aims at a gap
+    of 1.5 margins on the side whose bound is missing or loosest, so the two
+    bounds end up just outside the bisection's tolerance band; a step that
+    leaves the interval its evaluated points bracket bisects it instead.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # scores near float max
+        x = math.log((1.0 - target_rate) / target_rate) - float(np.mean(scores))
+    x = 0.0 if math.isnan(x) else min(max(x, -50.0), 50.0)
+    points = []  # (intercept, gap) of every evaluation
+    lower = (-math.inf, math.inf)
+    upper = (math.inf, -math.inf)
+    for _ in range(_NEWTON_STEPS):
+        p = sigmoid(scores + x)
+        q = 1.0 - p
+        g = float(np.mean(q)) - target_rate
+        points.append((x, g))
+        if g > _REPLAY_MARGIN and x > lower[0]:
+            lower = (x, g)
+        if g < -_REPLAY_MARGIN and x < upper[0]:
+            upper = (x, g)
+        if lower[1] <= 3 * _REPLAY_MARGIN and upper[1] >= -3 * _REPLAY_MARGIN:
+            break
+        aim = 1.5 * _REPLAY_MARGIN
+        if lower[1] <= -upper[1]:
+            aim = -aim
+        left = max([-50.0] + [xi for xi, gi in points if gi > aim])
+        right = min([50.0] + [xi for xi, gi in points if gi < aim])
+        slope = float(np.mean(p * q))
+        step = x + (g - aim) / slope if slope > 0 else math.nan
+        x = step if left < step < right else 0.5 * (left + right)
+    return lower[0], upper[0]
+
+
 def _column_scores(data: DataMatrix, spec: MarSpec) -> np.ndarray:
-    """alpha * (standardized predictor sum) per row, one column per planted column."""
+    """alpha * (standardized predictor sum) per row, one column per planted column.
+
+    Columns are standardized with the whole table's statistics, but only the
+    predictor columns are: gathered once, then ``(v - mean) / scale``
+    elementwise, the same bits as standardizing the whole table.
+    """
     v = data.values
+    mean = v.mean(axis=0)
     std = v.std(axis=0)
-    scaled = (v - v.mean(axis=0)) / np.where(std > 0, std, 1.0)  # constant -> 0
+    scale = np.where(std > 0, std, 1.0)  # constant -> 0
+    used = sorted({c for cols in spec.predictor_sets for c in cols})
+    scaled = (v[:, used] - mean[used]) / scale[used]
     scores = np.zeros((data.n_rows, len(spec.missing_cols)))
     for k, cols in enumerate(spec.predictor_sets):
         if cols:
-            scores[:, k] = spec.alpha * scaled[:, list(cols)].sum(axis=1)
+            picked = np.searchsorted(used, cols)
+            scores[:, k] = spec.alpha * scaled[:, picked].sum(axis=1)
         elif spec.alpha != 0.0:
             raise ValueError(
                 f"missing column {spec.missing_cols[k]} has no predictors but alpha != 0"

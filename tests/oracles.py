@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from shiftimpute.masking import CALIBRATION_MAX_ITER, CALIBRATION_TOL, sigmoid
 from shiftimpute.propensity import (DEFAULT_CLIP, DEFAULT_L2, GRADIENT_TOL,
                                    MAX_ITER, weights_for_column)
 from shiftimpute.data import require_finite
@@ -158,6 +159,61 @@ def reference_weights_for_column(design, obs_col, l2=DEFAULT_L2,
     eta = np.clip(eta, clip_epsilon, 1.0 - clip_epsilon)
     w = (1.0 - eta) / eta
     return w / w.mean()
+
+
+# The mask calibration as it stood before its bisection was replayed from
+# Newton-found bounds: it evaluates the rate at both ends and at every
+# midpoint. Kept verbatim as the oracle the replay must match bit for bit.
+def reference_calibrate_intercept(scores: np.ndarray, target_rate: float) -> float:
+    """Find the intercept making mean(1 - sigmoid(scores + b)) hit target_rate.
+
+    Bisection over [-50, 50]; the objective is strictly decreasing in the
+    intercept. Raises if the interval does not bracket the target (pathological
+    scores) rather than clamping silently.
+    """
+    scores = np.asarray(scores, dtype=float)
+    if not np.all(np.isfinite(scores)):
+        raise ValueError("scores must be finite")
+    if not 0.01 < target_rate < 0.99:
+        raise ValueError("target_rate must be in (0.01, 0.99)")
+
+    def gap(b):
+        return float(np.mean(1.0 - sigmoid(scores + b))) - target_rate
+
+    lo, hi = -50.0, 50.0
+    g_lo, g_hi = gap(lo), gap(hi)
+    if g_lo < 0 or g_hi > 0:
+        raise ValueError(
+            f"cannot bracket target rate {target_rate} over [-50, 50]; "
+            f"rate({lo})={g_lo + target_rate:.4g}, rate({hi})={g_hi + target_rate:.4g}"
+        )
+    for _ in range(CALIBRATION_MAX_ITER):
+        mid = 0.5 * (lo + hi)
+        g_mid = gap(mid)
+        if abs(g_mid) <= CALIBRATION_TOL:
+            return mid
+        if g_mid > 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def full_table_scores(values: np.ndarray, spec) -> np.ndarray:
+    """alpha * (sum of the predictors' columns of the whole standardized
+    table), one column per planted column: the mask scores' full-table form."""
+    scaled = standardize(values)
+    scores = np.zeros((values.shape[0], len(spec.missing_cols)))
+    for k, cols in enumerate(spec.predictor_sets):
+        if cols:
+            scores[:, k] = spec.alpha * scaled[:, list(cols)].sum(axis=1)
+    return scores
+
+
+def sorted_wasserstein_1d(a: np.ndarray, b: np.ndarray) -> float:
+    """W1 of two equal-size samples as the mean gap of their order
+    statistics, with both samples sorted whatever they hold."""
+    return float(np.mean(np.abs(np.sort(a) - np.sort(b))))
 
 
 # The CART as it stood before trees became flat arrays: one node object per

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -215,10 +217,20 @@ class TestGridConfig:
     @pytest.mark.parametrize("setting, message", [
         ({"n_sweeps": 0}, "n_sweeps must be >= 1"),
         ({"ridge_lambda": -1.0}, "ridge_lambda must be nonnegative"),
+        # the messages each cell's masking would fail with
+        ({"missing_rate": 0.995}, "target_rate must be in (0.01, 0.99)"),
+        ({"missing_rate": 0.01}, "target_rate must be in (0.01, 0.99)"),
+        ({"missing_rate": float("nan")}, "target_rate must be in (0.01, 0.99)"),
+        ({"n_missing_cols": 7}, "n_missing_cols must be in 1..4"),
+        ({"n_missing_cols": 0}, "n_missing_cols must be in 1..4"),
+        ({"n_predictors": 0}, "n_predictors must be in 1..4"),
+        ({"n_predictors": 5}, "n_predictors must be in 1..4"),
+        ({"alphas": (float("nan"),)}, "scores must be finite"),
+        ({"alphas": (0.0, float("-inf"))}, "scores must be finite"),
     ])
     def test_run_settings_checked_up_front(self, setting, message):
         # rejected when the grid is built, before any cell is masked
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             small_grid(**setting)
 
     def test_imputation_config_carries_the_grid_settings(self):

@@ -6,10 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import standardize
+import oracles
+import shiftimpute.masking as masking
+from oracles import full_table_scores, reference_calibrate_intercept, standardize
+from shiftimpute.benchmark import ExperimentGrid, make_benchmark_dataset
 from shiftimpute.data import DataMatrix
 from shiftimpute.masking import (
+    CALIBRATION_TOL,
     MarSpec,
+    _column_scores,
+    _replay_bounds,
     apply_mar_mask,
     calibrate_intercept,
     select_random_spec,
@@ -103,6 +109,181 @@ class TestCalibrateIntercept:
     def test_target_range_validated(self):
         with pytest.raises(ValueError):
             calibrate_intercept(np.zeros(5), 0.999)
+
+
+def calibration_outcome(calibrate, scores, target_rate):
+    """The intercept, or the message of the ValueError raised instead."""
+    try:
+        return "intercept", calibrate(scores, target_rate)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+def rate_gap(scores, target_rate, b):
+    return float(np.mean(1.0 - sigmoid(scores + b))) - target_rate
+
+
+def skewed_scores(gap_at_zero):
+    """Scores [2u, -u, -u], whose mean is exactly 0, so calibrating them to
+    rate 0.5 starts its Newton steps at intercept 0.0, the bisection's first
+    midpoint; u is solved so the rate gap there is ``gap_at_zero``."""
+    lo, hi = 0.0, 1.0
+    for _ in range(100):
+        u = 0.5 * (lo + hi)
+        if rate_gap(np.array([2 * u, -u, -u]), 0.5, 0.0) < gap_at_zero:
+            lo = u
+        else:
+            hi = u
+    return np.array([2 * hi, -hi, -hi])
+
+
+def generated_scores(n, kind, spread, offset, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "normal":
+        s = rng.normal(size=n)
+    elif kind == "tied":
+        s = np.round(rng.normal(size=n))
+    elif kind == "constant":
+        s = np.ones(n)
+    else:  # two-point
+        s = rng.choice([-1.0, 1.0], size=n)
+    return spread * s + offset
+
+
+def paper_layout_scores():
+    """The seed-11 alpha=3 cell of the default grid: its data and scores."""
+    grid = ExperimentGrid()
+    data = make_benchmark_dataset()
+    layout = select_random_spec(data, grid.n_missing_cols, grid.n_predictors,
+                                seed=11)
+    spec = MarSpec(layout.missing_cols, layout.predictor_sets, 3.0,
+                   grid.missing_rate, 0)
+    return _column_scores(data, spec), grid.missing_rate
+
+
+class TestCalibrationMatchesBisection:
+    """The replayed bisection returns the plain bisection's intercept, kept
+    in ``oracles``, bit for bit, or raises with the same message."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 5000),
+           st.sampled_from(["normal", "tied", "constant", "two-point"]),
+           st.floats(-3.0, 3.0), st.floats(-5.0, 5.0),
+           st.floats(0.01, 0.99, exclude_min=True, exclude_max=True),
+           st.integers(0, 2**32 - 1))
+    def test_equal_to_the_oracle(self, n, kind, log_spread, offset, rate, seed):
+        # spreads up to 1e3, where p(1 - p) underflows on most rows
+        scores = generated_scores(n, kind, 10.0 ** log_spread, offset, seed)
+        got = calibration_outcome(calibrate_intercept, scores, rate)
+        assert got == calibration_outcome(reference_calibrate_intercept, scores, rate)
+        # the bounds the replay skips by hold their margin beyond the tolerance
+        lower, upper = _replay_bounds(scores, rate)
+        assert lower == -math.inf or (
+            -50.0 <= lower and rate_gap(scores, rate, lower) > CALIBRATION_TOL + 1e-9)
+        assert upper == math.inf or (
+            upper <= 50.0 and rate_gap(scores, rate, upper) < -(CALIBRATION_TOL + 1e-9))
+
+    @pytest.mark.parametrize("scores, rate", [
+        (np.zeros(1), 0.3), (np.zeros(100), 0.3), (np.zeros(50), 0.5),
+        (np.zeros(7), 0.0101), (np.zeros(7), 0.9899),
+        (np.full(10, 1e6), 0.3), (np.full(10, -1e6), 0.3),  # cannot bracket
+        (np.array([-1e3, 1e3]), 0.3), (np.array([-1e3, 1e3]), 0.5),
+        (np.array([-40.0, 40.0]), 0.5),  # a flat rate over most of [-50, 50]
+        (np.array([60.0, -1.0]), 0.3), (np.array([-45.0, 3.0, 3.0]), 0.2),
+        # the scores' sum overflows
+        (np.array([1.7e308, 1.7e308]), 0.3),
+        (np.array([1.7e308, 1.7e308, -1.7e308, 0.0]), 0.4),
+        (np.array([-1.7e308, -1.7e308, 1.7e308, 1.7e308, 1.0]), 0.5),
+    ])
+    def test_edge_cases_equal_to_the_oracle(self, scores, rate):
+        assert calibration_outcome(calibrate_intercept, scores, rate) == \
+            calibration_outcome(reference_calibrate_intercept, scores, rate)
+
+    def test_bound_on_a_midpoint_takes_the_evaluated_side(self):
+        # the lower bound is 0.0 itself, the first midpoint: a rate gap of
+        # 2e-6 sends it to ``lo``, which the replay must do without evaluating
+        scores = skewed_scores(2e-6)
+        lower, upper = _replay_bounds(scores, 0.5)
+        assert lower == 0.0 and upper < 1e-3
+        assert calibrate_intercept(scores, 0.5) == \
+            reference_calibrate_intercept(scores, 0.5)
+
+    def test_bounds_keep_their_margin_off_the_tolerance(self):
+        # a Newton point whose gap is past the tolerance by less than 1e-9
+        # does not bound the replay
+        scores = skewed_scores(CALIBRATION_TOL + 5e-10)
+        gap = rate_gap(scores, 0.5, 0.0)
+        assert CALIBRATION_TOL < gap < CALIBRATION_TOL + 1e-9
+        lower, upper = _replay_bounds(scores, 0.5)
+        assert rate_gap(scores, 0.5, lower) > CALIBRATION_TOL + 1e-9
+        assert rate_gap(scores, 0.5, upper) < -(CALIBRATION_TOL + 1e-9)
+        assert calibrate_intercept(scores, 0.5) == \
+            reference_calibrate_intercept(scores, 0.5)
+
+    @pytest.mark.parametrize("max_iter", [0, 1, 2, 5, 30])
+    def test_iteration_cap_fallthrough(self, monkeypatch, max_iter):
+        # capped before the tolerance is met, both return the last midpoint
+        monkeypatch.setattr(masking, "CALIBRATION_MAX_ITER", max_iter)
+        monkeypatch.setattr(oracles, "CALIBRATION_MAX_ITER", max_iter)
+        scores, rate = paper_layout_scores()
+        for k in range(scores.shape[1]):
+            assert calibrate_intercept(scores[:, k], rate) == \
+                reference_calibrate_intercept(scores[:, k], rate)
+        for scores, rate in ((np.zeros(20), 0.3), (skewed_scores(2e-6), 0.5)):
+            assert calibrate_intercept(scores, rate) == \
+                reference_calibrate_intercept(scores, rate)
+
+    def test_paper_cell_evaluates_the_rate_half_as_often(self, monkeypatch):
+        calls = []
+
+        def counting_sigmoid(z, **kwargs):
+            calls.append(1)
+            return sigmoid(z, **kwargs)
+
+        monkeypatch.setattr(masking, "sigmoid", counting_sigmoid)
+        monkeypatch.setattr(oracles, "sigmoid", counting_sigmoid)
+        scores, rate = paper_layout_scores()
+        for k in range(scores.shape[1]):
+            calls.clear()
+            got = calibrate_intercept(scores[:, k], rate)
+            replayed = len(calls)
+            calls.clear()
+            assert got == reference_calibrate_intercept(scores[:, k], rate)
+            assert 2 * replayed <= len(calls), (replayed, len(calls))
+
+
+class TestColumnScores:
+    """Standardizing only the predictors gives the full-table form's bits."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_grid_layouts(self, seed):
+        grid = ExperimentGrid()
+        data = make_benchmark_dataset()
+        layout = select_random_spec(data, grid.n_missing_cols, grid.n_predictors,
+                                    seed=seed)
+        for alpha in grid.alphas:
+            spec = MarSpec(layout.missing_cols, layout.predictor_sets, alpha,
+                           grid.missing_rate, 0)
+            assert np.array_equal(_column_scores(data, spec),
+                                  full_table_scores(data.values, spec))
+
+    def test_constant_predictor_columns(self):
+        values = gaussian_matrix(300, 6, seed=8).values
+        values[:, 2] = 4.5
+        values[:, 4] = 0.0
+        data = DataMatrix(values, tuple(f"c{j}" for j in range(6)))
+        spec = MarSpec((0, 1), ((2, 3, 4), (4,)), 2.0, 0.3, 0)
+        scores = _column_scores(data, spec)
+        assert np.array_equal(scores, full_table_scores(values, spec))
+        assert np.array_equal(scores[:, 1], np.zeros(300))
+
+    def test_empty_predictor_sets_at_alpha_zero(self):
+        data = gaussian_matrix(50, 4, seed=9)
+        for predictor_sets in (((), ()), ((2,), ()), ((), (3, 2))):
+            spec = MarSpec((0, 1), predictor_sets, 0.0, 0.3, 0)
+            scores = _column_scores(data, spec)
+            assert np.array_equal(scores, full_table_scores(data.values, spec))
+            assert not scores.any()
 
 
 class TestApplyMarMask:

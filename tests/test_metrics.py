@@ -1,10 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import rankdata
 
+from oracles import sorted_wasserstein_1d
+from shiftimpute.benchmark import ExperimentGrid, make_benchmark_dataset
 from shiftimpute.data import DataMatrix, MaskMatrix
+from shiftimpute.engine import impute
+from shiftimpute.masking import MarSpec, apply_mar_mask, select_random_spec
 from shiftimpute.metrics import (
     _average_ranks,
     evaluate_imputation,
@@ -87,6 +93,15 @@ class TestWasserstein1d:
     def test_identical_samples(self):
         a = np.array([3.0, 1.0, 2.0])
         assert wasserstein_1d(a, a[::-1]) == 0.0
+        # equal samples skip the sort; the result is still exactly +0.0
+        for x, y in ((a, a.copy()), ([-0.0, 1.0], [0.0, 1.0]), ([0.0], [-0.0])):
+            d = wasserstein_1d(x, y)
+            assert d == 0.0 and math.copysign(1.0, d) == 1.0
+            assert d == sorted_wasserstein_1d(np.asarray(x), np.asarray(y))
+        # an infinite entry gives nan as the sorted form does (inf - inf)
+        with np.errstate(invalid="ignore"):
+            assert math.isnan(wasserstein_1d([np.inf, 1.0], [np.inf, 1.0]))
+            assert math.isnan(wasserstein_1d([-np.inf], [-np.inf]))
 
     def test_translation(self):
         rng = np.random.default_rng(1)
@@ -109,7 +124,7 @@ class TestWasserstein1d:
         dab = wasserstein_1d(a, b)
         assert dab >= 0
         assert dab == pytest.approx(wasserstein_1d(b, a), abs=1e-12)
-        assert wasserstein_1d(a, a) <= 1e-12
+        assert wasserstein_1d(a, a) == 0.0
         assert dab <= wasserstein_1d(a, c) + wasserstein_1d(c, b) + 1e-12
 
 
@@ -246,3 +261,19 @@ class TestEvaluate:
         assert report.rmse == pytest.approx(1.0)
         assert report.wasserstein == pytest.approx(sum(report.per_column_wasserstein), abs=1e-12)
         assert report.masked_cell_count == int((~observed).sum())
+
+        # on a paper cell, whose six untouched columns skip their sorts, the
+        # report equals sorting every column, bit for bit
+        grid = ExperimentGrid()
+        data = make_benchmark_dataset()
+        layout = select_random_spec(data, grid.n_missing_cols, grid.n_predictors,
+                                    seed=11)
+        masked, _ = apply_mar_mask(data, MarSpec(
+            layout.missing_cols, layout.predictor_sets, 3.0, grid.missing_rate, 7))
+        completed = impute(masked, grid.imputation_config("ridge", True, 7)).completed
+        per_col = tuple(sorted_wasserstein_1d(data.values[:, j], completed[:, j])
+                        for j in range(data.n_cols))
+        assert per_col.count(0.0) == data.n_cols - len(layout.missing_cols)
+        report = evaluate_imputation(data, completed, masked.mask)
+        assert report.per_column_wasserstein == per_col
+        assert report.wasserstein == float(sum(per_col))
