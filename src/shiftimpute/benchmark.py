@@ -21,8 +21,8 @@ import numpy as np
 
 from .data import DataMatrix, JsonRecord, load_csv, require_seed
 from .engine import ImputationConfig, impute
-from .masking import (MAX_MISSING_COLS, MAX_PREDICTORS, MISSING_RATE_RANGE,
-                      apply_mar_mask, select_random_spec)
+from .masking import (MISSING_RATE_RANGE, apply_mar_mask, check_layout,
+                      select_random_spec)
 from .metrics import evaluate_imputation, wilcoxon_signed_rank
 from .propensity import DEFAULT_CLIP
 from .regressors import ForestSpec, MlpSpec, RegressorSpec
@@ -92,6 +92,12 @@ class DatasetSource(JsonRecord):
             raise ValueError(f"unknown dataset kind {self.kind!r}")
         if self.kind == "csv" and not self.path:
             raise ValueError("csv dataset needs a path")
+        # the generator's first two columns are drawn, the rest built from
+        # them and standardized, which takes two rows
+        if self.kind == "synthetic" and min(self.n, self.d) < 2:
+            raise ValueError(
+                f"synthetic dataset needs n >= 2 and d >= 2, got n={self.n}, "
+                f"d={self.d}")
 
 
 @lru_cache(maxsize=4)
@@ -144,10 +150,9 @@ class ExperimentGrid(JsonRecord):
         low, high = MISSING_RATE_RANGE
         if not low < self.missing_rate < high:
             raise ValueError(f"target_rate must be in ({low}, {high})")
-        if not 1 <= self.n_missing_cols <= MAX_MISSING_COLS:
-            raise ValueError(f"n_missing_cols must be in 1..{MAX_MISSING_COLS}")
-        if not 1 <= self.n_predictors <= MAX_PREDICTORS:
-            raise ValueError(f"n_predictors must be in 1..{MAX_PREDICTORS}")
+        # a CSV's width is known only once the file is read
+        check_layout(self.n_missing_cols, self.n_predictors,
+                     self.dataset.d if self.dataset.kind == "synthetic" else None)
         if not all(map(math.isfinite, self.alphas)):
             raise ValueError("scores must be finite")
         self.imputation_config(self.models[0], True, 0)

@@ -9,15 +9,14 @@ path with unit weights), standardizes the predictor columns with statistics
 of the rows where the target column is observed, fits on those rows, and
 predicts the rest. Observed cells are never altered.
 
-A run keeps the column means and scales the standardizations need in step
-with the completion (a column step changes one column, so only its entries
-are recomputed; in a weighted run, also that column of a copy of the
-completion standardized over all rows, from which the propensity design is
-copied), starts each column's propensity fit from that column's fit
-in the previous sweep, and refills one set of step arrays allocated at its
-start instead of allocating them at every step. A step gathers its
-training and prediction rows in one pass, observed rows first, and
-standardizes them together.
+A step gathers its training and prediction rows in one pass, observed rows
+first, and standardizes each predictor over the observed rows it just
+gathered, so no statistic of the completion is kept between steps. A
+weighted run also keeps a copy of the completion standardized over all
+rows, from which the propensity design is copied, and restandardizes the
+one row a step changed. A run starts each column's propensity fit from that
+column's fit in the previous sweep, and refills one set of step arrays
+allocated at its start instead of allocating them at every step.
 """
 
 from __future__ import annotations
@@ -141,35 +140,31 @@ def _step_seed(cfg: ImputationConfig, sweep: int, column: int) -> int:
     return int(state[0]) ^ (int(state[1]) << 32)
 
 
-def _mean_scale(values: np.ndarray):
-    """Mean and division-safe population std (1.0 where constant) of a vector."""
-    mean = values.mean()
-    dev = values - mean
-    std = np.sqrt(dev @ dev / values.size)
-    return mean, std if std > 0 else 1.0
+def _standardize(x: np.ndarray, n_stat: int, out: np.ndarray) -> None:
+    """Each row of ``x`` into ``out``, less the mean and divided by the
+    population std (1.0 where constant) of the row's first ``n_stat``
+    entries; ``out`` may be ``x``."""
+    np.subtract(x, x[:, :n_stat].mean(axis=1)[:, None], out=out)
+    std = np.sqrt(np.array([r @ r for r in out[:, :n_stat]]) / n_stat)
+    out /= np.where(std > 0, std, 1.0)[:, None]
 
 
-class _Scalings:
-    """Per-column (mean, scale) of the current completion, row sets, and the
-    column step's workspace.
+class _Workspace:
+    """Row sets and the column step's arrays, for one :func:`impute` call.
 
     ``rows[i]`` lists target ``i``'s observed rows, then its missing rows;
-    ``obs_rows[i]`` and ``miss_rows[i]`` are its two parts. ``by_target[i]``
-    standardizes the regression predictors of target ``i``, the columns
-    ``others[i]`` (statistics over the rows where ``i`` is observed, one
-    entry per column of ``others[i]``). In weighted runs ``standardized``
-    mirrors the completion standardized over every row, one row per column
-    of the table, which the propensity design copies. After a step
-    overwrites column ``k``, :meth:`refresh` recomputes column ``k``'s
-    entries and mirror row and nothing else.
+    ``obs_rows[i]`` and ``miss_rows[i]`` are its two parts. The regression
+    predictors of target ``i`` are the columns ``others[i]``.
 
-    The workspace is one allocation per :func:`impute` call, refilled in
-    place by every step and column-major like the completion: the raw
-    predictor block and one predictor buffer that holds a target's rows in
-    ``rows[i]`` order (one contiguous row per predictor; a fit reads its
-    observed-row and missing-row parts as transposed views), and in weighted
-    runs the propensity design with its trailing column of ones and the
-    standardized mirror.
+    The arrays are one allocation, refilled in place by every step and
+    column-major like the completion: the raw predictor block and one
+    predictor buffer that holds a target's rows in ``rows[i]`` order (one
+    contiguous row per predictor, standardized over its observed part; a fit
+    reads its observed-row and missing-row parts as transposed views). A
+    weighted run adds the propensity design with its trailing column of
+    ones, and ``standardized``, the completion standardized over every row,
+    one row per column of the table, which the design copies. After a step
+    overwrites column ``k``, :meth:`refresh` restandardizes its row.
     """
 
     def __init__(self, completed: np.ndarray, observed: np.ndarray, targets,
@@ -183,8 +178,6 @@ class _Scalings:
             self.rows[i] = rows = np.concatenate([obs, miss])
             self.obs_rows[i] = rows[:obs.shape[0]]
             self.miss_rows[i] = rows[obs.shape[0]:]
-        self.by_target = {i: (np.empty(d - 1), np.empty(d - 1))
-                          for i in targets}
         # one allocation, not one per buffer: on the MLP path, separate
         # buffers measured slower than the per-step arrays they replace
         work = np.empty((4 * d - 2 if weighted else 2 * d - 2, n))
@@ -193,22 +186,13 @@ class _Scalings:
         design[-1:] = 1.0  # the intercept column; no rows when unweighted
         self.design = design.T if weighted else None
         self.standardized = standardized if weighted else None
-        for k in range(d):
-            self.refresh(completed, k)
+        if weighted:
+            _standardize(completed.T, n, standardized)
 
     def refresh(self, completed: np.ndarray, k: int) -> None:
-        column = completed[:, k]
         if self.standardized is not None:
-            mean, scale = _mean_scale(column)
-            row = self.standardized[k]
-            np.subtract(column, mean, out=row)
-            row /= scale
-        for i, rows in self.obs_rows.items():
-            if i != k:
-                # column k's place among target i's predictors
-                j = k - (k > i)
-                mean, scale = self.by_target[i]
-                mean[j], scale[j] = _mean_scale(column[rows])
+            _standardize(completed.T[k:k + 1], completed.shape[0],
+                         self.standardized[k:k + 1])
 
     def fill_block(self, completed: np.ndarray, i: int) -> None:
         """The completed values of every column but ``i``, into the block."""
@@ -225,36 +209,35 @@ class _Scalings:
 
     def predictors(self, i: int):
         """The filled block's observed rows and missing rows, standardized
-        for target ``i``: two parts of one gather, as transposed views."""
+        over target ``i``'s observed rows: two parts of one gather, as
+        transposed views."""
         x = np.take(self.block, self.rows[i], axis=1, out=self.gathered,
                     mode="clip")
-        mean, scale = self.by_target[i]
-        x -= mean[:, None]
-        x /= scale[:, None]
         n_obs = self.obs_rows[i].shape[0]
+        _standardize(x, n_obs, x)
         return x[:, :n_obs].T, x[:, n_obs:].T
 
 
-def _column_step(values, observed, completed, i, cfg, sweep, scalings,
+def _column_step(values, observed, completed, i, cfg, sweep, workspace,
                  init=None):
-    """One Algorithm-2 column update; mutates ``completed`` and ``scalings``.
+    """One Algorithm-2 column update; mutates ``completed`` and ``workspace``.
 
     ``init`` is the column's propensity model from the previous sweep, if
     any. Returns the step's diagnostics and the weights it fit with (None
     when unweighted), which carry this sweep's propensity model.
     """
-    obs_rows, miss_rows = scalings.obs_rows[i], scalings.miss_rows[i]
-    scalings.fill_block(completed, i)
+    obs_rows, miss_rows = workspace.obs_rows[i], workspace.miss_rows[i]
+    workspace.fill_block(completed, i)
     wv = propensity = None
     if cfg.weighted:
         wv = weights_for_column(
-            scalings.propensity_design(i), observed[:, i],
+            workspace.propensity_design(i), observed[:, i],
             l2=cfg.propensity_l2, clip_epsilon=cfg.clip_epsilon, init=init,
         )
         weights, propensity = wv.weights, wv.propensity
     else:
         weights = np.ones(obs_rows.shape[0])
-    x_train, x_miss = scalings.predictors(i)
+    x_train, x_miss = workspace.predictors(i)
     y_train = values[obs_rows, i]
     # ridge takes no seed, so none is derived for it
     seed = None if cfg.regressor.kind == "ridge" else _step_seed(cfg, sweep, i)
@@ -274,7 +257,7 @@ def _column_step(values, observed, completed, i, cfg, sweep, scalings,
         propensity_converged=None if propensity is None else propensity.converged,
     )
     completed[miss_rows, i] = preds
-    scalings.refresh(completed, i)
+    workspace.refresh(completed, i)
     return diag, wv
 
 
@@ -291,7 +274,7 @@ def impute(ds: MaskedDataset, cfg: ImputationConfig) -> ImputationResult:
     completed = initial_impute(ds)
     values = ds.data.values
     observed = ds.mask.observed
-    scalings = _Scalings(completed, observed, order, cfg.weighted)
+    workspace = _Workspace(completed, observed, order, cfg.weighted)
     # each column's weights from the previous sweep, whose propensity model
     # warm-starts the next fit; local to this call so results never depend
     # on what ran before
@@ -303,7 +286,7 @@ def impute(ds: MaskedDataset, cfg: ImputationConfig) -> ImputationResult:
             init = weights[i].propensity if i in weights else None
             try:
                 diag, wv = _column_step(values, observed, completed, i, cfg,
-                                        sweep, scalings, init)
+                                        sweep, workspace, init)
             except Exception as exc:
                 raise RuntimeError(
                     f"column {i} failed at sweep {sweep}: {exc}"

@@ -30,6 +30,7 @@ __all__ = [
     "sigmoid",
     "calibrate_intercept",
     "apply_mar_mask",
+    "check_layout",
     "select_random_spec",
 ]
 
@@ -303,6 +304,24 @@ def apply_mar_mask(data: DataMatrix, spec: MarSpec):
     )
 
 
+def check_layout(n_missing_cols: int, n_predictors: int,
+                 d: int | None = None) -> None:
+    """Reject a layout :func:`select_random_spec` cannot draw on a table of
+    ``d`` columns; with no ``d``, only the counts' ranges are checked."""
+    if not 1 <= n_missing_cols <= MAX_MISSING_COLS:
+        raise ValueError(f"n_missing_cols must be in 1..{MAX_MISSING_COLS}")
+    if not 1 <= n_predictors <= MAX_PREDICTORS:
+        raise ValueError(f"n_predictors must be in 1..{MAX_PREDICTORS}")
+    if d is None:
+        return
+    if d <= n_missing_cols:
+        raise ValueError(f"d={d} too small for {n_missing_cols} missing columns")
+    if d - n_missing_cols < n_predictors:
+        raise ValueError(
+            f"d={d} leaves fewer than {n_predictors} predictor candidates"
+        )
+
+
 def select_random_spec(data: DataMatrix, n_missing_cols: int, n_predictors: int,
                        seed: int, alpha: float = 0.0,
                        target_missing_rate: float = 0.3) -> MarSpec:
@@ -312,17 +331,8 @@ def select_random_spec(data: DataMatrix, n_missing_cols: int, n_predictors: int,
     ``n_predictors`` predictors drawn from the complement of the whole missing
     set, so predictor columns stay fully observed.
     """
-    if not 1 <= n_missing_cols <= MAX_MISSING_COLS:
-        raise ValueError(f"n_missing_cols must be in 1..{MAX_MISSING_COLS}")
-    if not 1 <= n_predictors <= MAX_PREDICTORS:
-        raise ValueError(f"n_predictors must be in 1..{MAX_PREDICTORS}")
     d = data.n_cols
-    if d <= n_missing_cols:
-        raise ValueError(f"d={d} too small for {n_missing_cols} missing columns")
-    if d - n_missing_cols < n_predictors:
-        raise ValueError(
-            f"d={d} leaves fewer than {n_predictors} predictor candidates"
-        )
+    check_layout(n_missing_cols, n_predictors, d)
     rng = np.random.default_rng(seed)
     missing = np.sort(rng.choice(d, size=n_missing_cols, replace=False))
     pool = np.setdiff1d(np.arange(d), missing)

@@ -49,11 +49,14 @@ def rmse_masked(truth: DataMatrix | np.ndarray, imputed: np.ndarray,
     """Root mean squared error over the masked cells only."""
     truth_values = truth.values if isinstance(truth, DataMatrix) else np.asarray(truth, float)
     imputed = np.asarray(imputed, dtype=float)
+    if truth_values.shape != imputed.shape:
+        raise ValueError("shape mismatch between truth and imputed")
     hidden = ~mask.observed
-    count = int(hidden.sum())
-    if count == 0:
+    if not hidden.any():
         raise ValueError("no masked cells to score")
-    diff = truth_values[hidden] - imputed[hidden]
+    # one gather, from a C-order difference: the completion may be
+    # column-major, and a boolean gather walks it in row order
+    diff = np.subtract(truth_values, imputed, order="C")[hidden]
     return float(np.sqrt((diff * diff).mean()))
 
 

@@ -64,10 +64,6 @@ class WeightVector:
             raise ValueError("weights must have mean 1")
 
 
-def _penalized_nll(z, r, coef, l2):
-    return _penalized_nll_and_exp(z, r, coef, l2)[0]
-
-
 def _penalized_nll_and_exp(z, r, coef, l2):
     """The penalized NLL and the ``exp(-|z|)`` it is computed from, which
     :func:`~shiftimpute.masking.sigmoid` takes to skip its own exponential."""

@@ -22,6 +22,28 @@ def standardize(values: np.ndarray) -> np.ndarray:
     return (values - values.mean(axis=0)) / np.where(std > 0, std, 1.0)
 
 
+# The engine's standardization as it stood while it kept each column's
+# statistics in a cache: one column at a time, from that column's own values
+# over the rows. Kept as the oracle the engine, which now standardizes each
+# step's gathered rows at once, must reproduce bit for bit.
+def _reference_mean_scale(values: np.ndarray):
+    mean = values.mean()
+    dev = values - mean
+    std = np.sqrt(dev @ dev / values.size)
+    return mean, std if std > 0 else 1.0
+
+
+def reference_standardize(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Each column of ``values`` less its mean and divided by its population
+    std (1.0 where constant), both taken over ``rows`` alone."""
+    out = np.empty_like(values)
+    for k in range(values.shape[1]):
+        column = values[:, k]
+        mean, scale = _reference_mean_scale(column[rows])
+        out[:, k] = (column - mean) / scale
+    return out
+
+
 def with_intercept(x: np.ndarray) -> np.ndarray:
     """``x`` with a trailing column of ones: the design the propensity fit takes."""
     return np.hstack([x, np.ones((x.shape[0], 1))])

@@ -227,11 +227,30 @@ class TestGridConfig:
         ({"n_predictors": 5}, "n_predictors must be in 1..4"),
         ({"alphas": (float("nan"),)}, "scores must be finite"),
         ({"alphas": (0.0, float("-inf"))}, "scores must be finite"),
+        # a synthetic table too small to generate, or too narrow for the layout
+        ({"dataset": {"n": 1}},
+         "synthetic dataset needs n >= 2 and d >= 2, got n=1, d=10"),
+        ({"dataset": {"d": 1}},
+         "synthetic dataset needs n >= 2 and d >= 2, got n=5000, d=1"),
+        ({"dataset": {"n": 300, "d": 5}, "n_missing_cols": 4},
+         "d=5 leaves fewer than 2 predictor candidates"),
+        ({"dataset": {"n": 300, "d": 4}, "n_missing_cols": 4},
+         "d=4 too small for 4 missing columns"),
     ])
     def test_run_settings_checked_up_front(self, setting, message):
         # rejected when the grid is built, before any cell is masked
         with pytest.raises(ValueError, match=re.escape(message)):
+            if "dataset" in setting:
+                setting = {**setting,
+                           "dataset": DatasetSource(**setting["dataset"])}
             small_grid(**setting)
+
+    def test_csv_source_width_left_to_the_masking(self):
+        # n and d describe only a synthetic table; a CSV's width is checked
+        # per cell, once the file is read
+        grid = small_grid(dataset=DatasetSource(kind="csv", path="t.csv", n=1,
+                                                d=1), n_missing_cols=4)
+        assert grid.dataset.d == 1
 
     def test_imputation_config_carries_the_grid_settings(self):
         grid = small_grid(ridge_lambda=0.5, clip_epsilon=0.02, propensity_l2=0.1)

@@ -215,6 +215,10 @@ BENCHMARK = ["benchmark", "--out", "out.csv", "--grid"]
      "ExperimentGrid.n_sweeps must be a JSON integer, got 2.5"),
     (BENCHMARK, '{"alphas": [1.0, 1.0]}', "duplicate alphas in [1.0, 1.0]"),
     (BENCHMARK, '{"n_sweeps": 0}', "n_sweeps must be >= 1"),
+    (BENCHMARK, '{"dataset": {"n": 1}}',
+     "synthetic dataset needs n >= 2 and d >= 2, got n=1, d=10"),
+    (BENCHMARK, '{"dataset": {"d": 5}, "n_missing_cols": 4}',
+     "d=5 leaves fewer than 2 predictor candidates"),
     (BENCHMARK, "[1, 2]", "ExperimentGrid must be a JSON object, got [1, 2]"),
     (BENCHMARK, None, "[Errno 2] No such file or directory"),
     (IMPUTE, '{"regressor": {"forest": {"seed": 7}}}', "unknown ForestSpec keys: seed"),

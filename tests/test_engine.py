@@ -4,11 +4,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import shiftimpute.engine as engine_mod
-from oracles import standardize
+from oracles import reference_standardize
 from shiftimpute.benchmark import (DatasetSource, ExperimentGrid,
                                   make_benchmark_dataset)
 from shiftimpute.data import (DataMatrix, MaskMatrix, MaskedDataset,
@@ -301,43 +301,55 @@ class TestColumnStepState:
             assert wv.weights.size == int(ds.mask.observed[:, i].sum())
         assert impute(ds, replace(cfg, weighted=False)).weights == {}
 
-    def test_cached_scalings_track_the_completion(self, monkeypatch):
-        # only the entries a step reads: target t's statistics over its
-        # observed rows for the other columns, and the completion
-        # standardized over all rows that the propensity design copies,
-        # which an unweighted run does not keep
-        original = engine_mod._column_step
-        steps = []
+    def test_fits_see_the_completion_standardized_over_observed_rows(
+            self, monkeypatch):
+        # every fit and predict gets, bit for bit, the other columns of the
+        # completion before its step, each standardized over the target's
+        # observed rows; a weighted run's mirror is the completion
+        # standardized over all rows, and an unweighted run keeps none
+        original_step = engine_mod._column_step
+        original_fit, original_predict = (engine_mod.fit_regressor,
+                                          engine_mod.predict)
+        expected = {}
+        steps, fits = [], []
 
         def checked_step(*args):
-            out = original(*args)
-            completed, cfg, scalings = args[2], args[4], args[6]
-
-            def fresh(block):
-                std = block.std(axis=0)
-                return block.mean(axis=0), np.where(std > 0, std, 1.0)
-
-            cached = [scalings.by_target[t] for t in scalings.obs_rows]
-            expected = [fresh(completed[rows][:, scalings.others[t]])
-                        for t, rows in scalings.obs_rows.items()]
+            observed, completed, i, cfg, workspace = (args[1], args[2], args[3],
+                                                      args[4], args[6])
+            obs, miss = (np.flatnonzero(observed[:, i]),
+                         np.flatnonzero(~observed[:, i]))
+            z = reference_standardize(np.delete(completed, i, axis=1), obs)
+            expected["train"], expected["miss"] = z[obs], z[miss]
+            out = original_step(*args)
             if cfg.weighted:
-                np.testing.assert_allclose(scalings.standardized,
-                                           standardize(completed).T,
-                                           rtol=0, atol=1e-12)
+                every_row = np.arange(completed.shape[0])
+                assert np.array_equal(workspace.standardized,
+                                      reference_standardize(completed,
+                                                            every_row).T)
             else:
-                assert scalings.standardized is None
-            for (mean, scale), (fresh_mean, fresh_scale) in zip(cached, expected):
-                np.testing.assert_allclose(mean, fresh_mean, rtol=0, atol=1e-12)
-                np.testing.assert_allclose(scale, fresh_scale, rtol=0, atol=1e-12)
-            steps.append(args[3])
+                assert workspace.standardized is None
+            steps.append(i)
             return out
 
+        def checked_fit(spec, x_train, *args):
+            assert np.array_equal(x_train, expected["train"])
+            fits.append(spec)
+            return original_fit(spec, x_train, *args)
+
+        def checked_predict(model, x):
+            assert np.array_equal(x, expected["miss"])
+            return original_predict(model, x)
+
         monkeypatch.setattr(engine_mod, "_column_step", checked_step)
+        monkeypatch.setattr(engine_mod, "fit_regressor", checked_fit)
+        monkeypatch.setattr(engine_mod, "predict", checked_predict)
         for weighted in (True, False):
             ds, cfg = paper_cell(weighted=weighted)
             steps.clear()
+            fits.clear()
             impute(ds, cfg)
-            assert len(steps) == cfg.n_sweeps * len(ds.missing_columns())
+            assert len(steps) == len(fits) == (cfg.n_sweeps
+                                               * len(ds.missing_columns()))
 
     def test_only_seeded_fits_derive_a_seed(self, monkeypatch):
         ds, cfg = paper_cell(weighted=False)
@@ -472,6 +484,45 @@ class TestImputeProperties:
         permuted = impute(make_masked(values, observed), cfg).completed
         assert permuted[observed].tobytes() == values[observed].tobytes()
         np.testing.assert_allclose(permuted, completed[perm], rtol=0, atol=1e-8)
+
+
+class TestWorkspacePredictors:
+    # long rows exercise numpy's summation past its 8,192-element buffer;
+    # constant and tied columns the division-safe scale; a large offset the
+    # rounding of the mean
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 20_000),
+           d=st.integers(2, 5), frac_obs=st.floats(0.0, 1.0),
+           kinds=st.lists(st.sampled_from(["normal", "constant", "tied",
+                                           "offset"]), min_size=5, max_size=5),
+           weighted=st.booleans())
+    @example(seed=0, n=9, d=3, frac_obs=0.0, kinds=["normal"] * 5,
+             weighted=False)
+    @example(seed=1, n=20_001, d=4, frac_obs=0.9,
+             kinds=["normal", "tied", "offset", "constant", "normal"],
+             weighted=True)
+    def test_predictors_match_per_column_statistics(self, seed, n, d, frac_obs,
+                                                    kinds, weighted):
+        rng = np.random.default_rng(seed)
+        columns = {"normal": lambda: rng.normal(size=n),
+                   "constant": lambda: np.full(n, rng.normal()),
+                   "tied": lambda: rng.integers(0, 3, size=n) * 0.1,
+                   "offset": lambda: 1e6 + rng.normal(size=n)}
+        completed = np.asfortranarray(
+            np.column_stack([columns[kind]() for kind in kinds[:d]]))
+        n_obs = min(max(1, round(frac_obs * n)), n - 1)  # n_obs 1 .. n - 1
+        observed = np.zeros((n, d), bool)
+        observed[rng.permutation(n)[:n_obs], 0] = True
+        obs, miss = np.flatnonzero(observed[:, 0]), np.flatnonzero(~observed[:, 0])
+        work = engine_mod._Workspace(completed, observed, [0], weighted)
+        work.fill_block(completed, 0)
+        x_train, x_miss = work.predictors(0)
+        z = reference_standardize(completed[:, 1:], obs)
+        assert np.array_equal(x_train, z[obs])
+        assert np.array_equal(x_miss, z[miss])
+        if weighted:
+            assert np.array_equal(work.standardized,
+                                  reference_standardize(completed, np.arange(n)).T)
 
 
 class TestSingleColumnSweeps:

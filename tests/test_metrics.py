@@ -74,6 +74,13 @@ class TestRmseMasked:
         with pytest.raises(ValueError, match="no masked cells"):
             rmse_masked(truth, truth, self._mask(np.ones((2, 2))))
 
+    def test_shape_mismatch_rejected(self):
+        # a one-row completion would broadcast against the truth
+        truth = np.array([[1.0, 2.0], [3.0, 4.0]])
+        mask = self._mask([[True, False], [True, True]])
+        with pytest.raises(ValueError, match="shape mismatch between truth and imputed"):
+            rmse_masked(truth, truth[:1], mask)
+
     def test_permutation_invariance(self):
         rng = np.random.default_rng(0)
         truth = rng.normal(size=(20, 3))

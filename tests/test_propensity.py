@@ -17,7 +17,6 @@ from shiftimpute import propensity
 from shiftimpute.masking import MarSpec, apply_mar_mask, sigmoid
 from shiftimpute.propensity import (
     PropensityModel,
-    _penalized_nll,
     _penalized_nll_and_exp,
     effective_sample_size,
     fit_propensity,
@@ -112,7 +111,7 @@ class TestFitPropensity:
         r = (rng.random(z.size) < 0.5).astype(float)
         coef = rng.normal(size=3)
         reference = np.mean(np.logaddexp(0.0, z) - r * z) + 0.5 * 0.1 * coef @ coef
-        assert _penalized_nll(z, r, coef, 0.1) == pytest.approx(reference, rel=1e-14)
+        assert _penalized_nll_and_exp(z, r, coef, 0.1)[0] == pytest.approx(reference, rel=1e-14)
 
     def test_init_width_checked(self):
         x = np.random.default_rng(10).normal(size=(50, 2))
