@@ -253,12 +253,8 @@ def run_benchmark(grid: ExperimentGrid, jobs: int = 1) -> BenchmarkResult:
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_run_cell_star, cells, chunksize=1))
-    records: list[RunRecord] = []
-    failures: list[FailureRecord] = []
-    for recs, fails in outcomes:
-        records.extend(recs)
-        failures.extend(fails)
-    return BenchmarkResult(tuple(records), tuple(failures), grid)
+    return BenchmarkResult(tuple(r for recs, _ in outcomes for r in recs),
+                           tuple(f for _, fails in outcomes for f in fails), grid)
 
 
 def records_to_csv(records, path) -> None:
@@ -277,7 +273,7 @@ def _pairs(records):
     by_key = {}
     for r in records:
         by_key.setdefault((r.seed, r.alpha, r.model), {})[r.weighted] = r
-    for key in sorted(by_key, key=lambda k: (k[0], k[1], k[2])):
+    for key in sorted(by_key):
         pair = by_key[key]
         if True in pair and False in pair:
             yield pair[True], pair[False]
@@ -338,16 +334,13 @@ def _model_summary(records):
 
 def build_summary(result: BenchmarkResult) -> dict:
     """Aggregate a benchmark result into the JSON summary structure."""
-    per_model = {}
-    for kind in result.grid.models:
-        per_model[kind] = _model_summary(
-            [r for r in result.records if r.model == kind]
-        )
     return {
         "grid": result.grid.to_dict(),
         "n_records": len(result.records),
         "failures": [f.to_dict() for f in result.failures],
-        "per_model": per_model,
+        "per_model": {kind: _model_summary([r for r in result.records
+                                            if r.model == kind])
+                      for kind in result.grid.models},
         "wall_time_ms": {
             "total": float(sum(r.wall_time_ms for r in result.records)),
             "per_record": [r.wall_time_ms for r in result.records],

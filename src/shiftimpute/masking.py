@@ -143,7 +143,8 @@ def sigmoid(z, *, e=None):
     return out
 
 
-def calibrate_intercept(scores: np.ndarray, target_rate: float) -> float:
+def calibrate_intercept(scores: np.ndarray, target_rate: float,
+                        out: np.ndarray | None = None) -> float:
     """Find the intercept making mean(1 - sigmoid(scores + b)) hit target_rate.
 
     Bisection over [-50, 50]; the objective is strictly decreasing in the
@@ -155,7 +156,9 @@ def calibrate_intercept(scores: np.ndarray, target_rate: float) -> float:
     one at or right of its upper intercept a gap below it (the gap falls
     strictly), so those midpoints take their side unevaluated. The rate is
     evaluated only in between, and the result is the plain bisection's, bit
-    for bit.
+    for bit. ``out``, when given, receives ``sigmoid(scores + b)`` at the
+    returned ``b``: the evaluation that met the tolerance there, computed
+    only when the bisection ran out of iterations.
     """
     scores = np.asarray(scores, dtype=float)
     if not np.all(np.isfinite(scores)):
@@ -165,12 +168,13 @@ def calibrate_intercept(scores: np.ndarray, target_rate: float) -> float:
         raise ValueError(f"target_rate must be in ({low}, {high})")
 
     def gap(b):
-        return float(np.mean(1.0 - sigmoid(scores + b))) - target_rate
+        p = sigmoid(scores + b)
+        return float(np.mean(1.0 - p)) - target_rate, p
 
     lower, upper = _replay_bounds(scores, target_rate)
     lo, hi = -50.0, 50.0
     if not lo <= lower < upper <= hi:  # the bounds did not prove the bracket
-        g_lo, g_hi = gap(lo), gap(hi)
+        g_lo, g_hi = gap(lo)[0], gap(hi)[0]
         if g_lo < 0 or g_hi > 0:
             raise ValueError(
                 f"cannot bracket target rate {target_rate} over [-50, 50]; "
@@ -180,9 +184,9 @@ def calibrate_intercept(scores: np.ndarray, target_rate: float) -> float:
     for _ in range(CALIBRATION_MAX_ITER):
         mid = 0.5 * (lo + hi)
         if lower < mid < upper:
-            g_mid = gap(mid)
+            g_mid, p = gap(mid)
             if abs(g_mid) <= CALIBRATION_TOL:
-                return mid
+                break
             rate_too_high = g_mid > 0
         else:
             rate_too_high = mid <= lower
@@ -190,7 +194,11 @@ def calibrate_intercept(scores: np.ndarray, target_rate: float) -> float:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    else:  # out of iterations: the last midpoint, not evaluated
+        mid, p = 0.5 * (lo + hi), None
+    if out is not None:
+        out[:] = sigmoid(scores + mid) if p is None else p
+    return mid
 
 
 def _replay_bounds(scores: np.ndarray, target_rate: float):
@@ -286,9 +294,8 @@ def apply_mar_mask(data: DataMatrix, spec: MarSpec):
     intercepts = []
     probabilities = np.empty_like(scores)
     for k in range(scores.shape[1]):
-        beta = calibrate_intercept(scores[:, k], spec.target_missing_rate)
-        intercepts.append(beta)
-        probabilities[:, k] = sigmoid(scores[:, k] + beta)
+        intercepts.append(calibrate_intercept(
+            scores[:, k], spec.target_missing_rate, out=probabilities[:, k]))
     probabilities = np.clip(probabilities, PROB_FLOOR, 1.0 - PROB_FLOOR)
     mechanism = CalibratedMechanism(spec, tuple(intercepts), probabilities)
 

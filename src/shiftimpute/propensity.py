@@ -40,6 +40,7 @@ class PropensityModel:
     intercept: float
     converged: bool
     n_iter: int
+    gradient: float | None = None  # max-abs gradient at these parameters
 
     def __post_init__(self):
         if not (np.all(np.isfinite(self.coefficients))
@@ -75,17 +76,19 @@ def _penalized_nll_and_exp(z, r, coef, l2):
 
 def fit_propensity(design: np.ndarray, r: np.ndarray, l2: float = DEFAULT_L2,
                    init: PropensityModel | None = None,
-                   out: np.ndarray | None = None) -> PropensityModel:
+                   out: np.ndarray | None = None,
+                   max_iter: int | None = None) -> PropensityModel:
     """Fit p(observed | x) by IRLS on the L2-penalized mean log-likelihood.
 
     ``design`` is the predictor matrix x with a trailing column of ones for
     the intercept, ``[x, 1]``; a last column that is not all ones is
     rejected. The model's coefficients are those of x's ``d`` columns. The
-    intercept is unpenalized. Converged when the max absolute gradient falls
-    below 1e-8 within 100 iterations; otherwise the model is returned with
+    intercept is unpenalized. Converged when the max absolute gradient, which
+    the model records, falls below 1e-8 within ``max_iter`` iterations
+    (``MAX_ITER``, 100, when None); otherwise the model is returned with
     ``converged=False`` rather than failing silently. IRLS starts from
-    ``init``'s parameters when given (a fit on nearby data converges in fewer
-    iterations), else from zero. With ``l2 > 0`` the objective is strictly
+    ``init``'s parameters when given (``max_iter=1`` takes one Newton step
+    from them), else from zero. With ``l2 > 0`` the objective is strictly
     convex in the coefficients, so fewer rows than predictors is allowed;
     with ``l2 = 0`` the intercept makes d + 1 parameters, so n must exceed d.
 
@@ -130,10 +133,11 @@ def fit_propensity(design: np.ndarray, r: np.ndarray, l2: float = DEFAULT_L2,
     nll, e = _penalized_nll_and_exp(z, r, beta[:p], l2)
     converged = False
     it = 0
-    for it in range(1, MAX_ITER + 1):
+    for it in range(1, (MAX_ITER if max_iter is None else max_iter) + 1):
         eta = sigmoid(z, e=e)
         grad = design.T @ (eta - r) / n + penalty * beta
-        if np.max(np.abs(grad)) < GRADIENT_TOL:
+        gradient = np.max(np.abs(grad))
+        if gradient < GRADIENT_TOL:
             converged = True
             break
         s = eta * (1.0 - eta)
@@ -153,10 +157,14 @@ def fit_propensity(design: np.ndarray, r: np.ndarray, l2: float = DEFAULT_L2,
             trial_nll, e_trial = _penalized_nll_and_exp(z_trial, r, trial[:p], l2)
             shrink += 1
         beta, nll, z, e = trial, trial_nll, z_trial, e_trial
+    if not converged:
+        # eta and the gradient are those of the parameters before the last step
+        eta = sigmoid(z, e=e)
+        gradient = np.max(np.abs(design.T @ (eta - r) / n + penalty * beta))
     if out is not None:
-        # without convergence, eta is that of the parameters before the last step
-        out[:] = eta if converged else sigmoid(z, e=e)
-    return PropensityModel(beta[:p].copy(), float(beta[p]), converged, it)
+        out[:] = eta
+    return PropensityModel(beta[:p].copy(), float(beta[p]), converged, it,
+                           float(gradient))
 
 
 def weights_from_propensity(eta: np.ndarray,
@@ -178,20 +186,22 @@ def weights_from_propensity(eta: np.ndarray,
 def weights_for_column(design: np.ndarray, obs_col: np.ndarray,
                        l2: float = DEFAULT_L2,
                        clip_epsilon: float = DEFAULT_CLIP,
-                       init: PropensityModel | None = None) -> WeightVector:
+                       init: PropensityModel | None = None,
+                       max_iter: int | None = None) -> WeightVector:
     """Importance weights for the observed rows of one column.
 
     ``design`` holds the standardized completed values of every other column
     (all rows) followed by a column of ones, as :func:`fit_propensity` takes
     it, and ``obs_col`` the column's observedness indicator. The classifier
     is trained on all rows; weights are evaluated at the observed rows only.
-    ``init`` warm-starts the fit. The propensities are those the fit leaves
-    in its ``out`` vector, so no row of the design is gathered again. The
-    returned weights carry the fitted model.
+    ``init`` warm-starts the fit and ``max_iter`` caps its iterations. The
+    propensities are those the fit leaves in its ``out`` vector, so no row of
+    the design is gathered again. The returned weights carry the fitted model.
     """
     obs_col = np.asarray(obs_col, dtype=bool)
     eta = np.empty(obs_col.shape[0])
-    model = fit_propensity(design, obs_col.astype(float), l2, init=init, out=eta)
+    model = fit_propensity(design, obs_col.astype(float), l2, init=init,
+                           out=eta, max_iter=max_iter)
     return WeightVector(weights_from_propensity(eta[obs_col], clip_epsilon), model)
 
 
@@ -213,13 +223,13 @@ def weight_diagnostics(weights: dict[int, WeightVector]) -> dict:
     """
     out = {}
     for i in sorted(weights):
-        wv = weights[i]
-        model = wv.propensity
+        wv, model = weights[i], weights[i].propensity
         counts, edges = np.histogram(wv.weights, bins=20)
         out[str(i)] = {
             "coefficients": [float(c) for c in model.coefficients],
             "intercept": model.intercept,
             "converged": model.converged,
+            "gradient": model.gradient,
             "weight_histogram": {
                 "counts": [int(c) for c in counts],
                 "edges": [float(e) for e in edges],

@@ -179,10 +179,7 @@ def check_weighting_identity(spec: SyntheticSpec, g, use_oracle_weights: bool = 
     sq = _masked_squared_errors(g, ds, i)
     obs = ds.mask.observed[:, i]
     unobserved_risk = float(sq[~obs].mean())
-    if use_oracle_weights:
-        w = _oracle_weights(mechanism, 0)[obs]
-    else:
-        w = np.ones(int(obs.sum()))
+    w = _oracle_weights(mechanism, 0)[obs] if use_oracle_weights else 1.0
     weighted_observed_risk = float((w * sq[obs]).mean())
     return unobserved_risk, weighted_observed_risk
 

@@ -12,7 +12,8 @@ import shiftimpute.cli as cli_mod
 from shiftimpute.benchmark import make_benchmark_dataset
 from shiftimpute.cli import main
 from shiftimpute.data import load_csv, load_masked_csv, save_csv
-from shiftimpute.engine import ImputationConfig, impute
+from shiftimpute.engine import REFIT_GRADIENT, ImputationConfig, impute
+from shiftimpute.propensity import GRADIENT_TOL
 
 
 @pytest.fixture
@@ -56,10 +57,17 @@ def test_simulate_mask_impute_metrics_pipeline(tmp_path, truth_csv, capsys):
     np.testing.assert_allclose(out.values[obs], truth.values[obs], atol=1e-12)
     diag = json.loads(diagnostics.read_text())
     assert len(diag["per_sweep"]) == 2
+    # sweep 0 fits each column to convergence; sweep 1 takes one Newton
+    # step from it, whose gradient is recorded
     for sweep in diag["per_sweep"]:
         for col in sweep["columns"]:
             assert col["propensity_n_iter"] > 0
-            assert col["propensity_converged"] is True
+            if sweep["sweep"] == 0:
+                assert col["propensity_converged"] is True
+                assert col["propensity_gradient"] < GRADIENT_TOL
+            else:
+                assert col["propensity_n_iter"] == 1
+                assert col["propensity_gradient"] < REFIT_GRADIENT
     assert set(diag["propensity"]) == {str(c) for c in planted}
 
     report_path = tmp_path / "report.json"
@@ -111,11 +119,13 @@ def test_diagnostics_report_the_runs_own_propensity_fits(tmp_path, masked_csv):
         assert entry["coefficients"] == wv.propensity.coefficients.tolist()
         assert entry["intercept"] == wv.propensity.intercept
         assert entry["converged"] == wv.propensity.converged
+        assert entry["gradient"] == wv.propensity.gradient
         assert sum(entry["weight_histogram"]["counts"]) == wv.weights.size
     # the dump agrees with the last sweep's per-step record of the same fits
     last = {c["column"]: c for c in diag["per_sweep"][-1]["columns"]}
     for i, entry in diag["propensity"].items():
         assert entry["converged"] == last[int(i)]["propensity_converged"]
+        assert entry["gradient"] == last[int(i)]["propensity_gradient"]
         assert entry["effective_sample_size"] == last[int(i)]["effective_sample_size"]
 
 

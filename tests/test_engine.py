@@ -7,25 +7,30 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 import shiftimpute.engine as engine_mod
-from oracles import reference_standardize
+from oracles import reference_fit_propensity, reference_standardize
 from shiftimpute.benchmark import (DatasetSource, ExperimentGrid,
                                   make_benchmark_dataset)
 from shiftimpute.data import (DataMatrix, MaskMatrix, MaskedDataset,
                               load_masked_csv, save_csv)
 from shiftimpute.engine import (
+    REFIT_GRADIENT,
     ImputationConfig,
     impute,
     initial_impute,
     visitation_order,
 )
-from shiftimpute.masking import MarSpec, apply_mar_mask, select_random_spec
+from shiftimpute.masking import MarSpec, apply_mar_mask, select_random_spec, sigmoid
 from shiftimpute.metrics import rmse_masked, wilcoxon_signed_rank
-from shiftimpute.propensity import WeightVector
+from shiftimpute.propensity import (GRADIENT_TOL, WeightVector,
+                                    weights_from_propensity)
 from shiftimpute.regressors import (ForestSpec, MlpSpec, RegressorSpec,
                                     fit_weighted_ridge, predict)
 
 DATA = Path(__file__).parent / "data"
+# the last sweep's warm steps leave at most 3.3e-6 on the default grid
+LAST_SWEEP_GRADIENT = 1e-5
 
 
 def make_masked(values, observed):
@@ -236,7 +241,8 @@ class TestPlantedMechanismRecovery:
     # population statistics; unpenalized, the fitted propensity of the last
     # sweep is well specified: alpha on the planted predictors, 0 elsewhere.
     # Seeds 0 and 3 read 2.66-3.20 on the planted predictors, at most 0.37
-    # in absolute value on the others, and weight correlations 0.981-0.998.
+    # in absolute value on the others, weight correlations 0.981-0.999, and
+    # a last-sweep gradient of at most 3.3e-6 after its one Newton step.
 
     @pytest.mark.parametrize("seed", [0, 3])
     def test_unpenalized_fit_recovers_alpha(self, seed):
@@ -254,7 +260,7 @@ class TestPlantedMechanismRecovery:
         for k, (i, planted) in enumerate(zip(spec.missing_cols,
                                              spec.predictor_sets)):
             model = result.weights[i].propensity
-            assert model.converged
+            assert model.gradient <= LAST_SWEEP_GRADIENT
             others = [j for j in range(ds.data.n_cols) if j != i]
             coef = dict(zip(others, model.coefficients))
             for j in others:
@@ -268,12 +274,68 @@ class TestPlantedMechanismRecovery:
 
 class TestColumnStepState:
     def test_warm_started_sweeps_take_fewer_iterations(self):
+        # sweep 0 fits each column to convergence; later sweeps take one
+        # Newton step from the column's last model, which leaves a gradient
+        # below the refit threshold and, by the last sweep, near the optimum
         ds, cfg = paper_cell()
         result = impute(ds, cfg)
-        iters = [[c.propensity_n_iter for c in s.columns] for s in result.per_sweep]
-        assert np.mean(iters[1:]) < np.mean(iters[0])
+        first, *warm = result.per_sweep
         assert all(c.propensity_converged is True
-                   for s in result.per_sweep for c in s.columns)
+                   and c.propensity_gradient < GRADIENT_TOL
+                   and c.propensity_n_iter > 1 for c in first.columns)
+        for sweep in warm:
+            for c in sweep.columns:
+                assert c.propensity_n_iter == 1
+                assert c.propensity_converged is False
+                assert c.propensity_gradient < REFIT_GRADIENT
+        assert all(c.propensity_gradient <= LAST_SWEEP_GRADIENT
+                   for c in warm[-1].columns)
+
+    def test_warm_step_is_one_reference_newton_step(self, monkeypatch):
+        # each warm step's model is the reference IRLS capped at one
+        # iteration from the column's previous model, bit for bit, and its
+        # weights come from that model's probabilities
+        original = engine_mod.weights_for_column
+        warm = []
+
+        def recording(design, obs_col, **kwargs):
+            wv = original(design, obs_col, **kwargs)
+            if kwargs["init"] is not None:
+                # BLAS rounding follows the memory layout: copy it as it is
+                warm.append((design.copy(order="K"), obs_col.copy(), kwargs, wv))
+            return wv
+
+        monkeypatch.setattr(engine_mod, "weights_for_column", recording)
+        ds, cfg = paper_cell()
+        impute(ds, cfg)
+        monkeypatch.setattr(oracles, "MAX_ITER", 1)
+        assert len(warm) == (cfg.n_sweeps - 1) * len(ds.missing_columns())
+        for design, obs_col, kwargs, wv in warm:
+            assert kwargs["max_iter"] == 1
+            coef, intercept, converged, n_iter = reference_fit_propensity(
+                design, obs_col.astype(float), kwargs["l2"], kwargs["init"])
+            model = wv.propensity
+            assert np.array_equal(model.coefficients, coef)
+            assert model.intercept == intercept
+            assert (model.converged, model.n_iter) == (converged, n_iter)
+            eta = sigmoid(design @ np.append(coef, intercept))
+            assert np.array_equal(
+                wv.weights,
+                weights_from_propensity(eta[obs_col], kwargs["clip_epsilon"]))
+
+    def test_forced_refit_converges(self, monkeypatch):
+        # with no gradient allowed after the step, every warm step refits to
+        # convergence from the stepped model
+        monkeypatch.setattr(engine_mod, "REFIT_GRADIENT", 0.0)
+        ds, cfg = paper_cell()
+        result = impute(ds, replace(cfg, n_sweeps=3))
+        for sweep in result.per_sweep:
+            for c in sweep.columns:
+                assert c.propensity_converged is True
+                assert c.propensity_gradient < GRADIENT_TOL
+        for wv in result.weights.values():
+            assert wv.propensity.converged is True
+            assert wv.propensity.gradient < GRADIENT_TOL
 
     def test_unweighted_steps_record_no_fit(self):
         ds, cfg = paper_cell(weighted=False)
@@ -281,6 +343,7 @@ class TestColumnStepState:
             for col in sweep.columns:
                 assert col.propensity_n_iter == 0
                 assert col.propensity_converged is None
+                assert col.propensity_gradient is None
 
     def test_result_records_the_last_sweeps_weights(self, monkeypatch):
         ds, cfg = paper_cell()
@@ -305,31 +368,35 @@ class TestColumnStepState:
             self, monkeypatch):
         # every fit and predict gets, bit for bit, the other columns of the
         # completion before its step, each standardized over the target's
-        # observed rows; a weighted run's mirror is the completion
-        # standardized over all rows, and an unweighted run keeps none
+        # observed rows; a weighted step's propensity design is the same
+        # columns standardized over all rows, and an unweighted run has none
         original_step = engine_mod._column_step
-        original_fit, original_predict = (engine_mod.fit_regressor,
-                                          engine_mod.predict)
+        original_fit, original_predict, original_weights = (
+            engine_mod.fit_regressor, engine_mod.predict,
+            engine_mod.weights_for_column)
         expected = {}
-        steps, fits = [], []
+        steps, fits, designs = [], [], []
 
         def checked_step(*args):
             observed, completed, i, cfg, workspace = (args[1], args[2], args[3],
                                                       args[4], args[6])
             obs, miss = (np.flatnonzero(observed[:, i]),
                          np.flatnonzero(~observed[:, i]))
-            z = reference_standardize(np.delete(completed, i, axis=1), obs)
+            others = np.delete(completed, i, axis=1)
+            z = reference_standardize(others, obs)
             expected["train"], expected["miss"] = z[obs], z[miss]
+            expected["design"] = reference_standardize(
+                others, np.arange(completed.shape[0]))
             out = original_step(*args)
-            if cfg.weighted:
-                every_row = np.arange(completed.shape[0])
-                assert np.array_equal(workspace.standardized,
-                                      reference_standardize(completed,
-                                                            every_row).T)
-            else:
-                assert workspace.standardized is None
+            assert (workspace.design is None) == (not cfg.weighted)
             steps.append(i)
             return out
+
+        def checked_weights(design, *args, **kwargs):
+            assert np.array_equal(design[:, :-1], expected["design"])
+            assert np.all(design[:, -1] == 1.0)
+            designs.append(1)
+            return original_weights(design, *args, **kwargs)
 
         def checked_fit(spec, x_train, *args):
             assert np.array_equal(x_train, expected["train"])
@@ -343,13 +410,16 @@ class TestColumnStepState:
         monkeypatch.setattr(engine_mod, "_column_step", checked_step)
         monkeypatch.setattr(engine_mod, "fit_regressor", checked_fit)
         monkeypatch.setattr(engine_mod, "predict", checked_predict)
+        monkeypatch.setattr(engine_mod, "weights_for_column", checked_weights)
         for weighted in (True, False):
             ds, cfg = paper_cell(weighted=weighted)
             steps.clear()
             fits.clear()
+            designs.clear()
             impute(ds, cfg)
             assert len(steps) == len(fits) == (cfg.n_sweeps
                                                * len(ds.missing_columns()))
+            assert len(designs) == (len(steps) if weighted else 0)
 
     def test_only_seeded_fits_derive_a_seed(self, monkeypatch):
         ds, cfg = paper_cell(weighted=False)
@@ -383,7 +453,9 @@ class TestColumnStepState:
         assert np.all(np.isfinite(result.completed))
         for sweep in result.per_sweep:
             for col in sweep.columns:
-                assert col.propensity_converged is True
+                if sweep.sweep == 0:
+                    assert col.propensity_converged is True
+                assert col.propensity_gradient < REFIT_GRADIENT
                 assert np.isfinite(col.effective_sample_size)
 
 
@@ -392,9 +464,10 @@ class TestRidgeGolden:
     # MarSpec((1, 5), ((0, 2), (2, 3)), alpha=3.0, target_missing_rate=0.3,
     # seed=8). The completions and per-sweep diagnostics were written by the
     # engine with column-major buffers and block-form ridge normal equations,
-    # the weighted ones with weights from the propensity fit's last pass;
-    # BLAS rounding depends on memory order and on how a system is formed,
-    # so a change to either shows here.
+    # the weighted ones with weights from the propensity fit's last pass and
+    # one warm Newton step per propensity fit after sweep 0; BLAS rounding
+    # depends on memory order and on how a system is formed, so a change to
+    # either shows here.
 
     @pytest.mark.parametrize("tag, weighted", [("weighted", True),
                                                ("unweighted", False)])
@@ -486,6 +559,37 @@ class TestImputeProperties:
         np.testing.assert_allclose(permuted, completed[perm], rtol=0, atol=1e-8)
 
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 60),
+           d=st.integers(2, 5), alpha=st.sampled_from([0.0, 1.5, 3.0]),
+           kinds=st.lists(st.sampled_from(["normal", "tied", "constant"]),
+                          min_size=5, max_size=5),
+           weighted=st.booleans(), n_sweeps=st.integers(1, 4))
+    def test_every_steps_diagnostics_are_finite(self, seed, n, d, alpha, kinds,
+                                                weighted, n_sweeps):
+        rng = np.random.default_rng(seed)
+        columns = {"normal": lambda: rng.normal(size=n),
+                   "tied": lambda: rng.integers(0, 3, size=n) * 0.5,
+                   "constant": lambda: np.full(n, rng.normal())}
+        values = np.column_stack([columns[kind]() for kind in kinds[:d]])
+        p_missing = 1.0 / (1.0 + np.exp(-alpha * rng.normal(size=(n, 1)) - 1.0))
+        observed = rng.random((n, d)) >= p_missing
+        observed[:, 0] = observed[0] = True  # no empty row or column
+        observed[1, d - 1] = False           # something to impute
+        cfg = ridge_config(weighted=weighted, n_sweeps=n_sweeps, ridge_lambda=1e-3)
+        result = impute(make_masked(values, observed), cfg)
+        assert len(result.per_sweep) == n_sweeps
+        for sweep in result.per_sweep:
+            for c in sweep.columns:
+                assert np.isfinite(c.train_weighted_mse)
+                assert np.isfinite(c.mean_abs_update)
+                assert np.isfinite(c.effective_sample_size)
+                if weighted:
+                    assert np.isfinite(c.propensity_gradient)
+                else:
+                    assert c.propensity_gradient is None
+
+
 class TestWorkspacePredictors:
     # long rows exercise numpy's summation past its 8,192-element buffer;
     # constant and tied columns the division-safe scale; a large offset the
@@ -521,8 +625,11 @@ class TestWorkspacePredictors:
         assert np.array_equal(x_train, z[obs])
         assert np.array_equal(x_miss, z[miss])
         if weighted:
-            assert np.array_equal(work.standardized,
-                                  reference_standardize(completed, np.arange(n)).T)
+            design = work.propensity_design()
+            assert np.array_equal(
+                design[:, :-1],
+                reference_standardize(completed[:, 1:], np.arange(n)))
+            assert np.all(design[:, -1] == 1.0)
 
 
 class TestSingleColumnSweeps:
@@ -559,9 +666,10 @@ class TestMlpImpute:
         # from what the earlier per-batch-gather training loop made of
         # mlp_masked.csv; the unweighted completion and both runs' per-sweep
         # diagnostics by a later loop that allocated its epoch arrays afresh
-        # and took train_weighted_mse from a separate forward pass. Columns 1
-        # and 3 have 26 and 28 observed rows, so every epoch ends on a
-        # partial batch.
+        # and took train_weighted_mse from a separate forward pass. The
+        # weighted files were rewritten when propensity fits after sweep 0
+        # became one warm Newton step. Columns 1 and 3 have 26 and 28
+        # observed rows, so every epoch ends on a partial batch.
         ds = load_masked_csv(DATA / "mlp_masked.csv")
         for tag, weighted, completion in (
                 ("weighted", True, "mlp_complete.csv"),

@@ -252,6 +252,40 @@ class TestCalibrationMatchesBisection:
             assert 2 * replayed <= len(calls), (replayed, len(calls))
 
 
+class TestCalibratedProbabilities:
+    """The mask's probabilities come from the calibration: its last rate
+    evaluation's when that met the tolerance at the returned intercept,
+    computed at the intercept only when the bisection ran out."""
+
+    @pytest.mark.parametrize("max_iter", [None, 3])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_probabilities_at_the_returned_intercept(self, monkeypatch, seed,
+                                                     max_iter):
+        if max_iter is not None:
+            monkeypatch.setattr(masking, "CALIBRATION_MAX_ITER", max_iter)
+        grid = ExperimentGrid()
+        data = make_benchmark_dataset()
+        layout = select_random_spec(data, grid.n_missing_cols, grid.n_predictors,
+                                    seed=seed)
+        for alpha in grid.alphas:
+            spec = MarSpec(layout.missing_cols, layout.predictor_sets, alpha,
+                           grid.missing_rate, seed)
+            scores = _column_scores(data, spec)
+            for k in range(scores.shape[1]):
+                p = np.full(scores.shape[0], np.nan)
+                beta = calibrate_intercept(scores[:, k], grid.missing_rate, out=p)
+                assert np.array_equal(p, sigmoid(scores[:, k] + beta))
+                # the return path taken: the tolerance met, or the cap hit
+                met = abs(np.mean(1.0 - p) - grid.missing_rate) <= CALIBRATION_TOL
+                assert met == (max_iter is None)
+            if max_iter is None:
+                _, mech = apply_mar_mask(data, spec)
+                expected = sigmoid(scores + np.array(mech.intercepts))
+                assert np.array_equal(mech.probabilities,
+                                      np.clip(expected, masking.PROB_FLOOR,
+                                              1.0 - masking.PROB_FLOOR))
+
+
 class TestColumnScores:
     """Standardizing only the predictors gives the full-table form's bits."""
 

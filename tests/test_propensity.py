@@ -277,6 +277,65 @@ class TestFittedProbabilities:
         assert not out.any()
 
 
+class TestCappedFit:
+    # the engine's warm steps: ``max_iter=1`` from a previous model is the
+    # reference loop's first Newton step, and the recorded gradient is that
+    # of the returned parameters, from the probabilities left in ``out``
+
+    @staticmethod
+    def _recorded_gradient(design, r, l2, model, out):
+        p = model.coefficients.shape[0]
+        beta = np.append(model.coefficients, model.intercept)
+        grad = design.T @ (out - r) / r.shape[0] + np.append(np.full(p, l2), 0.0) * beta
+        return np.max(np.abs(grad))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 80),
+        p=st.integers(1, 6),
+        l2=st.sampled_from([0.0, 1e-4, 0.05, 1.0]),
+        labels=st.sampled_from(["logistic", "near_separable"]),
+        start=st.sampled_from(["near", "far"]),
+        layout=st.sampled_from(["C", "F"]),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @example(n=60, p=3, l2=0.05, labels="near_separable", start="far",
+             layout="C", seed=1)   # backtracks
+    def test_one_step_is_the_capped_reference(self, n, p, l2, labels, start,
+                                              layout, seed):
+        assume(l2 > 0 or n > p + 1)
+        design, r, init = _propensity_case(n, p, l2, labels, start, layout, seed)
+        assume(0 < r.sum() < n)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracles, "MAX_ITER", 1)
+            try:
+                coef, intercept, converged, n_iter = reference_fit_propensity(
+                    design, r, l2, init)
+            except np.linalg.LinAlgError:
+                return
+        out = np.full(n, np.nan)
+        model = fit_propensity(design, r, l2, init=init, out=out, max_iter=1)
+        assert np.array_equal(model.coefficients, coef)
+        assert model.intercept == intercept
+        assert model.converged == converged
+        assert model.n_iter == n_iter == 1
+        eta = oracles._reference_sigmoid(design @ np.append(coef, intercept))
+        assert out.tobytes() == eta.tobytes()
+        assert model.gradient == self._recorded_gradient(design, r, l2, model, out)
+        # converged only when ``init`` passed the check; a step is not checked
+        assert not converged or model.gradient < propensity.GRADIENT_TOL
+
+    def test_converged_fit_records_its_last_check(self):
+        design, r, _ = _propensity_case(200, 3, 1e-4, "logistic", "cold", "F", 4)
+        out = np.empty(200)
+        model = fit_propensity(design, r, 1e-4, out=out)
+        assert model.converged and model.n_iter > 1
+        assert model.gradient == self._recorded_gradient(design, r, 1e-4, model, out)
+        assert model.gradient < propensity.GRADIENT_TOL
+        # a fit not made by fit_propensity records none
+        assert PropensityModel(model.coefficients, 0.0, False, 0).gradient is None
+
+
 class TestWeightsFromPropensity:
     def test_symmetric_propensity_gives_unit_weights(self):
         np.testing.assert_allclose(weights_from_propensity(np.full(10, 0.5)), 1.0)
@@ -392,8 +451,9 @@ class TestDiagnostics:
 
     def test_dump_unchanged_on_fixed_input(self):
         # the expected file was written with weights taken from the
-        # propensity fit's last pass; cold fits on the same completion,
-        # formatted here, must reproduce it byte for byte
+        # propensity fit's last pass and with each fit's recorded gradient;
+        # cold fits on the same completion, formatted here, must reproduce
+        # it byte for byte
         rng = np.random.default_rng(31)
         data = DataMatrix(rng.normal(size=(400, 5)), tuple(f"c{j}" for j in range(5)))
         spec = MarSpec((0, 3), ((1, 2), (2, 4)), alpha=2.0,
