@@ -245,13 +245,17 @@ def _run_cell_star(args):
 
 
 def run_benchmark(grid: ExperimentGrid, jobs: int = 1) -> BenchmarkResult:
-    """Run the whole grid; cell order and results are independent of ``jobs``."""
+    """Run the whole grid in at most ``jobs`` (>= 1) processes, one per cell
+    at most; cell order and results are independent of ``jobs``."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     cells = [(grid, seed, ai) for seed in grid.seeds
              for ai in range(len(grid.alphas))]
-    if jobs <= 1:
+    workers = min(jobs, len(cells))
+    if workers <= 1:
         outcomes = [_run_cell_star(c) for c in cells]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_cell_star, cells, chunksize=1))
     return BenchmarkResult(tuple(r for recs, _ in outcomes for r in recs),
                            tuple(f for _, fails in outcomes for f in fails), grid)

@@ -158,6 +158,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_benchmark(args) -> int:
+    if args.jobs < 1:
+        raise SystemExit(f"shiftimpute: --jobs must be at least 1, got {args.jobs}")
     grid = _load_config(ExperimentGrid, args.grid)
     _check_writable(args.out, args.summary)  # before the grid, not after it
     result = run_benchmark(grid, jobs=args.jobs)
@@ -224,7 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
                                   "in-repo synthetic grid)")
     p.add_argument("--out", required=True, help="results CSV")
     p.add_argument("--summary", help="summary JSON")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="parallel workers (at least 1; at most one per cell)")
     p.set_defaults(func=_cmd_benchmark)
     return parser
 

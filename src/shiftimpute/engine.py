@@ -9,11 +9,11 @@ path with unit weights), standardizes the predictor columns with statistics
 of the rows where the target column is observed, fits on those rows, and
 predicts the rest. Observed cells are never altered.
 
-A step gathers its training and prediction rows in one pass, observed rows
-first, and standardizes each predictor over the observed rows it just
-gathered, and a weighted step the same block over all rows into the
-propensity design, so no statistic of the completion is kept between steps.
-A run refills one set of step arrays allocated at its start. A column's
+A step gathers every other column at its rows, observed rows first, into
+one buffer: a weighted step standardizes it over all rows into the
+propensity design, then every step standardizes it in place over the
+observed rows, so no statistic of the completion is kept between steps. A
+run refills one set of step arrays allocated at its start. A column's
 first propensity fit runs the IRLS to convergence; each later step takes one
 Newton step from the column's model of the previous sweep, and refits to
 convergence only if that leaves a gradient above ``REFIT_GRADIENT``.
@@ -156,61 +156,68 @@ def _standardize(x: np.ndarray, n_stat: int, out: np.ndarray) -> None:
 class _Workspace:
     """Row sets and the column step's arrays, for one :func:`impute` call.
 
-    ``rows[i]`` lists target ``i``'s observed rows, then its missing rows;
-    ``obs_rows[i]`` and ``miss_rows[i]`` are its two parts. The regression
+    ``rows[i]`` lists target ``i``'s observed rows, then its missing rows
+    ``miss_rows[i]``; ``y_train[i]`` holds the target's values at its
+    observed rows and, in a weighted run, ``labels[i]`` its observedness in
+    ``rows[i]`` order (the observed rows' ones, then zeros). The regression
     predictors of target ``i`` are the columns ``others[i]``.
 
     The arrays are one allocation, refilled in place by every step and
-    column-major like the completion: the raw predictor block and one
-    predictor buffer that holds a target's rows in ``rows[i]`` order (one
-    contiguous row per predictor, standardized over its observed part; a fit
-    reads its observed-row and missing-row parts as transposed views). A
-    weighted run adds the propensity design: the block standardized over
-    every row, with a trailing column of ones.
+    column-major like the completion: one predictor buffer that holds a
+    target's rows in ``rows[i]`` order (one contiguous row per predictor,
+    standardized over its observed part; a fit reads its observed-row and
+    missing-row parts as transposed views), and, in a weighted run, the
+    propensity design: the gathered rows standardized over all of them, with
+    a trailing column of ones.
     """
 
     def __init__(self, completed: np.ndarray, observed: np.ndarray, targets,
                  weighted: bool):
         n, d = completed.shape
         self.others = {i: np.delete(np.arange(d), i) for i in targets}
-        self.rows, self.obs_rows, self.miss_rows = {}, {}, {}
+        self.rows, self.miss_rows, self.y_train, self.labels = {}, {}, {}, {}
         for i in targets:
             obs, miss = (np.flatnonzero(observed[:, i]),
                          np.flatnonzero(~observed[:, i]))
             self.rows[i] = rows = np.concatenate([obs, miss])
-            self.obs_rows[i] = rows[:obs.shape[0]]
             self.miss_rows[i] = rows[obs.shape[0]:]
+            # observed cells of the completion are the data's own values
+            self.y_train[i] = completed[obs, i]
+            if weighted:
+                self.labels[i] = np.arange(n) < obs.shape[0]
         # one allocation, not one per buffer: on the MLP path, separate
         # buffers measured slower than the per-step arrays they replace
-        work = np.empty((3 * d - 2 if weighted else 2 * d - 2, n))
-        self.block, self.gathered, design = np.split(work, [d - 1, 2 * d - 2])
+        work = np.empty((2 * d - 1 if weighted else d - 1, n))
+        self.gathered, design = np.split(work, [d - 1])
         design[-1:] = 1.0  # the intercept column; no rows when unweighted
         self.design = design.T if weighted else None
 
-    def fill_block(self, completed: np.ndarray, i: int) -> None:
-        """The completed values of every column but ``i``, into the block."""
-        # any mode but the default "raise" writes straight into ``out``
-        np.take(completed.T, self.others[i], axis=0, out=self.block,
-                mode="clip")
+    def gather(self, completed: np.ndarray, i: int) -> None:
+        """Every column but ``i`` of the completion, at ``rows[i]``, into the
+        predictor buffer: one contiguous row per predictor."""
+        rows = self.rows[i]
+        for j, row in zip(self.others[i], self.gathered):
+            # any mode but the default "raise" writes straight into ``out``
+            np.take(completed[:, j], rows, out=row, mode="clip")
 
     def propensity_design(self) -> np.ndarray:
-        """The filled block standardized over all rows, with the ones column."""
-        _standardize(self.block, self.block.shape[1], self.design[:, :-1].T)
+        """The gathered rows standardized over all of them, with the ones
+        column; call before :meth:`predictors` standardizes the buffer."""
+        _standardize(self.gathered, self.gathered.shape[1],
+                     self.design[:, :-1].T)
         return self.design
 
     def predictors(self, i: int):
-        """The filled block's observed rows and missing rows, standardized
-        over target ``i``'s observed rows: two parts of one gather, as
+        """The gathered observed rows and missing rows, standardized in place
+        over target ``i``'s observed rows: two parts of one buffer, as
         transposed views."""
-        x = np.take(self.block, self.rows[i], axis=1, out=self.gathered,
-                    mode="clip")
-        n_obs = self.obs_rows[i].shape[0]
+        x = self.gathered
+        n_obs = self.y_train[i].shape[0]
         _standardize(x, n_obs, x)
         return x[:, :n_obs].T, x[:, n_obs:].T
 
 
-def _column_step(values, observed, completed, i, cfg, sweep, workspace,
-                 init=None):
+def _column_step(completed, i, cfg, sweep, workspace, init=None):
     """One Algorithm-2 column update; mutates ``completed`` and ``workspace``.
 
     ``init`` is the column's propensity model from the previous sweep, if
@@ -218,11 +225,11 @@ def _column_step(values, observed, completed, i, cfg, sweep, workspace,
     the weights it fit with (None when unweighted), which carry this sweep's
     propensity model.
     """
-    obs_rows, miss_rows = workspace.obs_rows[i], workspace.miss_rows[i]
-    workspace.fill_block(completed, i)
+    miss_rows, y_train = workspace.miss_rows[i], workspace.y_train[i]
+    workspace.gather(completed, i)
     wv = propensity = None
     if cfg.weighted:
-        args = workspace.propensity_design(), observed[:, i]
+        args = workspace.propensity_design(), workspace.labels[i]
         options = dict(l2=cfg.propensity_l2, clip_epsilon=cfg.clip_epsilon)
         wv = weights_for_column(*args, **options, init=init,
                                 max_iter=None if init is None else 1)
@@ -230,9 +237,8 @@ def _column_step(values, observed, completed, i, cfg, sweep, workspace,
             wv = weights_for_column(*args, **options, init=wv.propensity)
         weights, propensity = wv.weights, wv.propensity
     else:
-        weights = np.ones(obs_rows.shape[0])
+        weights = np.ones(y_train.shape[0])
     x_train, x_miss = workspace.predictors(i)
-    y_train = values[obs_rows, i]
     # ridge takes no seed, so none is derived for it
     seed = None if cfg.regressor.kind == "ridge" else _step_seed(cfg, sweep, i)
     model = fit_regressor(cfg.regressor, x_train, y_train, weights, seed)
@@ -266,8 +272,7 @@ def impute(ds: MaskedDataset, cfg: ImputationConfig) -> ImputationResult:
         return ImputationResult(ds.data.values.copy(), (), cfg)
     order = visitation_order(ds, cfg.visitation)
     completed = initial_impute(ds)
-    values, observed = ds.data.values, ds.mask.observed
-    workspace = _Workspace(completed, observed, order, cfg.weighted)
+    workspace = _Workspace(completed, ds.mask.observed, order, cfg.weighted)
     # each column's weights from the previous sweep, whose propensity model
     # warm-starts the next fit; local to this call so results never depend
     # on what ran before
@@ -278,8 +283,8 @@ def impute(ds: MaskedDataset, cfg: ImputationConfig) -> ImputationResult:
         for i in order:
             init = weights[i].propensity if i in weights else None
             try:
-                diag, wv = _column_step(values, observed, completed, i, cfg,
-                                        sweep, workspace, init)
+                diag, wv = _column_step(completed, i, cfg, sweep, workspace,
+                                        init)
             except Exception as exc:
                 raise RuntimeError(
                     f"column {i} failed at sweep {sweep}: {exc}"

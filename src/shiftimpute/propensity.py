@@ -140,7 +140,8 @@ def fit_propensity(design: np.ndarray, r: np.ndarray, l2: float = DEFAULT_L2,
         if gradient < GRADIENT_TOL:
             converged = True
             break
-        s = eta * (1.0 - eta)
+        s = 1.0 - eta
+        s *= eta
         np.maximum(s, 1e-12, out=s)
         gram, scaled_t = weighted_gram(design, s, scaled_t)
         hess = gram / n + hess_penalty
@@ -179,8 +180,10 @@ def weights_from_propensity(eta: np.ndarray,
     if not 0.0 < clip_epsilon < 0.5:
         raise ValueError("clip_epsilon must be in (0, 0.5)")
     eta = np.clip(eta, clip_epsilon, 1.0 - clip_epsilon)
-    w = (1.0 - eta) / eta
-    return w / w.mean()
+    w = 1.0 - eta
+    w /= eta
+    w /= w.mean()
+    return w
 
 
 def weights_for_column(design: np.ndarray, obs_col: np.ndarray,
@@ -196,13 +199,17 @@ def weights_for_column(design: np.ndarray, obs_col: np.ndarray,
     is trained on all rows; weights are evaluated at the observed rows only.
     ``init`` warm-starts the fit and ``max_iter`` caps its iterations. The
     propensities are those the fit leaves in its ``out`` vector, so no row of
-    the design is gathered again. The returned weights carry the fitted model.
+    the design is gathered again; when the observed rows come first, as the
+    engine orders them, they are a slice of it. The returned weights carry
+    the fitted model.
     """
     obs_col = np.asarray(obs_col, dtype=bool)
     eta = np.empty(obs_col.shape[0])
     model = fit_propensity(design, obs_col.astype(float), l2, init=init,
                            out=eta, max_iter=max_iter)
-    return WeightVector(weights_from_propensity(eta[obs_col], clip_epsilon), model)
+    n_obs = np.count_nonzero(obs_col)
+    observed = eta[:n_obs] if obs_col[:n_obs].all() else eta[obs_col]
+    return WeightVector(weights_from_propensity(observed, clip_epsilon), model)
 
 
 def effective_sample_size(weights: np.ndarray) -> float:

@@ -42,6 +42,7 @@ __all__ = [
 
 SPLIT_GAIN_FLOOR = 1e-12
 DIVERGENCE_LIMIT = 1e10
+LOSS_BLOCK = 256  # rows per forward pass of the MLP's epoch loss
 
 
 # ---------------------------------------------------------------------------
@@ -184,8 +185,10 @@ def fit_weighted_ridge(x: np.ndarray, y: np.ndarray, w: np.ndarray,
     Weights are normalized to mean 1 before solving, so rescaling all weights
     by a positive constant leaves the solution unchanged. Solves
     (X'WX + lambda*D) beta = X'Wy (D penalizes everything but the intercept)
-    by Cholesky with one step of iterative refinement, in blocks formed from
-    ``x`` itself: ``[[x'Wx + lambda*I, x'w], [w'x, sum w]]``, ``[x'Wy, sum wy]``.
+    in blocks formed from ``x`` itself: ``[[x'Wx + lambda*I, x'w], [w'x,
+    sum w]]``, ``[x'Wy, sum wy]``. The Cholesky factor L is inverted once, and
+    the solve and its one pass of iterative refinement each apply
+    ``inv(L)' (inv(L) b)``.
     """
     x, y, w = _check_xyw(x, y, w)
     require_finite("ridge_lambda", ridge_lambda, positive=False)
@@ -206,8 +209,10 @@ def fit_weighted_ridge(x: np.ndarray, y: np.ndarray, w: np.ndarray,
             "singular weighted normal equations; use ridge_lambda > 0"
         ) from None
 
+    inv = np.linalg.inv(chol)
+
     def solve(b):
-        return np.linalg.solve(chol.T, np.linalg.solve(chol, b))
+        return inv.T @ (inv @ b)
 
     beta = solve(rhs)
     beta = beta + solve(rhs - lhs @ beta)  # one refinement pass
@@ -375,12 +380,14 @@ def fit_weighted_mlp(x: np.ndarray, y: np.ndarray, w: np.ndarray,
     Zero-weight rows are dropped before batching, so the fit is identical to
     one on the surviving rows alone. Each epoch gathers the rows in a fresh
     random order once and steps on consecutive slices of it; the epoch loss
-    is one forward pass over all rows. Aborts if it exceeds 1e10.
+    is a forward pass over all rows, ``LOSS_BLOCK`` rows at a time. Aborts
+    if it exceeds 1e10.
 
-    The gathered rows and the epoch loss's hidden activations live in
-    buffers allocated once per fit. With every weight positive the rows are
-    read where they are, not copied; the last entry of ``loss_trace`` is
-    then exactly ``weighted_mse`` of the model on ``x, y, w``.
+    The gathered rows, one block's hidden activations and the epoch loss's
+    predictions live in buffers allocated once per fit. With every weight
+    positive the rows are read where they are, not copied; the last entry of
+    ``loss_trace`` is then exactly ``weighted_mse`` of the model on
+    ``x, y, w``.
     """
     x, y, w = _check_xyw(x, y, w)
     keep = w > 0
@@ -396,7 +403,9 @@ def fit_weighted_mlp(x: np.ndarray, y: np.ndarray, w: np.ndarray,
     b_out = 0.0
     lr, size = spec.learning_rate, spec.batch_size
     xp, yp, wp = np.empty((n, p)), np.empty(n), np.empty(n)
-    loss_hidden = np.empty((n, h))
+    # no n x h array: one that large can fall above glibc's mmap threshold,
+    # and each fit then faults its pages in afresh
+    loss_hidden, loss_pred = np.empty((min(n, LOSS_BLOCK), h)), np.empty(n)
     trace = []
     for _ in range(spec.epochs):
         perm = rng.permutation(n)
@@ -414,9 +423,12 @@ def fit_weighted_mlp(x: np.ndarray, y: np.ndarray, w: np.ndarray,
             b_hidden -= lr * g_bhidden
             w_out -= lr * g_wout
             b_out -= lr * g_bout
-        _, pred = _mlp_forward((w_hidden, b_hidden, w_out, b_out), x,
-                               out=loss_hidden)
-        loss = _weighted_mean_square(pred - y, w)
+        params = (w_hidden, b_hidden, w_out, b_out)
+        for start in range(0, n, LOSS_BLOCK):
+            xb = x[start:start + LOSS_BLOCK]
+            loss_pred[start:start + LOSS_BLOCK] = _mlp_forward(
+                params, xb, out=loss_hidden[:xb.shape[0]])[1]
+        loss = _weighted_mean_square(loss_pred - y, w)
         if not np.isfinite(loss) or loss > DIVERGENCE_LIMIT:
             raise RuntimeError(
                 f"MLP diverged at epoch {len(trace) + 1}: loss={loss!r} "

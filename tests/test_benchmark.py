@@ -102,6 +102,42 @@ class TestRunBenchmark:
                [(r.seed, r.alpha, r.model, r.weighted, r.rmse, r.wasserstein)
                 for r in par.records]
 
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_rejected(self, jobs):
+        with pytest.raises(ValueError, match=f"jobs must be at least 1, got {jobs}"):
+            run_benchmark(small_grid(), jobs=jobs)
+
+    @pytest.mark.parametrize("jobs, workers", [(64, 2), (2, 2), (1, None)])
+    def test_pool_starts_no_more_workers_than_cells(self, monkeypatch, jobs,
+                                                    workers):
+        # a stand-in pool that records its size and maps serially, so no
+        # process starts whatever jobs asks for
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable, chunksize=1):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", RecordingPool)
+        grid = small_grid(seeds=(0,))  # 2 cells
+        serial = run_benchmark(grid)
+        assert started == []
+        result = run_benchmark(grid, jobs=jobs)
+        assert started == ([] if workers is None else [workers])
+        assert ([(r.seed, r.alpha, r.weighted, r.rmse, r.wasserstein)
+                 for r in result.records]
+                == [(r.seed, r.alpha, r.weighted, r.rmse, r.wasserstein)
+                    for r in serial.records])
+
     def test_failures_recorded_not_raised(self, monkeypatch):
         def boom(*args, **kwargs):
             raise RuntimeError("synthetic failure")

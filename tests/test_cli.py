@@ -390,6 +390,16 @@ def test_negative_seed_names_the_option(tmp_path, monkeypatch, truth_csv, masked
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_names_the_option(tmp_path, jobs):
+    # no cell runs, and no results file is left behind
+    out = tmp_path / "results.csv"
+    with pytest.raises(SystemExit) as info:
+        main(["benchmark", "--out", str(out), "--jobs", jobs])
+    assert str(info.value) == f"shiftimpute: --jobs must be at least 1, got {jobs}"
+    assert not out.exists()
+
+
 def test_degenerate_mask_is_a_one_line_error(tmp_path):
     # at rate 0.98 both draws leave 3 rows fully missing in the planted column
     table = tmp_path / "tiny.csv"

@@ -352,7 +352,7 @@ class TestColumnStepState:
 
         def recording_step(*args):
             diag, wv = original(*args)
-            fitted[args[3]] = wv
+            fitted[args[1]] = wv
             return diag, wv
 
         monkeypatch.setattr(engine_mod, "_column_step", recording_step)
@@ -369,7 +369,9 @@ class TestColumnStepState:
         # every fit and predict gets, bit for bit, the other columns of the
         # completion before its step, each standardized over the target's
         # observed rows; a weighted step's propensity design is the same
-        # columns standardized over all rows, and an unweighted run has none
+        # columns taken in the step's row order (observed rows first) and
+        # standardized over all of them, its labels are the observedness in
+        # that order, and an unweighted run has none
         original_step = engine_mod._column_step
         original_fit, original_predict, original_weights = (
             engine_mod.fit_regressor, engine_mod.predict,
@@ -378,25 +380,29 @@ class TestColumnStepState:
         steps, fits, designs = [], [], []
 
         def checked_step(*args):
-            observed, completed, i, cfg, workspace = (args[1], args[2], args[3],
-                                                      args[4], args[6])
+            completed, i, cfg, workspace = args[0], args[1], args[2], args[4]
+            observed = expected["observed"]
             obs, miss = (np.flatnonzero(observed[:, i]),
                          np.flatnonzero(~observed[:, i]))
+            rows = np.concatenate([obs, miss])
+            assert np.array_equal(workspace.rows[i], rows)
             others = np.delete(completed, i, axis=1)
             z = reference_standardize(others, obs)
             expected["train"], expected["miss"] = z[obs], z[miss]
             expected["design"] = reference_standardize(
-                others, np.arange(completed.shape[0]))
+                others[rows], np.arange(completed.shape[0]))
+            expected["labels"] = observed[rows, i]
             out = original_step(*args)
             assert (workspace.design is None) == (not cfg.weighted)
             steps.append(i)
             return out
 
-        def checked_weights(design, *args, **kwargs):
+        def checked_weights(design, labels, *args, **kwargs):
             assert np.array_equal(design[:, :-1], expected["design"])
             assert np.all(design[:, -1] == 1.0)
+            assert np.array_equal(labels, expected["labels"])
             designs.append(1)
-            return original_weights(design, *args, **kwargs)
+            return original_weights(design, labels, *args, **kwargs)
 
         def checked_fit(spec, x_train, *args):
             assert np.array_equal(x_train, expected["train"])
@@ -413,6 +419,7 @@ class TestColumnStepState:
         monkeypatch.setattr(engine_mod, "weights_for_column", checked_weights)
         for weighted in (True, False):
             ds, cfg = paper_cell(weighted=weighted)
+            expected["observed"] = ds.mask.observed
             steps.clear()
             fits.clear()
             designs.clear()
@@ -463,11 +470,13 @@ class TestRidgeGolden:
     # ridge_masked.csv is make_benchmark_dataset(200, 6, seed=7) under
     # MarSpec((1, 5), ((0, 2), (2, 3)), alpha=3.0, target_missing_rate=0.3,
     # seed=8). The completions and per-sweep diagnostics were written by the
-    # engine with column-major buffers and block-form ridge normal equations,
-    # the weighted ones with weights from the propensity fit's last pass and
-    # one warm Newton step per propensity fit after sweep 0; BLAS rounding
-    # depends on memory order and on how a system is formed, so a change to
-    # either shows here.
+    # engine with column-major buffers and block-form ridge normal equations
+    # solved through the inverse of their Cholesky factor, the weighted ones
+    # with weights from the propensity fit's last pass, one warm Newton step
+    # per propensity fit after sweep 0 and a propensity design whose rows
+    # come in the step's order, observed rows first; BLAS rounding depends on
+    # memory order and on how a system is formed, so a change to either
+    # shows here.
 
     @pytest.mark.parametrize("tag, weighted", [("weighted", True),
                                                ("unweighted", False)])
@@ -619,17 +628,21 @@ class TestWorkspacePredictors:
         observed[rng.permutation(n)[:n_obs], 0] = True
         obs, miss = np.flatnonzero(observed[:, 0]), np.flatnonzero(~observed[:, 0])
         work = engine_mod._Workspace(completed, observed, [0], weighted)
-        work.fill_block(completed, 0)
+        rows = np.concatenate([obs, miss])
+        assert np.array_equal(work.rows[0], rows)
+        work.gather(completed, 0)
+        if weighted:
+            # the design is read before the buffer is standardized in place
+            design = work.propensity_design()
+            assert np.array_equal(
+                design[:, :-1],
+                reference_standardize(completed[rows, 1:], np.arange(n)))
+            assert np.all(design[:, -1] == 1.0)
+            assert np.array_equal(work.labels[0], observed[rows, 0])
         x_train, x_miss = work.predictors(0)
         z = reference_standardize(completed[:, 1:], obs)
         assert np.array_equal(x_train, z[obs])
         assert np.array_equal(x_miss, z[miss])
-        if weighted:
-            design = work.propensity_design()
-            assert np.array_equal(
-                design[:, :-1],
-                reference_standardize(completed[:, 1:], np.arange(n)))
-            assert np.all(design[:, -1] == 1.0)
 
 
 class TestSingleColumnSweeps:
@@ -668,8 +681,10 @@ class TestMlpImpute:
         # diagnostics by a later loop that allocated its epoch arrays afresh
         # and took train_weighted_mse from a separate forward pass. The
         # weighted files were rewritten when propensity fits after sweep 0
-        # became one warm Newton step. Columns 1 and 3 have 26 and 28
-        # observed rows, so every epoch ends on a partial batch.
+        # became one warm Newton step, and again when the propensity design
+        # took the step's row order, observed rows first; the unweighted
+        # files stayed byte-identical through both. Columns 1 and 3 have 26
+        # and 28 observed rows, so every epoch ends on a partial batch.
         ds = load_masked_csv(DATA / "mlp_masked.csv")
         for tag, weighted, completion in (
                 ("weighted", True, "mlp_complete.csv"),
@@ -689,8 +704,9 @@ class TestMlpImpute:
 
     def test_divergence_names_column_sweep_and_epoch(self):
         # the message, loss included, was recorded with weights taken from
-        # the propensity fit's last pass; the epoch and loss depend on every
-        # update, so the last bits of the weights show in the loss
+        # the propensity fit's last pass on a design whose rows come in the
+        # step's order, observed rows first; the epoch and loss depend on
+        # every update, so the last bits of the weights show in the loss
         rng = np.random.default_rng(21)
         x1 = rng.normal(size=60)
         data = DataMatrix(np.column_stack([x1, 2.0 * x1]), ("x1", "x2"))
@@ -704,7 +720,7 @@ class TestMlpImpute:
             impute(ds, cfg)
         assert str(info.value) == (
             "column 1 failed at sweep 0: MLP diverged at epoch 6: "
-            "loss=7789557133240.604 (learning_rate=0.4)")
+            "loss=7789557134231.502 (learning_rate=0.4)")
 
 
 class TestConfig:

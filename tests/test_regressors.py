@@ -12,6 +12,7 @@ from oracles import ridge_normal_equation_residual
 from shiftimpute.masking import MarSpec, apply_mar_mask
 from shiftimpute.data import DataMatrix
 from shiftimpute.regressors import (
+    LOSS_BLOCK,
     ForestSpec,
     MlpSpec,
     RegressorSpec,
@@ -465,6 +466,41 @@ class TestMlpMatchesReferenceLoop:
             assert np.array_equal(got, want)
         hidden = np.tanh(x @ params[0] + params[1])
         assert np.array_equal(predict(model, x), hidden @ params[2] + params[3])
+
+
+class TestMlpEpochLossBlocks:
+    # the epoch loss runs its forward pass LOSS_BLOCK rows at a time; at the
+    # engine's size (3,500 rows of 9 predictors, 32 hidden units) the last of
+    # its 14 blocks holds 172 rows
+    N, P, H = 3500, 9, 32
+
+    def _data(self):
+        rng = np.random.default_rng(31)
+        x = rng.normal(size=(self.N, self.P))
+        y = np.tanh(x[:, 0]) + x[:, 1] + 0.1 * rng.normal(size=self.N)
+        return x, y, rng.uniform(0.2, 3.0, self.N)
+
+    def test_fit_is_bit_identical_past_one_block(self):
+        assert self.N % LOSS_BLOCK
+        x, y, w = self._data()
+        spec = MlpSpec(hidden_units=self.H, epochs=2)
+        params, trace = _reference_fit_mlp(x, y, w, spec, 4)
+        model = fit_weighted_mlp(x, y, w, spec, 4)
+        for got, want in zip(model.params, params):
+            assert np.array_equal(got, want)
+        assert model.loss_trace == trace
+
+    def test_fit_holds_no_rows_by_hidden_units_array(self):
+        x, y, w = self._data()
+        spec = MlpSpec(hidden_units=self.H, epochs=2)
+        fit_weighted_mlp(x, y, w, spec, 4)
+        tracemalloc.start()
+        try:
+            fit_weighted_mlp(x, y, w, spec, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < self.N * self.H * 8
 
 
 class TestMlpFitReadsItsRowsInPlace:
