@@ -11,7 +11,6 @@ the cell coordinates, which makes results independent of worker count.
 from __future__ import annotations
 
 import math
-import operator
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -19,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .data import DataMatrix, JsonRecord, load_csv, require_seed
+from .data import DataMatrix, JsonRecord, derive_seed, load_csv, require_seed
 from .engine import ImputationConfig, impute
 from .masking import (MISSING_RATE_RANGE, apply_mar_mask, check_layout,
                       select_random_spec)
@@ -86,7 +85,7 @@ class DatasetSource(JsonRecord):
     has_header: bool = True
 
     def __post_init__(self):
-        self._check_scalars()
+        self._coerce_fields()
         require_seed("seed", self.seed)
         if self.kind not in ("synthetic", "csv"):
             raise ValueError(f"unknown dataset kind {self.kind!r}")
@@ -112,7 +111,7 @@ class ExperimentGrid(JsonRecord):
     """The full experimental design for one benchmark run."""
 
     dataset: DatasetSource = field(default_factory=DatasetSource)
-    seeds: tuple[int, ...] = tuple(range(35))
+    seeds: int | tuple[int, ...] = tuple(range(35))  # n: seeds 0..n-1
     alphas: tuple[float, ...] = (-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0)
     missing_rate: float = 0.30
     n_missing_cols: int = 4
@@ -128,15 +127,11 @@ class ExperimentGrid(JsonRecord):
     mlp: MlpSpec = field(default_factory=MlpSpec)
 
     def __post_init__(self):
-        self._check_scalars()
-        seeds = self.seeds
-        if isinstance(seeds, int) and not isinstance(seeds, bool):
-            seeds = range(seeds)  # "seeds": n is shorthand for seeds 0..n-1
-        object.__setattr__(self, "seeds", tuple(map(operator.index, seeds)))
+        self._coerce_fields()
+        if isinstance(self.seeds, int):
+            object.__setattr__(self, "seeds", tuple(range(self.seeds)))
         for seed in self.seeds:
             require_seed("seeds", seed)
-        object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
-        object.__setattr__(self, "models", tuple(self.models))
         for name in ("seeds", "alphas", "models"):
             values = getattr(self, name)
             if not values:
@@ -204,8 +199,7 @@ def _mask_seed(seed: int, alpha: float) -> int:
     # keyed on the alpha value itself so a restricted grid reproduces the
     # matching cells of the full grid exactly
     alpha_bits = int(np.float64(alpha).view(np.uint64))
-    state = np.random.SeedSequence([seed, alpha_bits, 0xB1A5]).generate_state(2)
-    return int(state[0]) ^ (int(state[1]) << 32)
+    return derive_seed(seed, alpha_bits, 0xB1A5)
 
 
 def _run_cell(grid: ExperimentGrid, seed: int, alpha_index: int):
@@ -283,41 +277,42 @@ def _pairs(records):
             yield pair[True], pair[False]
 
 
-def summarize_alpha_profile(records) -> list[dict]:
-    """Per-alpha mean weighted/unweighted RMSE ratio table, ordered by alpha."""
+def _ratio_mean(pairs, metric: str):
+    """Mean weighted/unweighted ratio of ``metric`` over the pairs whose
+    unweighted value is positive, or None when there are none."""
+    ratios = [getattr(w, metric) / getattr(u, metric) for w, u in pairs
+              if getattr(u, metric) > 0]
+    return float(np.mean(ratios)) if ratios else None
+
+
+def summarize_alpha_profile(records, pairs=None) -> list[dict]:
+    """Per-alpha mean weighted/unweighted RMSE ratio table, ordered by alpha;
+    ``pairs`` is ``_pairs(records)`` when the caller has it."""
     alphas = sorted({r.alpha for r in records})
     if len(alphas) < 2:
         raise ValueError("alpha profile needs records for at least 2 alphas")
-    table = []
-    for alpha in alphas:
-        ratios = [w.rmse / u.rmse for w, u in _pairs(records)
-                  if w.alpha == alpha and u.rmse > 0]
-        w_ratios = [w.wasserstein / u.wasserstein for w, u in _pairs(records)
-                    if w.alpha == alpha and u.wasserstein > 0]
-        table.append({
-            "alpha": alpha,
-            "rmse_ratio_mean": float(np.mean(ratios)) if ratios else None,
-            "wasserstein_ratio_mean": float(np.mean(w_ratios)) if w_ratios else None,
-            "n_pairs": len(ratios),
-        })
-    return table
+    by_alpha = {alpha: [] for alpha in alphas}
+    for w, u in _pairs(records) if pairs is None else pairs:
+        by_alpha[w.alpha].append((w, u))
+    return [{"alpha": alpha,
+             "rmse_ratio_mean": _ratio_mean(group, "rmse"),
+             "wasserstein_ratio_mean": _ratio_mean(group, "wasserstein"),
+             "n_pairs": sum(u.rmse > 0 for _, u in group)}
+            for alpha, group in by_alpha.items()]
 
 
 def _model_summary(records):
     weighted = [r for r in records if r.weighted]
     unweighted = [r for r in records if not r.weighted]
     pairs = list(_pairs(records))
-    rmse_ratios = [w.rmse / u.rmse for w, u in pairs if u.rmse > 0]
-    w_ratios = [w.wasserstein / u.wasserstein for w, u in pairs
-                if u.wasserstein > 0]
     summary = {
         "n_pairs": len(pairs),
         "mean_rmse_weighted": float(np.mean([r.rmse for r in weighted])) if weighted else None,
         "mean_rmse_unweighted": float(np.mean([r.rmse for r in unweighted])) if unweighted else None,
         "mean_wasserstein_weighted": float(np.mean([r.wasserstein for r in weighted])) if weighted else None,
         "mean_wasserstein_unweighted": float(np.mean([r.wasserstein for r in unweighted])) if unweighted else None,
-        "rmse_ratio_mean": float(np.mean(rmse_ratios)) if rmse_ratios else None,
-        "wasserstein_ratio_mean": float(np.mean(w_ratios)) if w_ratios else None,
+        "rmse_ratio_mean": _ratio_mean(pairs, "rmse"),
+        "wasserstein_ratio_mean": _ratio_mean(pairs, "wasserstein"),
         "wilcoxon_rmse": None,
     }
     if len(pairs) >= 10:
@@ -330,7 +325,7 @@ def _model_summary(records):
         except ValueError:
             pass
     try:
-        summary["alpha_profile"] = summarize_alpha_profile(records)
+        summary["alpha_profile"] = summarize_alpha_profile(records, pairs)
     except ValueError:
         summary["alpha_profile"] = None
     return summary

@@ -4,6 +4,11 @@ and the JSON form of config and record dataclasses.
 A mask is always a separate boolean matrix (True = observed); missing cells are
 never encoded as sentinel values. CSV dialect: comma-separated, '.' decimal,
 optional header row, empty field = missing, UTF-8.
+
+Every config and record field is checked against its annotation by one
+function, ``_coerce``, whether the record is read from JSON or built in
+Python: a value of the wrong type is a ``TypeError`` such as
+``MarSpec.predictor_sets[1][1] must be a JSON integer, got 4.5``.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
-import operator
+import types
 import typing
 from dataclasses import asdict, dataclass, field, fields
 from itertools import chain
@@ -30,89 +35,81 @@ __all__ = [
 ]
 
 
-_JSON_SCALARS = {bool: ((bool,), "boolean"), int: ((int,), "integer"),
-                 float: ((int, float), "number"), str: ((str,), "string")}
-
-
 class JsonRecord:
     """Base of the dataclasses that are written and read as JSON objects.
 
     ``to_dict`` lists the fields in declaration order, nested records as
-    nested dicts. ``from_dict`` is its inverse and the one place JSON input
-    is checked: an unknown key, a non-object where a record belongs, and a
-    boolean, integer, float or string field or tuple element given any other
-    JSON type are errors. Lists become tuples; omitted keys keep their
-    defaults.
+    nested dicts. ``from_dict`` is its inverse: a non-object or an unknown
+    key is a ``ValueError``, and each value goes through ``_coerce``, which
+    config records also run on every field when built. Omitted keys keep
+    their defaults.
     """
 
     def to_dict(self) -> dict:
         return asdict(self)
 
-    def _check_scalars(self) -> None:
-        """Hold the ``int`` and ``bool`` fields to their types, for records a
-        Python caller builds (``from_dict`` has checked JSON input already):
-        an ``int`` field goes through ``operator.index``, so ``2.5`` is
-        rejected rather than truncated, and a ``bool`` field takes only a
-        bool. Neither takes the other's values. Config records call it first
+    def _coerce_fields(self) -> None:
+        """Each field as ``_coerce`` gives it; config records call this first
         in ``__post_init__``."""
-        for name, hint in _scalar_fields(type(self)):
-            value = getattr(self, name)
-            try:
-                if isinstance(value, (bool, np.bool_)) != (hint is bool):
-                    raise TypeError
-                value = bool(value) if hint is bool else operator.index(value)
-            except TypeError:
-                kind = "a bool" if hint is bool else "an integer"
-                raise TypeError(f"{name} must be {kind}, got {value!r}") from None
-            object.__setattr__(self, name, value)
+        for name, label, hint in _fields(type(self)):
+            object.__setattr__(self, name, _coerce(label, hint, getattr(self, name)))
 
     @classmethod
     def from_dict(cls, d: dict):
         if not isinstance(d, dict):
             raise ValueError(f"{cls.__name__} must be a JSON object, got {d!r}")
-        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        checks = _fields(cls)
+        unknown = sorted(set(d) - {name for name, _, _ in checks})
         if unknown:
             raise ValueError(f"unknown {cls.__name__} keys: {', '.join(unknown)}")
-        hints = typing.get_type_hints(cls)
-        return cls(**{name: _from_json(f"{cls.__name__}.{name}", hints[name], value)
-                      for name, value in d.items()})
+        return cls(**{name: _coerce(label, hint, d[name])
+                      for name, label, hint in checks if name in d})
 
 
 @functools.cache
-def _scalar_fields(cls) -> tuple[tuple[str, type], ...]:
-    """(name, annotation) of each field of ``cls`` annotated ``int`` or ``bool``."""
+def _fields(cls) -> tuple[tuple[str, str, object], ...]:
+    """(name, ``Record.name`` label, annotation) of each field of ``cls``."""
     hints = typing.get_type_hints(cls)
-    return tuple((f.name, hints[f.name]) for f in fields(cls)
-                 if hints[f.name] in (int, bool))
+    return tuple((f.name, f"{cls.__name__}.{f.name}", hints[f.name])
+                 for f in fields(cls))
 
 
-def _from_json(label: str, hint, value):
-    """A field's JSON value as its annotation ``hint`` expects it."""
-    if isinstance(hint, type) and issubclass(hint, JsonRecord):
-        if not isinstance(value, dict):
-            raise ValueError(f"{label} must be a JSON object, got {value!r}")
-        return hint.from_dict(value)
-    if hint in _JSON_SCALARS:
-        types, name = _JSON_SCALARS[hint]
-        # bool subclasses int: true is no integer here, and 1 no boolean
-        if isinstance(value, bool) != (hint is bool) or not isinstance(value, types):
-            raise ValueError(f"{label} must be a JSON {name}, got {value!r}")
-        return hint(value)
-    if isinstance(value, list):
-        item = _tuple_item(hint)
-        if item is None:
-            raise ValueError(f"{label} must not be a JSON array, got {value!r}")
-        return tuple(_from_json(f"{label}[{k}]", item, v)
-                     for k, v in enumerate(value))
-    return value
+@functools.cache
+def _arms(hint) -> tuple[tuple[type, object], ...]:
+    """(type, element annotation or None) of each alternative of a union
+    annotation, or of ``hint`` alone; ``tuple[X, ...]`` gives (tuple, X)."""
+    arms = typing.get_args(hint) if isinstance(hint, types.UnionType) else (hint,)
+    return tuple((typing.get_origin(a) or a, (typing.get_args(a) or (None,))[0])
+                 for a in arms)
 
 
-def _tuple_item(hint):
-    """The element annotation of the ``tuple[X, ...]`` in ``hint``, if any."""
-    for h in (hint, *typing.get_args(hint)):
-        if typing.get_origin(h) is tuple:
-            return typing.get_args(h)[0]
-    return None
+# each JSON type's name and the Python values it takes: numpy scalars of the
+# right kind pass, and a bool is never a number nor a number a bool
+_JSON = {bool: ("boolean", (bool, np.bool_)), int: ("integer", (int, np.integer)),
+         float: ("number", (int, float, np.integer, np.floating)),
+         str: ("string", (str,)), type(None): ("null", (type(None),)),
+         tuple: ("array", (list, tuple, range))}
+
+
+def _coerce(label: str, hint, value):
+    """``value`` as a field annotated ``hint`` holds it, else a ``TypeError``
+    naming ``label``. Tuple elements are checked under ``label[k]``, a record
+    takes a record of its class or a dict of its keys, and a float takes an
+    integer, as JSON numbers do."""
+    is_bool = isinstance(value, (bool, np.bool_))
+    for kind, item in _arms(hint):
+        if kind not in _JSON:  # a record class
+            if isinstance(value, kind):
+                return value
+            if isinstance(value, dict):
+                return kind.from_dict(value)
+        elif isinstance(value, _JSON[kind][1]) and is_bool == (kind is bool):
+            if kind is tuple:
+                return tuple(_coerce(f"{label}[{k}]", item, v)
+                             for k, v in enumerate(value))
+            return None if value is None else kind(value)
+    names = (_JSON[kind][0] if kind in _JSON else "object" for kind, _ in _arms(hint))
+    raise TypeError(f"{label} must be a JSON {' or '.join(names)}, got {value!r}")
 
 
 def require_finite(name: str, value: float, *, positive: bool) -> None:
@@ -129,6 +126,14 @@ def require_seed(name: str, value: int) -> None:
     than deep in a run: numpy's generators take no negative seed."""
     if value < 0:
         raise ValueError(f"{name} must be nonnegative, got {value!r}")
+
+
+def derive_seed(*entropy: int) -> int:
+    """A 64-bit seed from the first two 32-bit words that
+    ``SeedSequence(entropy)`` generates, so every derived seed is a pure
+    function of its coordinates."""
+    state = np.random.SeedSequence(entropy).generate_state(2)
+    return int(state[0]) ^ (int(state[1]) << 32)
 
 
 @dataclass(frozen=True)

@@ -21,12 +21,12 @@ convergence only if that leaves a gradient above ``REFIT_GRADIENT``.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import JsonRecord, MaskedDataset, require_finite, require_seed
+from .data import (JsonRecord, MaskedDataset, derive_seed, require_finite,
+                   require_seed)
 from .propensity import (DEFAULT_CLIP, DEFAULT_L2, WeightVector,
                          effective_sample_size, weights_for_column)
 from .regressors import (MlpModel, RegressorSpec, fit_regressor, predict,
@@ -61,7 +61,7 @@ class ImputationConfig(JsonRecord):
     seed: int = 0
 
     def __post_init__(self):
-        self._check_scalars()
+        self._coerce_fields()
         require_seed("seed", self.seed)
         if self.n_sweeps < 1:
             raise ValueError("n_sweeps must be >= 1")
@@ -69,12 +69,8 @@ class ImputationConfig(JsonRecord):
             raise ValueError(
                 f"clip_epsilon must be in (0, 0.5), got {self.clip_epsilon!r}")
         require_finite("propensity_l2", self.propensity_l2, positive=False)
-        if isinstance(self.visitation, str):
-            if self.visitation != ASCENDING_MISSING:
-                raise ValueError(f"unknown visitation policy {self.visitation!r}")
-        else:
-            object.__setattr__(self, "visitation",
-                               tuple(map(operator.index, self.visitation)))
+        if isinstance(self.visitation, str) and self.visitation != ASCENDING_MISSING:
+            raise ValueError(f"unknown visitation policy {self.visitation!r}")
 
 
 @dataclass(frozen=True)
@@ -140,8 +136,7 @@ def visitation_order(ds: MaskedDataset, policy) -> list[int]:
 
 
 def _step_seed(cfg: ImputationConfig, sweep: int, column: int) -> int:
-    state = np.random.SeedSequence([cfg.seed, sweep, column]).generate_state(2)
-    return int(state[0]) ^ (int(state[1]) << 32)
+    return derive_seed(cfg.seed, sweep, column)
 
 
 def _standardize(x: np.ndarray, n_stat: int, out: np.ndarray) -> None:

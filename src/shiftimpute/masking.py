@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,15 +61,8 @@ class MarSpec(JsonRecord):
     seed: int
 
     def __post_init__(self):
-        self._check_scalars()
+        self._coerce_fields()
         require_seed("seed", self.seed)
-        object.__setattr__(self, "missing_cols",
-                           tuple(map(operator.index, self.missing_cols)))
-        object.__setattr__(
-            self,
-            "predictor_sets",
-            tuple(tuple(map(operator.index, s)) for s in self.predictor_sets),
-        )
         if not self.missing_cols:
             raise ValueError("missing_cols is empty")
         if len(self.missing_cols) != len(set(self.missing_cols)):
@@ -101,7 +93,7 @@ class CalibratedMechanism:
     def __post_init__(self):
         probs = np.asarray(self.probabilities, dtype=float)
         object.__setattr__(self, "probabilities", probs)
-        object.__setattr__(self, "intercepts", tuple(float(b) for b in self.intercepts))
+        object.__setattr__(self, "intercepts", tuple(self.intercepts))
         if probs.shape[1] != len(self.spec.missing_cols):
             raise ValueError("one probability column per missing column required")
         if (probs <= 0).any() or (probs >= 1).any():

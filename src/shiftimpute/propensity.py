@@ -146,17 +146,15 @@ def fit_propensity(design: np.ndarray, r: np.ndarray, l2: float = DEFAULT_L2,
         gram, scaled_t = weighted_gram(design, s, scaled_t)
         hess = gram / n + hess_penalty
         step = np.linalg.solve(hess, grad)
-        # backtrack if the Newton step overshoots (rare; separable-ish data)
-        trial = beta - step
-        z_trial = design @ trial
-        trial_nll, e_trial = _penalized_nll_and_exp(z_trial, r, trial[:p], l2)
-        shrink = 0
-        while trial_nll > nll + 1e-12 and shrink < 30:
-            step *= 0.5
+        # backtrack if the Newton step overshoots (rare; separable-ish data):
+        # halve it at most 30 times; a NaN trial NLL is taken as it is
+        for _ in range(31):
             trial = beta - step
             z_trial = design @ trial
             trial_nll, e_trial = _penalized_nll_and_exp(z_trial, r, trial[:p], l2)
-            shrink += 1
+            if not trial_nll > nll + 1e-12:
+                break
+            step *= 0.5
         beta, nll, z, e = trial, trial_nll, z_trial, e_trial
     if not converged:
         # eta and the gradient are those of the parameters before the last step

@@ -58,7 +58,7 @@ class ForestSpec(JsonRecord):
     bootstrap: bool = True
 
     def __post_init__(self):
-        self._check_scalars()
+        self._coerce_fields()
         if self.n_trees < 1 or self.max_depth < 1:
             raise ValueError("n_trees and max_depth must be positive")
         require_finite("min_leaf_weight", self.min_leaf_weight, positive=True)
@@ -74,7 +74,7 @@ class MlpSpec(JsonRecord):
     batch_size: int = 64
 
     def __post_init__(self):
-        self._check_scalars()
+        self._coerce_fields()
         if min(self.hidden_units, self.epochs, self.batch_size) < 1:
             raise ValueError("hidden_units, epochs, batch_size must be positive")
         require_finite("learning_rate", self.learning_rate, positive=True)
@@ -90,6 +90,7 @@ class RegressorSpec(JsonRecord):
     mlp: MlpSpec = field(default_factory=MlpSpec)
 
     def __post_init__(self):
+        self._coerce_fields()
         if self.kind not in ("ridge", "forest", "mlp"):
             raise ValueError(f"unknown regressor kind {self.kind!r}")
         require_finite("ridge_lambda", self.ridge_lambda, positive=False)

@@ -225,7 +225,7 @@ class TestGridConfig:
         assert grid.seeds == (0, 1) and type(grid.seeds[1]) is int
 
     def test_dataset_header_flag_must_be_boolean(self):
-        with pytest.raises(ValueError, match="DatasetSource.has_header"):
+        with pytest.raises(TypeError, match="DatasetSource.has_header"):
             ExperimentGrid.from_dict({"dataset": {"kind": "csv", "path": "t.csv",
                                                   "has_header": "false"}})
 
@@ -235,10 +235,10 @@ class TestGridConfig:
         ({"models": ["ridge", 5]},
          "ExperimentGrid.models[1] must be a JSON string, got 5"),
         ({"dataset": {"path": ["t.csv"]}},
-         "DatasetSource.path must not be a JSON array, got ['t.csv']"),
+         "DatasetSource.path must be a JSON string or null, got ['t.csv']"),
     ])
     def test_mistyped_grid_rejected(self, config, message):
-        with pytest.raises(ValueError) as info:
+        with pytest.raises(TypeError) as info:
             ExperimentGrid.from_dict(config)
         assert str(info.value) == message
 

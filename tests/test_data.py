@@ -1,6 +1,7 @@
 import csv
 import json
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shiftimpute.benchmark import DatasetSource, ExperimentGrid
 from shiftimpute.data import (
     DataMatrix,
     MaskMatrix,
@@ -17,6 +19,10 @@ from shiftimpute.data import (
     save_csv,
     save_masked_csv,
 )
+from shiftimpute.engine import ImputationConfig
+from shiftimpute.masking import MarSpec
+from shiftimpute.metrics import WilcoxonResult
+from shiftimpute.regressors import ForestSpec, MlpSpec, RegressorSpec
 
 DATA = Path(__file__).parent / "data"
 
@@ -356,12 +362,6 @@ class TestDataMatrixInvariants:
 
 
 def golden_records():
-    from shiftimpute.benchmark import ExperimentGrid
-    from shiftimpute.engine import ImputationConfig
-    from shiftimpute.masking import MarSpec
-    from shiftimpute.metrics import WilcoxonResult
-    from shiftimpute.regressors import ForestSpec, MlpSpec, RegressorSpec
-
     return {
         "golden_config_forest.json": ImputationConfig(
             regressor=RegressorSpec(
@@ -395,3 +395,70 @@ class TestGoldenJson:
         record = golden_records()[name]
         payload = json.loads((DATA / name).read_text(encoding="utf-8"))
         assert type(record).from_dict(payload) == record
+
+
+MAR_SPEC = {"missing_cols": [0, 2], "predictor_sets": [[1], [3, 4]], "alpha": -2.0,
+            "target_missing_rate": 0.25, "seed": 9}
+# JSON values of every type, the words and keys the configs know among them
+json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 12), st.floats(allow_nan=False),
+    st.text(max_size=3),
+    st.sampled_from(["ridge", "mlp", "forest", "csv", "synthetic", "t.csv",
+                     "ascending_missing_count"]))
+json_values = st.recursive(json_scalars, lambda inner: st.one_of(
+    st.lists(inner, max_size=3),
+    st.dictionaries(st.sampled_from(["kind", "epochs", "n_trees", "n", "path",
+                                     "ridge_lambda", "mlp", "bootstrap"]),
+                    inner, max_size=2)), max_leaves=6)
+
+
+def outcome(build):
+    """The record ``build`` returns, or the type and message it raises."""
+    try:
+        return build()
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+class TestOneFieldCheck:
+    @pytest.mark.parametrize("build, message", [
+        (lambda: ExperimentGrid(alphas=("1", "2")),
+         "ExperimentGrid.alphas[0] must be a JSON number, got '1'"),
+        (lambda: MarSpec(**{**MAR_SPEC, "alpha": "2"}),
+         "MarSpec.alpha must be a JSON number, got '2'"),
+        (lambda: MlpSpec(learning_rate=True),
+         "MlpSpec.learning_rate must be a JSON number, got True"),
+        (lambda: RegressorSpec(ridge_lambda=True),
+         "RegressorSpec.ridge_lambda must be a JSON number, got True"),
+        (lambda: DatasetSource(kind="csv", path=5),
+         "DatasetSource.path must be a JSON string or null, got 5"),
+        (lambda: ImputationConfig(regressor={"kind": "mlp", "mlp": 2}),
+         "RegressorSpec.mlp must be a JSON object, got 2"),
+    ])
+    def test_python_value_of_wrong_type_rejected_when_built(self, build, message):
+        # what a config file is refused, a Python caller is refused too
+        with pytest.raises(TypeError) as info:
+            build()
+        assert str(info.value) == message
+
+    def test_nested_record_given_as_dict_is_read_when_built(self):
+        # a dict in a record's place becomes that record, as in a file, rather
+        # than reaching a column step as a dict
+        assert ImputationConfig(regressor={"kind": "mlp"}).regressor == \
+            RegressorSpec(kind="mlp")
+        with pytest.raises(ValueError, match="unknown RegressorSpec keys: knd"):
+            ImputationConfig(regressor={"knd": "mlp"})
+
+    @pytest.mark.parametrize("cls", [
+        ImputationConfig, RegressorSpec, ForestSpec, MlpSpec, MarSpec, DatasetSource,
+        ExperimentGrid], ids=lambda cls: cls.__name__)
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_file_and_python_callers_get_the_same_check(self, cls, data):
+        good = (cls(**MAR_SPEC) if cls is MarSpec else cls()).to_dict()
+        names = data.draw(st.lists(st.sampled_from([f.name for f in fields(cls)]),
+                                   unique=True))
+        d = dict(MAR_SPEC) if cls is MarSpec else {}  # its fields have no defaults
+        d.update({key: data.draw(st.one_of(st.just(good[key]), json_values), label=key)
+                  for key in names})
+        assert outcome(lambda: cls.from_dict(d)) == outcome(lambda: cls(**d))

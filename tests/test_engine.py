@@ -750,30 +750,36 @@ class TestConfig:
         assert type(cfg.propensity_l2) is float
         assert type(cfg.regressor.ridge_lambda) is float
 
-    @pytest.mark.parametrize("config, message", [
-        ({"n_sweep": 3}, "unknown ImputationConfig keys: n_sweep"),
-        ({"regressor": {"knd": "mlp"}}, "unknown RegressorSpec keys: knd"),
-        ({"weighted": "false"},
+    @pytest.mark.parametrize("config, error, message", [
+        ({"n_sweep": 3}, ValueError, "unknown ImputationConfig keys: n_sweep"),
+        ({"regressor": {"knd": "mlp"}}, ValueError, "unknown RegressorSpec keys: knd"),
+        ({"weighted": "false"}, TypeError,
          "ImputationConfig.weighted must be a JSON boolean, got 'false'"),
-        ({"regressor": {"forest": {"bootstrap": "false"}}},
+        ({"regressor": {"forest": {"bootstrap": "false"}}}, TypeError,
          "ForestSpec.bootstrap must be a JSON boolean, got 'false'"),
-        ({"n_sweeps": 2.5}, "ImputationConfig.n_sweeps must be a JSON integer, got 2.5"),
-        ({"n_sweeps": 2.0}, "ImputationConfig.n_sweeps must be a JSON integer, got 2.0"),
-        ({"n_sweeps": True}, "ImputationConfig.n_sweeps must be a JSON integer, got True"),
-        ({"clip_epsilon": "0.1"},
+        ({"n_sweeps": 2.5}, TypeError,
+         "ImputationConfig.n_sweeps must be a JSON integer, got 2.5"),
+        ({"n_sweeps": 2.0}, TypeError,
+         "ImputationConfig.n_sweeps must be a JSON integer, got 2.0"),
+        ({"n_sweeps": True}, TypeError,
+         "ImputationConfig.n_sweeps must be a JSON integer, got True"),
+        ({"clip_epsilon": "0.1"}, TypeError,
          "ImputationConfig.clip_epsilon must be a JSON number, got '0.1'"),
-        ({"regressor": 5}, "ImputationConfig.regressor must be a JSON object, got 5"),
-        ({"visitation": [5.7, 3]},
+        ({"regressor": 5}, TypeError,
+         "ImputationConfig.regressor must be a JSON object, got 5"),
+        ({"visitation": [5.7, 3]}, TypeError,
          "ImputationConfig.visitation[0] must be a JSON integer, got 5.7"),
-        ({"visitation": [3, True]},
+        ({"visitation": [3, True]}, TypeError,
          "ImputationConfig.visitation[1] must be a JSON integer, got True"),
-        ({"regressor": {"kind": 1}}, "RegressorSpec.kind must be a JSON string, got 1"),
+        ({"regressor": {"kind": 1}}, TypeError,
+         "RegressorSpec.kind must be a JSON string, got 1"),
         # each fit's seed derives from the top-level seed, not a per-model one
-        ({"regressor": {"forest": {"seed": 7}}}, "unknown ForestSpec keys: seed"),
-        ({"regressor": {"mlp": {"seed": 7}}}, "unknown MlpSpec keys: seed"),
+        ({"regressor": {"forest": {"seed": 7}}}, ValueError,
+         "unknown ForestSpec keys: seed"),
+        ({"regressor": {"mlp": {"seed": 7}}}, ValueError, "unknown MlpSpec keys: seed"),
     ])
-    def test_misread_config_rejected(self, config, message):
-        with pytest.raises(ValueError) as info:
+    def test_misread_config_rejected(self, config, error, message):
+        with pytest.raises(error) as info:
             ImputationConfig.from_dict(config)
         assert str(info.value) == message
 
@@ -818,25 +824,25 @@ class TestConfig:
         assert str(info.value) == message
 
     @pytest.mark.parametrize("record, name, value, kind", [
-        (ImputationConfig, "n_sweeps", 2.5, "an integer"),
-        (ImputationConfig, "n_sweeps", True, "an integer"),
-        (ImputationConfig, "seed", 1.5, "an integer"),
-        (ImputationConfig, "weighted", "no", "a bool"),
-        (ImputationConfig, "weighted", 1, "a bool"),
-        (MlpSpec, "epochs", 1.5, "an integer"),
-        (MlpSpec, "hidden_units", np.float64(4.0), "an integer"),
-        (MlpSpec, "batch_size", "64", "an integer"),
-        (ForestSpec, "n_trees", 2.5, "an integer"),
-        (ForestSpec, "max_depth", 3.0, "an integer"),
-        (ForestSpec, "bootstrap", 0, "a bool"),
-        (ExperimentGrid, "n_missing_cols", 2.0, "an integer"),
-        (ExperimentGrid, "n_predictors", False, "an integer"),
-        (ExperimentGrid, "n_sweeps", 2.5, "an integer"),
-        (DatasetSource, "n", 100.0, "an integer"),
-        (DatasetSource, "d", None, "an integer"),
-        (DatasetSource, "seed", 0.5, "an integer"),
-        (DatasetSource, "has_header", "yes", "a bool"),
-        (MarSpec, "seed", 1.5, "an integer"),
+        (ImputationConfig, "n_sweeps", 2.5, "integer"),
+        (ImputationConfig, "n_sweeps", True, "integer"),
+        (ImputationConfig, "seed", 1.5, "integer"),
+        (ImputationConfig, "weighted", "no", "boolean"),
+        (ImputationConfig, "weighted", 1, "boolean"),
+        (MlpSpec, "epochs", 1.5, "integer"),
+        (MlpSpec, "hidden_units", np.float64(4.0), "integer"),
+        (MlpSpec, "batch_size", "64", "integer"),
+        (ForestSpec, "n_trees", 2.5, "integer"),
+        (ForestSpec, "max_depth", 3.0, "integer"),
+        (ForestSpec, "bootstrap", 0, "boolean"),
+        (ExperimentGrid, "n_missing_cols", 2.0, "integer"),
+        (ExperimentGrid, "n_predictors", False, "integer"),
+        (ExperimentGrid, "n_sweeps", 2.5, "integer"),
+        (DatasetSource, "n", 100.0, "integer"),
+        (DatasetSource, "d", None, "integer"),
+        (DatasetSource, "seed", 0.5, "integer"),
+        (DatasetSource, "has_header", "yes", "boolean"),
+        (MarSpec, "seed", 1.5, "integer"),
     ])
     def test_scalar_type_checked_when_built(self, record, name, value, kind):
         # a Python caller gets what a config file gets: no float truncated,
@@ -846,8 +852,9 @@ class TestConfig:
         base = required if record is MarSpec else {}
         with pytest.raises(TypeError) as info:
             record(**{**base, name: value})
-        assert str(info.value) == f"{name} must be {kind}, got {value!r}"
-        good = np.bool_(True) if kind == "a bool" else np.int64(3)
+        assert str(info.value) == \
+            f"{record.__name__}.{name} must be a JSON {kind}, got {value!r}"
+        good = np.bool_(True) if kind == "boolean" else np.int64(3)
         built = record(**{**base, name: good})
         assert getattr(built, name) == good
-        assert type(getattr(built, name)) is (bool if kind == "a bool" else int)
+        assert type(getattr(built, name)) is (bool if kind == "boolean" else int)

@@ -477,7 +477,7 @@ class TestMarSpecInvariants:
     def test_json_predictor_sets_must_hold_integers(self):
         d = MarSpec((0, 2), ((1,), (3, 4)), -2.0, 0.25, 9).to_dict()
         d["predictor_sets"] = [[1], [3, 4.5]]
-        with pytest.raises(ValueError) as info:
+        with pytest.raises(TypeError) as info:
             MarSpec.from_dict(d)
         assert str(info.value) == \
             "MarSpec.predictor_sets[1][1] must be a JSON integer, got 4.5"
