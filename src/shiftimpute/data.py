@@ -3,7 +3,10 @@ and the JSON form of config and record dataclasses.
 
 A mask is always a separate boolean matrix (True = observed); missing cells are
 never encoded as sentinel values. CSV dialect: comma-separated, '.' decimal,
-optional header row, empty field = missing, UTF-8.
+optional header row, empty field = missing, UTF-8 with an optional
+byte-order mark. Floats are written by ``repr``, except that
+:func:`save_filled_csv` copies each observed field as it was read and
+formats only the imputed cells.
 
 Every config and record field is checked against its annotation by one
 function, ``_coerce``, whether the record is read from JSON or built in
@@ -30,8 +33,10 @@ __all__ = [
     "MaskedDataset",
     "load_csv",
     "load_masked_csv",
+    "load_masked_fields",
     "save_csv",
     "save_masked_csv",
+    "save_filled_csv",
 ]
 
 
@@ -264,14 +269,18 @@ def _raise_first_error(body, names, allow_missing: bool):
 
 
 def _read_csv(path, has_header: bool, allow_missing: bool):
-    """Parse a CSV into (names, values, observed); missing cells read as 0.0.
+    """Parse a CSV into (names, values, observed, fields); missing cells read
+    as 0.0.
 
-    A cell is observed when non-empty after stripping, and is parsed with
-    Python's ``float``; all cells go through one ``fromiter`` call, and only
-    a failure walks the rows again to name the first error.
+    ``fields`` is the stripped text of every data field in row-major order. A
+    cell is observed when its field is non-empty, and is parsed with Python's
+    ``float``; all cells go through one ``fromiter`` call, and only a failure
+    walks the rows again to name the first error. A line that is empty, or a
+    single field of only whitespace, is skipped.
     """
-    with open(path, newline="", encoding="utf-8") as handle:
-        rows = [row for row in csv.reader(handle) if row]
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        rows = [row for row in csv.reader(handle)
+                if len(row) > 1 or row and row[0].strip()]
     if not rows:
         raise ValueError("empty CSV file")
     width = len(rows[0])
@@ -283,10 +292,10 @@ def _read_csv(path, has_header: bool, allow_missing: bool):
         names, rows = tuple(cell.strip() for cell in rows[0]), rows[1:]
     if not rows:
         raise ValueError("CSV has a header but no data rows")
-    cells = list(map(str.strip, chain.from_iterable(rows)))
-    observed = np.fromiter(map(bool, cells), bool, len(cells)).reshape(len(rows), width)
+    fields = list(map(str.strip, chain.from_iterable(rows)))
+    observed = np.fromiter(map(bool, fields), bool, len(fields)).reshape(len(rows), width)
     try:
-        parsed = np.fromiter(map(float, filter(None, cells)), float, int(observed.sum()))
+        parsed = np.fromiter(map(float, filter(None, fields)), float, int(observed.sum()))
     except ValueError:
         parsed = None
     usable = observed.any(axis=1).all() if allow_missing else observed.all()
@@ -294,13 +303,20 @@ def _read_csv(path, has_header: bool, allow_missing: bool):
         _raise_first_error(rows, names, allow_missing)
     values = np.zeros(observed.shape)
     values[observed] = parsed
-    return names, values, observed
+    return names, values, observed, fields
 
 
 def load_csv(path, has_header: bool = True) -> DataMatrix:
     """Load a complete CSV: every cell must parse as a finite real."""
-    names, values, _ = _read_csv(path, has_header, allow_missing=False)
+    names, values, _, _ = _read_csv(path, has_header, allow_missing=False)
     return DataMatrix(values, names)
+
+
+def load_masked_fields(path, has_header: bool = True) -> tuple[MaskedDataset, list[str]]:
+    """:func:`load_masked_csv`'s dataset and the stripped text of every data
+    field in row-major order, which :func:`save_filled_csv` writes back."""
+    names, values, observed, fields = _read_csv(path, has_header, allow_missing=True)
+    return MaskedDataset(DataMatrix(values, names), MaskMatrix(observed)), fields
 
 
 def load_masked_csv(path, has_header: bool = True) -> MaskedDataset:
@@ -309,36 +325,49 @@ def load_masked_csv(path, has_header: bool = True) -> MaskedDataset:
     Missing cells get a placeholder 0.0 in the data matrix (the mask is the
     source of truth). Rows with no observed entry are rejected.
     """
-    names, values, observed = _read_csv(path, has_header, allow_missing=True)
-    return MaskedDataset(DataMatrix(values, names), MaskMatrix(observed))
+    return load_masked_fields(path, has_header)[0]
 
 
-def _write_csv(path, names, values, observed, header: bool) -> None:
-    """Floats by repr, empty fields at missing cells, ``\\r\\n`` after each row.
+def _write_rows(path, names, fields, header: bool) -> None:
+    """``fields``, row-major, as rows of ``len(names)`` joined by commas, with
+    ``\\r\\n`` after each row.
 
-    Numbers never need quoting, so a row is joined directly: the bytes are
+    No field a caller passes needs quoting (a float's ``repr``, an empty
+    field, or text that ``float`` parsed once stripped), so the bytes are
     those ``csv.writer`` gives, which still writes the header.
     """
-    def lines():
-        gappy = ~observed.all(axis=1)
-        for row, gap, obs in zip(values.tolist(), gappy.tolist(), observed):
-            cells = map(repr, row)
-            if gap:
-                cells = [cell if o else "" for cell, o in zip(cells, obs.tolist())]
-            yield ",".join(cells) + "\r\n"
-
+    rows = zip(*[iter(fields)] * len(names))
     with open(path, "w", newline="", encoding="utf-8") as handle:
         if header:
             csv.writer(handle).writerow(names)
-        handle.writelines(lines())
+        handle.writelines(",".join(row) + "\r\n" for row in rows)
 
 
 def save_csv(matrix: DataMatrix, path, header: bool = True) -> None:
     """Write a complete matrix; floats use repr so a round trip is exact."""
-    _write_csv(path, matrix.column_names, matrix.values,
-               np.ones(matrix.values.shape, dtype=bool), header)
+    _write_rows(path, matrix.column_names,
+                list(map(repr, matrix.values.ravel().tolist())), header)
 
 
 def save_masked_csv(ds: MaskedDataset, path, header: bool = True) -> None:
     """Write a masked dataset, emitting empty fields at missing cells."""
-    _write_csv(path, ds.data.column_names, ds.data.values, ds.mask.observed, header)
+    fields = list(map(repr, ds.data.values.ravel().tolist()))
+    for k in np.flatnonzero(~ds.mask.observed.ravel()).tolist():
+        fields[k] = ""
+    _write_rows(path, ds.data.column_names, fields, header)
+
+
+def save_filled_csv(ds: MaskedDataset, fields, completed, path,
+                    header: bool = True) -> None:
+    """Write ``fields`` (from :func:`load_masked_fields` of ``ds``) with each
+    missing one replaced by the ``repr`` of ``completed`` at that cell.
+
+    Observed fields keep their spelling as read, so only the imputed cells
+    are formatted; the file reads back equal to ``completed`` bit for bit.
+    """
+    missing = ~ds.mask.observed
+    filled = list(fields)
+    for k, text in zip(np.flatnonzero(missing).tolist(),
+                       map(repr, completed[missing].tolist())):
+        filled[k] = text
+    _write_rows(path, ds.data.column_names, filled, header)

@@ -7,7 +7,8 @@ Each column step re-estimates the importance weights from the freshly
 completed matrix (unless the run is unweighted, which is the identical code
 path with unit weights), standardizes the predictor columns with statistics
 of the rows where the target column is observed, fits on those rows, and
-predicts the rest. Observed cells are never altered.
+predicts the rest. Observed cells are never altered, and a step whose
+predictions are not all finite fails, so a completion is always finite.
 
 A step gathers every other column at its rows, observed rows first, into
 one buffer: a weighted step standardizes it over all rows into the
@@ -238,6 +239,9 @@ def _column_step(completed, i, cfg, sweep, workspace, init=None):
     seed = None if cfg.regressor.kind == "ridge" else _step_seed(cfg, sweep, i)
     model = fit_regressor(cfg.regressor, x_train, y_train, weights, seed)
     preds = predict(model, x_miss)
+    finite = np.isfinite(preds)
+    if not finite.all():
+        raise ValueError(f"non-finite imputation at row {miss_rows[np.argmin(finite)]}")
     if isinstance(model, MlpModel) and (weights > 0).all():
         # the fit's last epoch loss is this MSE, over the same rows
         train_mse = model.loss_trace[-1]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import shiftimpute.benchmark as bench
+import shiftimpute.engine as engine_mod
 from shiftimpute.benchmark import (
     DatasetSource,
     ExperimentGrid,
@@ -147,6 +148,17 @@ class TestRunBenchmark:
         assert not res.ok
         assert len(res.failures) == 2
         assert "synthetic failure" in res.failures[0].message
+
+    def test_non_finite_imputation_is_a_failure_record(self, monkeypatch):
+        monkeypatch.setattr(engine_mod, "predict",
+                            lambda model, x: np.full(x.shape[0], np.nan))
+        res = run_benchmark(small_grid(seeds=(0,), alphas=(0.0,)))
+        assert res.records == ()
+        assert [(f.weighted, f.model) for f in res.failures] == [(True, "ridge"),
+                                                                 (False, "ridge")]
+        assert all(re.fullmatch(r"column \d+ failed at sweep 0: non-finite "
+                                r"imputation at row \d+", f.message)
+                   for f in res.failures)
 
     def test_csv_row_count_is_grid_size_minus_failures(self, tmp_path, monkeypatch):
         original = bench.impute

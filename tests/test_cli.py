@@ -9,6 +9,7 @@ import pytest
 
 import shiftimpute
 import shiftimpute.cli as cli_mod
+import shiftimpute.engine as engine_mod
 from shiftimpute.benchmark import make_benchmark_dataset
 from shiftimpute.cli import main
 from shiftimpute.data import load_csv, load_masked_csv, save_csv
@@ -299,6 +300,29 @@ def test_failed_run_is_a_one_line_error(tmp_path, masked_csv):
     assert " failed at sweep 0: MLP diverged at epoch " in message
     assert "\n" not in message
     assert not out.exists() and not (tmp_path / "diag.json").exists()
+
+
+def test_non_finite_imputation_is_a_one_line_error(tmp_path, masked_csv, monkeypatch):
+    monkeypatch.setattr(engine_mod, "predict",
+                        lambda model, x: np.full(x.shape[0], np.nan))
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as info:
+        main(["impute", "--input", str(masked_csv), "--output", str(out)])
+    message = str(info.value)
+    assert message.startswith("shiftimpute: column ")
+    assert " failed at sweep 0: non-finite imputation at row " in message
+    assert "\n" not in message
+    assert not out.exists()
+
+
+def test_output_may_overwrite_the_input(tmp_path, masked_csv):
+    separate = tmp_path / "completed.csv"
+    assert main(["impute", "--input", str(masked_csv), "--output", str(separate)]) == 0
+    ds = load_masked_csv(masked_csv)
+    assert main(["impute", "--input", str(masked_csv), "--output", str(masked_csv)]) == 0
+    assert masked_csv.read_bytes() == separate.read_bytes()
+    completed = impute(ds, ImputationConfig()).completed
+    assert load_csv(masked_csv).values.tobytes() == completed.tobytes()
 
 
 def _good_argv(command, truth, masked):

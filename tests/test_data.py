@@ -16,7 +16,9 @@ from shiftimpute.data import (
     MaskedDataset,
     load_csv,
     load_masked_csv,
+    load_masked_fields,
     save_csv,
+    save_filled_csv,
     save_masked_csv,
 )
 from shiftimpute.engine import ImputationConfig
@@ -193,6 +195,37 @@ def test_writers_match_reference_loop(tmp_path_factory, ds, header):
         assert back.data.values.tobytes() == np.where(observed, values, 0.0).tobytes()
 
 
+@settings(max_examples=60, deadline=None)
+@given(masked_tables(), st.booleans(), st.data())
+def test_filling_a_saved_table_writes_what_save_csv_writes(tmp_path_factory, ds,
+                                                           header, data):
+    # every field save_masked_csv writes is spelled as repr spells it, so
+    # copying observed fields and formatting imputed ones gives save_csv's bytes
+    out = tmp_path_factory.mktemp("csv")
+    save_masked_csv(ds, out / "m.csv", header=header)
+    read, fields = load_masked_fields(out / "m.csv", has_header=header)
+    n_missing = int((~ds.mask.observed).sum())
+    imputed = data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                 min_size=n_missing, max_size=n_missing))
+    completed = ds.data.values.copy()
+    completed[~ds.mask.observed] = imputed
+    save_filled_csv(read, fields, completed, out / "filled.csv", header=header)
+    save_csv(DataMatrix(completed, read.data.column_names), out / "c.csv",
+             header=header)
+    assert (out / "filled.csv").read_bytes() == (out / "c.csv").read_bytes()
+
+
+def test_filling_keeps_observed_fields_as_written(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text('a,b,c\n1.50,1e3,\n 2 ,,"3.0"\n', encoding="utf-8")
+    ds, fields = load_masked_fields(path)
+    completed = np.array([[1.5, 1000.0, 0.1], [2.0, -7e-300, 3.0]])
+    save_filled_csv(ds, fields, completed, tmp_path / "out.csv")
+    assert (tmp_path / "out.csv").read_bytes() == (
+        b"a,b,c\r\n1.50,1e3,0.1\r\n2,-7e-300,3.0\r\n")
+    assert load_csv(tmp_path / "out.csv").values.tobytes() == completed.tobytes()
+
+
 class TestReaderEdges:
     def write(self, tmp_path, text):
         path = tmp_path / "t.csv"
@@ -259,6 +292,22 @@ class TestReaderEdges:
         m = load_csv(path)
         assert m.column_names == ("a", "b")
         np.testing.assert_array_equal(m.values, [[1, 2], [3, 4]])
+
+    def test_whitespace_only_lines_skipped(self, tmp_path):
+        ds = load_masked_csv(self.write(tmp_path, "a,b\n1,2\n   \n3,\n\t\n"))
+        assert ds.data.values.tolist() == [[1.0, 2.0], [3.0, 0.0]]
+        np.testing.assert_array_equal(ds.mask.observed, [[True, True], [True, False]])
+        # a line of empty fields is a row, not a blank line
+        with pytest.raises(ValueError, match="^row 1 has every entry missing$"):
+            load_masked_csv(self.write(tmp_path, "a,b\n1,2\n , \n"))
+
+    def test_byte_order_mark_before_header(self, tmp_path):
+        m = load_csv(self.write(tmp_path, "\ufeffa,b\n1,2\n"))
+        assert m.column_names == ("a", "b")
+
+    def test_byte_order_mark_without_header(self, tmp_path):
+        m = load_csv(self.write(tmp_path, "\ufeff1,2\n3,4\n"), has_header=False)
+        assert m.values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
     def test_line_endings_read_alike(self, tmp_path):
         lf = load_masked_csv(self.write(tmp_path, "a,b\n1,\n,4\n"))

@@ -210,6 +210,23 @@ class TestImpute:
         with pytest.raises(RuntimeError, match="column 2 failed at sweep 0"):
             impute(ds, cfg)
 
+    def test_non_finite_imputation_names_column_sweep_and_row(self, monkeypatch):
+        ds, _ = linear_pair_dataset(seed=13)
+        original, calls = engine_mod.predict, []
+
+        def nan_in_sweep_1(model, x):
+            preds = original(model, x)
+            calls.append(None)
+            if len(calls) == 2:  # one target column: the second call is sweep 1
+                preds[2] = np.nan
+            return preds
+
+        monkeypatch.setattr(engine_mod, "predict", nan_in_sweep_1)
+        row = np.flatnonzero(~ds.mask.observed[:, 1])[2]
+        with pytest.raises(RuntimeError, match=f"^column 1 failed at sweep 1: "
+                                               f"non-finite imputation at row {row}$"):
+            impute(ds, ridge_config(n_sweeps=3))
+
     def test_diagnostics_shape_and_finiteness(self):
         ds, _ = linear_pair_dataset(seed=12)
         result = impute(ds, ridge_config(weighted=True, n_sweeps=2))
