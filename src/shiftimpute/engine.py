@@ -99,7 +99,6 @@ class ImputationResult:
 
     completed: np.ndarray
     per_sweep: tuple[IterationDiagnostics, ...]
-    config: ImputationConfig
     weights: dict[int, WeightVector] = field(default_factory=dict)
 
 
@@ -268,7 +267,7 @@ def impute(ds: MaskedDataset, cfg: ImputationConfig) -> ImputationResult:
     data the input comes back unchanged and no sweeps are recorded.
     """
     if not ds.missing_columns():
-        return ImputationResult(ds.data.values.copy(), (), cfg)
+        return ImputationResult(ds.data.values.copy(), ())
     order = visitation_order(ds, cfg.visitation)
     completed = initial_impute(ds)
     workspace = _Workspace(completed, ds.mask.observed, order, cfg.weighted)
@@ -292,4 +291,4 @@ def impute(ds: MaskedDataset, cfg: ImputationConfig) -> ImputationResult:
             if wv is not None:
                 weights[i] = wv
         per_sweep.append(IterationDiagnostics(sweep, tuple(diags)))
-    return ImputationResult(completed, tuple(per_sweep), cfg, weights)
+    return ImputationResult(completed, tuple(per_sweep), weights)

@@ -361,19 +361,6 @@ def _mlp_gradient(params, x, hidden, resid, w):
     return x.T @ dhidden, dhidden.sum(axis=0), hidden.T @ dpred, float(dpred.sum())
 
 
-def mlp_loss_and_gradient(params, x, y, w):
-    """Weighted-MSE loss and analytic gradients for one tanh hidden layer.
-
-    ``params`` is (w_hidden, b_hidden, w_out, b_out); gradients come back in
-    the same order. Exposed so the analytic gradient the fit descends along
-    can be checked against finite differences.
-    """
-    hidden, pred = _mlp_forward(params, x)
-    resid = pred - y
-    loss = _weighted_mean_square(resid, w)
-    return loss, _mlp_gradient(params, x, hidden, resid, w)
-
-
 def fit_weighted_mlp(x: np.ndarray, y: np.ndarray, w: np.ndarray,
                      spec: MlpSpec, seed: int) -> MlpModel:
     """Mini-batch gradient descent on the weighted MSE; seeded and deterministic.

@@ -13,7 +13,8 @@ from shiftimpute.propensity import (DEFAULT_CLIP, DEFAULT_L2, GRADIENT_TOL,
                                    MAX_ITER, weights_for_column)
 from shiftimpute.data import require_finite
 from shiftimpute.regressors import (SPLIT_GAIN_FLOOR, ForestSpec, RidgeModel,
-                                    _check_xyw)
+                                    _check_xyw, _mlp_forward, _mlp_gradient,
+                                    _weighted_mean_square)
 
 
 def standardize(values: np.ndarray) -> np.ndarray:
@@ -183,9 +184,10 @@ def reference_weights_for_column(design, obs_col, l2=DEFAULT_L2,
     return w / w.mean()
 
 
-# The mask calibration as it stood before its bisection was replayed from
-# Newton-found bounds: it evaluates the rate at both ends and at every
-# midpoint. Kept verbatim as the oracle the replay must match bit for bit.
+# The mask calibration as a plain bisection: it evaluates the rate at both
+# ends and at every midpoint. The oracle for the Newton solve's error
+# messages, for where it must meet the tolerance, and for its evaluation
+# count.
 def reference_calibrate_intercept(scores: np.ndarray, target_rate: float) -> float:
     """Find the intercept making mean(1 - sigmoid(scores + b)) hit target_rate.
 
@@ -219,6 +221,20 @@ def reference_calibrate_intercept(scores: np.ndarray, target_rate: float) -> flo
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def mlp_loss_and_gradient(params, x, y, w):
+    """Weighted-MSE loss and analytic gradients for one tanh hidden layer.
+
+    ``params`` is (w_hidden, b_hidden, w_out, b_out); gradients come back in
+    the same order. Composed of the fit's own forward pass and gradient, so
+    a finite-difference check of it checks the gradient the fit descends
+    along.
+    """
+    hidden, pred = _mlp_forward(params, x)
+    resid = pred - y
+    loss = _weighted_mean_square(resid, w)
+    return loss, _mlp_gradient(params, x, hidden, resid, w)
 
 
 def full_table_scores(values: np.ndarray, spec) -> np.ndarray:

@@ -33,11 +33,11 @@ from shiftimpute.regressors import (
     fit_weighted_forest,
     fit_weighted_mlp,
     fit_weighted_ridge,
-    mlp_loss_and_gradient,
 )
 from shiftimpute.riskchecks import run_all_checks
 
-from oracles import cold_column_weights, ridge_normal_equation_residual
+from oracles import (cold_column_weights, mlp_loss_and_gradient,
+                     ridge_normal_equation_residual)
 from test_metrics import exact_wilcoxon_p
 
 
@@ -243,9 +243,12 @@ def test_criterion_8_benchmark_determinism(tmp_path):
     outputs = {}
     for jobs in (1, 8):
         out = tmp_path / f"results_jobs{jobs}.csv"
+        # pytest's warning filter does not reach a subprocess: overflow or NaN
+        # on the grid's numeric path fails the run here too
         proc = subprocess.run(
-            [sys.executable, "-m", "shiftimpute.cli", "benchmark",
-             "--grid", str(grid_path), "--out", str(out), "--jobs", str(jobs)],
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "shiftimpute.cli",
+             "benchmark", "--grid", str(grid_path), "--out", str(out),
+             "--jobs", str(jobs)],
             capture_output=True, text=True, timeout=1800, env=env,
         )
         assert proc.returncode == 0, proc.stderr

@@ -315,6 +315,26 @@ def test_non_finite_imputation_is_a_one_line_error(tmp_path, masked_csv, monkeyp
     assert not out.exists()
 
 
+def test_overflowing_data_is_only_a_one_line_error(tmp_path, capsys):
+    # a column near the float maximum overflows its mean and the ridge
+    # products; numpy's warnings must not precede the engine's failure
+    rng = np.random.default_rng(0)
+    values = rng.normal(size=(50, 3))
+    values[:, 0] = 1.7e308 - np.abs(rng.normal(size=50)) * 1e305
+    rows = [[repr(float(v)) for v in row] for row in values]
+    for row in rows[::5]:
+        row[0] = ""
+    path = tmp_path / "huge.csv"
+    path.write_text("a,b,c\n" + "".join(",".join(r) + "\n" for r in rows))
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as info:
+        main(["impute", "--input", str(path), "--output", str(out)])
+    assert str(info.value) == \
+        "shiftimpute: column 0 failed at sweep 0: non-finite imputation at row 0"
+    assert capsys.readouterr().err == ""
+    assert not out.exists()
+
+
 def test_output_may_overwrite_the_input(tmp_path, masked_csv):
     separate = tmp_path / "completed.csv"
     assert main(["impute", "--input", str(masked_csv), "--output", str(separate)]) == 0

@@ -15,7 +15,6 @@ from shiftimpute.masking import (
     CALIBRATION_TOL,
     MarSpec,
     _column_scores,
-    _replay_bounds,
     apply_mar_mask,
     calibrate_intercept,
     select_random_spec,
@@ -123,20 +122,6 @@ def rate_gap(scores, target_rate, b):
     return float(np.mean(1.0 - sigmoid(scores + b))) - target_rate
 
 
-def skewed_scores(gap_at_zero):
-    """Scores [2u, -u, -u], whose mean is exactly 0, so calibrating them to
-    rate 0.5 starts its Newton steps at intercept 0.0, the bisection's first
-    midpoint; u is solved so the rate gap there is ``gap_at_zero``."""
-    lo, hi = 0.0, 1.0
-    for _ in range(100):
-        u = 0.5 * (lo + hi)
-        if rate_gap(np.array([2 * u, -u, -u]), 0.5, 0.0) < gap_at_zero:
-            lo = u
-        else:
-            hi = u
-    return np.array([2 * hi, -hi, -hi])
-
-
 def generated_scores(n, kind, spread, offset, seed):
     rng = np.random.default_rng(seed)
     if kind == "normal":
@@ -161,9 +146,37 @@ def paper_layout_scores():
     return _column_scores(data, spec), grid.missing_rate
 
 
-class TestCalibrationMatchesBisection:
-    """The replayed bisection returns the plain bisection's intercept, kept
-    in ``oracles``, bit for bit, or raises with the same message."""
+def calibration_contract(scores, rate):
+    """Assert the calibration's contract against the bisection oracle: the
+    same ValueError whenever the oracle raises, else an intercept within the
+    tolerance whose ``out`` is ``sigmoid(scores + b)`` bit for bit."""
+    expected = calibration_outcome(reference_calibrate_intercept, scores, rate)
+    p = np.full(scores.shape, np.nan)
+    got = calibration_outcome(
+        lambda s, r: calibrate_intercept(s, r, out=p), scores, rate)
+    if expected[0] == "error":
+        assert got == expected
+        return
+    kind, b = got
+    assert kind == "intercept" and -50.0 <= b <= 50.0
+    assert abs(rate_gap(scores, rate, b)) <= CALIBRATION_TOL
+    assert np.array_equal(p, sigmoid(scores + b))
+
+
+def counting_sigmoid(monkeypatch, calls):
+    """Have masking and the oracle append each ``sigmoid`` argument to
+    ``calls``: one rate evaluation per call."""
+    def recorded(z, **kwargs):
+        calls.append(np.array(z, dtype=float))
+        return sigmoid(z, **kwargs)
+
+    monkeypatch.setattr(masking, "sigmoid", recorded)
+    monkeypatch.setattr(oracles, "sigmoid", recorded)
+
+
+class TestCalibrationContract:
+    """The Newton solve meets the tolerance wherever the plain bisection,
+    kept in ``oracles``, does, and raises its message wherever it raises."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 5000),
@@ -171,22 +184,16 @@ class TestCalibrationMatchesBisection:
            st.floats(-3.0, 3.0), st.floats(-5.0, 5.0),
            st.floats(0.01, 0.99, exclude_min=True, exclude_max=True),
            st.integers(0, 2**32 - 1))
-    def test_equal_to_the_oracle(self, n, kind, log_spread, offset, rate, seed):
+    def test_against_the_oracle(self, n, kind, log_spread, offset, rate, seed):
         # spreads up to 1e3, where p(1 - p) underflows on most rows
-        scores = generated_scores(n, kind, 10.0 ** log_spread, offset, seed)
-        got = calibration_outcome(calibrate_intercept, scores, rate)
-        assert got == calibration_outcome(reference_calibrate_intercept, scores, rate)
-        # the bounds the replay skips by hold their margin beyond the tolerance
-        lower, upper = _replay_bounds(scores, rate)
-        assert lower == -math.inf or (
-            -50.0 <= lower and rate_gap(scores, rate, lower) > CALIBRATION_TOL + 1e-9)
-        assert upper == math.inf or (
-            upper <= 50.0 and rate_gap(scores, rate, upper) < -(CALIBRATION_TOL + 1e-9))
+        calibration_contract(
+            generated_scores(n, kind, 10.0 ** log_spread, offset, seed), rate)
 
     @pytest.mark.parametrize("scores, rate", [
         (np.zeros(1), 0.3), (np.zeros(100), 0.3), (np.zeros(50), 0.5),
         (np.zeros(7), 0.0101), (np.zeros(7), 0.9899),
         (np.full(10, 1e6), 0.3), (np.full(10, -1e6), 0.3),  # cannot bracket
+        (np.array([-60.0, 0.0]), 0.4999),  # rate(50) just above the target
         (np.array([-1e3, 1e3]), 0.3), (np.array([-1e3, 1e3]), 0.5),
         (np.array([-40.0, 40.0]), 0.5),  # a flat rate over most of [-50, 50]
         (np.array([60.0, -1.0]), 0.3), (np.array([-45.0, 3.0, 3.0]), 0.2),
@@ -195,69 +202,73 @@ class TestCalibrationMatchesBisection:
         (np.array([1.7e308, 1.7e308, -1.7e308, 0.0]), 0.4),
         (np.array([-1.7e308, -1.7e308, 1.7e308, 1.7e308, 1.0]), 0.5),
     ])
-    def test_edge_cases_equal_to_the_oracle(self, scores, rate):
-        assert calibration_outcome(calibrate_intercept, scores, rate) == \
-            calibration_outcome(reference_calibrate_intercept, scores, rate)
-
-    def test_bound_on_a_midpoint_takes_the_evaluated_side(self):
-        # the lower bound is 0.0 itself, the first midpoint: a rate gap of
-        # 2e-6 sends it to ``lo``, which the replay must do without evaluating
-        scores = skewed_scores(2e-6)
-        lower, upper = _replay_bounds(scores, 0.5)
-        assert lower == 0.0 and upper < 1e-3
-        assert calibrate_intercept(scores, 0.5) == \
-            reference_calibrate_intercept(scores, 0.5)
-
-    def test_bounds_keep_their_margin_off_the_tolerance(self):
-        # a Newton point whose gap is past the tolerance by less than 1e-9
-        # does not bound the replay
-        scores = skewed_scores(CALIBRATION_TOL + 5e-10)
-        gap = rate_gap(scores, 0.5, 0.0)
-        assert CALIBRATION_TOL < gap < CALIBRATION_TOL + 1e-9
-        lower, upper = _replay_bounds(scores, 0.5)
-        assert rate_gap(scores, 0.5, lower) > CALIBRATION_TOL + 1e-9
-        assert rate_gap(scores, 0.5, upper) < -(CALIBRATION_TOL + 1e-9)
-        assert calibrate_intercept(scores, 0.5) == \
-            reference_calibrate_intercept(scores, 0.5)
+    def test_edge_cases_against_the_oracle(self, scores, rate):
+        calibration_contract(scores, rate)
 
     @pytest.mark.parametrize("max_iter", [0, 1, 2, 5, 30])
-    def test_iteration_cap_fallthrough(self, monkeypatch, max_iter):
-        # capped before the tolerance is met, both return the last midpoint
-        monkeypatch.setattr(masking, "CALIBRATION_MAX_ITER", max_iter)
-        monkeypatch.setattr(oracles, "CALIBRATION_MAX_ITER", max_iter)
+    def test_iteration_cap_returns_the_last_iterate(self, monkeypatch, max_iter):
+        # capped, the solve returns the intercept its uncapped run evaluates
+        # next (after the two bracket checks), or the same answer if that run
+        # needs no more evaluations
         scores, rate = paper_layout_scores()
-        for k in range(scores.shape[1]):
-            assert calibrate_intercept(scores[:, k], rate) == \
-                reference_calibrate_intercept(scores[:, k], rate)
-        for scores, rate in ((np.zeros(20), 0.3), (skewed_scores(2e-6), 0.5)):
-            assert calibrate_intercept(scores, rate) == \
-                reference_calibrate_intercept(scores, rate)
+        cases = [(scores[:, k], rate) for k in range(scores.shape[1])]
+        cases += [(np.zeros(20), 0.3), (np.array([-45.0, 3.0, 3.0]), 0.2)]
+        calls = []
+        counting_sigmoid(monkeypatch, calls)
+        runs = []
+        for s, r in cases:
+            calls.clear()
+            runs.append((s, r, calibrate_intercept(s, r), calls[2:]))
+        monkeypatch.setattr(masking, "CALIBRATION_MAX_ITER", max_iter)
+        for s, r, uncapped, iterates in runs:
+            p = np.empty_like(s)
+            b = calibrate_intercept(s, r, out=p)
+            assert -50.0 <= b <= 50.0
+            assert np.array_equal(p, sigmoid(s + b))
+            if max_iter < len(iterates):
+                assert np.array_equal(s + b, iterates[max_iter])
+            else:
+                assert b == uncapped
 
     def test_paper_cell_evaluates_the_rate_half_as_often(self, monkeypatch):
         calls = []
-
-        def counting_sigmoid(z, **kwargs):
-            calls.append(1)
-            return sigmoid(z, **kwargs)
-
-        monkeypatch.setattr(masking, "sigmoid", counting_sigmoid)
-        monkeypatch.setattr(oracles, "sigmoid", counting_sigmoid)
+        counting_sigmoid(monkeypatch, calls)
         scores, rate = paper_layout_scores()
         for k in range(scores.shape[1]):
             calls.clear()
-            got = calibrate_intercept(scores[:, k], rate)
-            replayed = len(calls)
+            calibrate_intercept(scores[:, k], rate)
+            solved = len(calls)
             calls.clear()
-            assert got == reference_calibrate_intercept(scores[:, k], rate)
-            assert 2 * replayed <= len(calls), (replayed, len(calls))
+            reference_calibrate_intercept(scores[:, k], rate)
+            assert 2 * solved <= len(calls), (solved, len(calls))
+
+    def test_default_grid_evaluates_the_rate_six_times(self, monkeypatch):
+        # seeds 0-9 x 7 alphas x 4 planted columns, bracket checks included
+        calls = []
+        counting_sigmoid(monkeypatch, calls)
+        grid = ExperimentGrid()
+        data = make_benchmark_dataset()
+        calibrations = 0
+        for seed in range(10):
+            layout = select_random_spec(data, grid.n_missing_cols,
+                                        grid.n_predictors, seed=seed)
+            for alpha in grid.alphas:
+                spec = MarSpec(layout.missing_cols, layout.predictor_sets,
+                               alpha, grid.missing_rate, seed)
+                scores = _column_scores(data, spec)
+                for k in range(scores.shape[1]):
+                    calibrate_intercept(scores[:, k], grid.missing_rate)
+                    calibrations += 1
+        assert calibrations == 280
+        assert len(calls) / calibrations <= 6.0, len(calls) / calibrations
 
 
 class TestCalibratedProbabilities:
     """The mask's probabilities come from the calibration: its last rate
     evaluation's when that met the tolerance at the returned intercept,
-    computed at the intercept only when the bisection ran out."""
+    computed at the intercept only when the solve ran out."""
 
-    @pytest.mark.parametrize("max_iter", [None, 3])
+    @pytest.mark.parametrize("max_iter", [None, 2])
     @pytest.mark.parametrize("seed", range(10))
     def test_probabilities_at_the_returned_intercept(self, monkeypatch, seed,
                                                      max_iter):
@@ -267,6 +278,7 @@ class TestCalibratedProbabilities:
         data = make_benchmark_dataset()
         layout = select_random_spec(data, grid.n_missing_cols, grid.n_predictors,
                                     seed=seed)
+        met = []
         for alpha in grid.alphas:
             spec = MarSpec(layout.missing_cols, layout.predictor_sets, alpha,
                            grid.missing_rate, seed)
@@ -275,15 +287,16 @@ class TestCalibratedProbabilities:
                 p = np.full(scores.shape[0], np.nan)
                 beta = calibrate_intercept(scores[:, k], grid.missing_rate, out=p)
                 assert np.array_equal(p, sigmoid(scores[:, k] + beta))
-                # the return path taken: the tolerance met, or the cap hit
-                met = abs(np.mean(1.0 - p) - grid.missing_rate) <= CALIBRATION_TOL
-                assert met == (max_iter is None)
+                met.append(abs(np.mean(1.0 - p) - grid.missing_rate)
+                           <= CALIBRATION_TOL)
             if max_iter is None:
                 _, mech = apply_mar_mask(data, spec)
                 expected = sigmoid(scores + np.array(mech.intercepts))
                 assert np.array_equal(mech.probabilities,
                                       np.clip(expected, masking.PROB_FLOOR,
                                               1.0 - masking.PROB_FLOOR))
+        # uncapped, every column meets the tolerance; capped, some run out
+        assert all(met) == (max_iter is None)
 
 
 class TestColumnScores:

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import ridge_normal_equation_residual
+from oracles import mlp_loss_and_gradient, ridge_normal_equation_residual
 from shiftimpute.masking import MarSpec, apply_mar_mask
 from shiftimpute.data import DataMatrix
 from shiftimpute.regressors import (
@@ -21,7 +21,6 @@ from shiftimpute.regressors import (
     fit_weighted_mlp,
     fit_weighted_ridge,
     fit_regressor,
-    mlp_loss_and_gradient,
     predict,
     weighted_mse,
 )
