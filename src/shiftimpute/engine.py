@@ -14,10 +14,9 @@ A step gathers every other column at its rows, observed rows first, into
 one buffer: a weighted step standardizes it over all rows into the
 propensity design, then every step standardizes it in place over the
 observed rows, so no statistic of the completion is kept between steps. A
-run refills one set of step arrays allocated at its start. A column's
-first propensity fit runs the IRLS to convergence; each later step takes one
-Newton step from the column's model of the previous sweep, and refits to
-convergence only if that leaves a gradient above ``REFIT_GRADIENT``.
+run refills one set of step arrays allocated at its start. Every weighted
+step runs the propensity IRLS from the column's previous model (from zero in
+sweep 0) until its max-abs gradient is below ``PROPENSITY_TOL``.
 """
 
 from __future__ import annotations
@@ -44,9 +43,9 @@ __all__ = [
 ]
 
 ASCENDING_MISSING = "ascending_missing_count"
-# a warm step leaving a larger max-abs gradient is refit to convergence;
-# warm steps on 8 default-grid seeds leave at most 2.1e-3 (6.1e-3 at n=400)
-REFIT_GRADIENT = 1e-2
+# every propensity fit stops below this max-abs gradient, inside the
+# gradient's sampling noise of about sqrt(0.7 * 0.3 / n): 6.5e-3 at n = 5000
+PROPENSITY_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -215,21 +214,18 @@ class _Workspace:
 def _column_step(completed, i, cfg, sweep, workspace, init=None):
     """One Algorithm-2 column update; mutates ``completed`` and ``workspace``.
 
-    ``init`` is the column's propensity model from the previous sweep, if
-    any, to take one Newton step from. Returns the step's diagnostics and
-    the weights it fit with (None when unweighted), which carry this sweep's
-    propensity model.
+    ``init``, the column's propensity model from the previous sweep if any,
+    starts the fit. Returns the step's diagnostics and the weights it fit
+    with (None when unweighted), which carry this sweep's propensity model.
     """
     miss_rows, y_train = workspace.miss_rows[i], workspace.y_train[i]
     workspace.gather(completed, i)
     wv = propensity = None
     if cfg.weighted:
-        args = workspace.propensity_design(), workspace.labels[i]
-        options = dict(l2=cfg.propensity_l2, clip_epsilon=cfg.clip_epsilon)
-        wv = weights_for_column(*args, **options, init=init,
-                                max_iter=None if init is None else 1)
-        if init is not None and wv.propensity.gradient > REFIT_GRADIENT:
-            wv = weights_for_column(*args, **options, init=wv.propensity)
+        wv = weights_for_column(workspace.propensity_design(),
+                                workspace.labels[i], l2=cfg.propensity_l2,
+                                clip_epsilon=cfg.clip_epsilon, init=init,
+                                tol=PROPENSITY_TOL)
         weights, propensity = wv.weights, wv.propensity
     else:
         weights = np.ones(y_train.shape[0])

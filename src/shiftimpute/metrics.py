@@ -49,9 +49,11 @@ def rmse_masked(truth: DataMatrix | np.ndarray, imputed: np.ndarray,
     """Root mean squared error over the masked cells only."""
     truth_values = truth.values if isinstance(truth, DataMatrix) else np.asarray(truth, float)
     imputed = np.asarray(imputed, dtype=float)
-    if truth_values.shape != imputed.shape:
-        raise ValueError("shape mismatch between truth and imputed")
     hidden = ~mask.observed
+    for name, other in (("imputed", imputed), ("mask", hidden)):
+        if other.shape != truth_values.shape:
+            raise ValueError(f"shape mismatch between truth and {name}: "
+                             f"{truth_values.shape} vs {other.shape}")
     if not hidden.any():
         raise ValueError("no masked cells to score")
     # one gather, from a C-order difference: the completion may be

@@ -65,37 +65,35 @@ class WeightVector:
             raise ValueError("weights must have mean 1")
 
 
-def _penalized_nll_and_exp(z, r, coef, l2):
-    """The penalized NLL and the ``exp(-|z|)`` it is computed from, which
-    :func:`~shiftimpute.masking.sigmoid` takes to skip its own exponential."""
+def _penalized_nll(z, e, r, coef, l2):
+    """The penalized NLL from logits ``z`` and their ``e = exp(-|z|)``."""
     # mean Bernoulli NLL from logits; log(1 + e^z) written so exp never overflows
-    e = np.exp(-np.abs(z))
     nll = np.mean(np.maximum(z, 0.0) + np.log1p(e) - r * z)
-    return nll + 0.5 * l2 * float(coef @ coef), e
+    return nll + 0.5 * l2 * float(coef @ coef)
 
 
 def fit_propensity(design: np.ndarray, r: np.ndarray, l2: float = DEFAULT_L2,
                    init: PropensityModel | None = None,
                    out: np.ndarray | None = None,
-                   max_iter: int | None = None) -> PropensityModel:
+                   tol: float = GRADIENT_TOL) -> PropensityModel:
     """Fit p(observed | x) by IRLS on the L2-penalized mean log-likelihood.
 
     ``design`` is the predictor matrix x with a trailing column of ones for
     the intercept, ``[x, 1]``; a last column that is not all ones is
     rejected. The model's coefficients are those of x's ``d`` columns. The
-    intercept is unpenalized. Converged when the max absolute gradient, which
-    the model records, falls below 1e-8 within ``max_iter`` iterations
-    (``MAX_ITER``, 100, when None); otherwise the model is returned with
-    ``converged=False`` rather than failing silently. IRLS starts from
-    ``init``'s parameters when given (``max_iter=1`` takes one Newton step
-    from them), else from zero. With ``l2 > 0`` the objective is strictly
+    intercept is unpenalized. From ``init``'s parameters, else zero, each of
+    at most ``MAX_ITER`` (100) iterations checks the max absolute gradient,
+    which the model records: below ``tol`` the fit has converged, else it
+    takes a Newton step (the first computes the starting NLL from that
+    check's exponentials). An unconverged fit reads ``converged=False``
+    rather than failing silently. With ``l2 > 0`` the objective is strictly
     convex in the coefficients, so fewer rows than predictors is allowed;
     with ``l2 = 0`` the intercept makes d + 1 parameters, so n must exceed d.
 
     ``out``, an n-vector, receives the fitted probabilities of every row at
     the returned parameters, ``sigmoid(design @ [coefficients, intercept])``:
-    after convergence those of the last gradient check, otherwise one more
-    logistic of the final logits. Its shape is checked before fitting.
+    after convergence the last check's (the start's, if no step was taken),
+    else one more logistic of the final logits. Its shape is checked first.
     """
     design = np.asarray(design, dtype=float)
     r = np.asarray(r, dtype=float).ravel()
@@ -130,16 +128,19 @@ def fit_propensity(design: np.ndarray, r: np.ndarray, l2: float = DEFAULT_L2,
                 f"{p} predictor columns")
     scaled_t = None  # design.T * s, allocated once and reused
     z = design @ beta
-    nll, e = _penalized_nll_and_exp(z, r, beta[:p], l2)
+    e = np.exp(-np.abs(z))
+    nll = None  # the line search's reference, computed before the first step
     converged = False
     it = 0
-    for it in range(1, (MAX_ITER if max_iter is None else max_iter) + 1):
+    for it in range(1, MAX_ITER + 1):
         eta = sigmoid(z, e=e)
         grad = design.T @ (eta - r) / n + penalty * beta
         gradient = np.max(np.abs(grad))
-        if gradient < GRADIENT_TOL:
+        if gradient < tol:
             converged = True
             break
+        if nll is None:
+            nll = _penalized_nll(z, e, r, beta[:p], l2)
         s = 1.0 - eta
         s *= eta
         np.maximum(s, 1e-12, out=s)
@@ -151,7 +152,8 @@ def fit_propensity(design: np.ndarray, r: np.ndarray, l2: float = DEFAULT_L2,
         for _ in range(31):
             trial = beta - step
             z_trial = design @ trial
-            trial_nll, e_trial = _penalized_nll_and_exp(z_trial, r, trial[:p], l2)
+            e_trial = np.exp(-np.abs(z_trial))
+            trial_nll = _penalized_nll(z_trial, e_trial, r, trial[:p], l2)
             if not trial_nll > nll + 1e-12:
                 break
             step *= 0.5
@@ -188,23 +190,22 @@ def weights_for_column(design: np.ndarray, obs_col: np.ndarray,
                        l2: float = DEFAULT_L2,
                        clip_epsilon: float = DEFAULT_CLIP,
                        init: PropensityModel | None = None,
-                       max_iter: int | None = None) -> WeightVector:
+                       tol: float = GRADIENT_TOL) -> WeightVector:
     """Importance weights for the observed rows of one column.
 
     ``design`` holds the standardized completed values of every other column
     (all rows) followed by a column of ones, as :func:`fit_propensity` takes
     it, and ``obs_col`` the column's observedness indicator. The classifier
     is trained on all rows; weights are evaluated at the observed rows only.
-    ``init`` warm-starts the fit and ``max_iter`` caps its iterations. The
-    propensities are those the fit leaves in its ``out`` vector, so no row of
-    the design is gathered again; when the observed rows come first, as the
-    engine orders them, they are a slice of it. The returned weights carry
-    the fitted model.
+    ``init`` warm-starts the fit, which stops below a max-abs gradient of
+    ``tol``; its ``out`` vector holds the propensities, so no row of the
+    design is gathered again (with the observed rows first, as the engine
+    orders them, they are a slice of it). The weights carry the model.
     """
     obs_col = np.asarray(obs_col, dtype=bool)
     eta = np.empty(obs_col.shape[0])
     model = fit_propensity(design, obs_col.astype(float), l2, init=init,
-                           out=eta, max_iter=max_iter)
+                           out=eta, tol=tol)
     n_obs = np.count_nonzero(obs_col)
     observed = eta[:n_obs] if obs_col[:n_obs].all() else eta[obs_col]
     return WeightVector(weights_from_propensity(observed, clip_epsilon), model)

@@ -132,8 +132,10 @@ def _reference_penalized_nll(z, r, coef, l2):
     return nll + 0.5 * l2 * float(coef @ coef)
 
 
-def reference_fit_propensity(design, r, l2=DEFAULT_L2, init=None):
-    """(coefficients, intercept, converged, n_iter) of the IRLS fit."""
+def reference_fit_propensity(design, r, l2=DEFAULT_L2, init=None,
+                             tol=GRADIENT_TOL):
+    """(coefficients, intercept, converged, n_iter) of the IRLS fit, stopped
+    at the first max-abs gradient below ``tol``."""
     design = np.asarray(design, dtype=float)
     r = np.asarray(r, dtype=float).ravel()
     n, p = design.shape[0], design.shape[1] - 1
@@ -151,7 +153,7 @@ def reference_fit_propensity(design, r, l2=DEFAULT_L2, init=None):
     for it in range(1, MAX_ITER + 1):
         eta = _reference_sigmoid(z)
         grad = design.T @ (eta - r) / n + penalty * beta
-        if np.max(np.abs(grad)) < GRADIENT_TOL:
+        if np.max(np.abs(grad)) < tol:
             converged = True
             break
         s = np.clip(eta * (1.0 - eta), 1e-12, None)

@@ -13,8 +13,7 @@ import shiftimpute.engine as engine_mod
 from shiftimpute.benchmark import make_benchmark_dataset
 from shiftimpute.cli import main
 from shiftimpute.data import load_csv, load_masked_csv, save_csv
-from shiftimpute.engine import REFIT_GRADIENT, ImputationConfig, impute
-from shiftimpute.propensity import GRADIENT_TOL
+from shiftimpute.engine import PROPENSITY_TOL, ImputationConfig, impute
 
 
 @pytest.fixture
@@ -58,17 +57,13 @@ def test_simulate_mask_impute_metrics_pipeline(tmp_path, truth_csv, capsys):
     np.testing.assert_allclose(out.values[obs], truth.values[obs], atol=1e-12)
     diag = json.loads(diagnostics.read_text())
     assert len(diag["per_sweep"]) == 2
-    # sweep 0 fits each column to convergence; sweep 1 takes one Newton
-    # step from it, whose gradient is recorded
+    # every step fits each column until its gradient, which is recorded,
+    # falls below the engine's tolerance
     for sweep in diag["per_sweep"]:
         for col in sweep["columns"]:
             assert col["propensity_n_iter"] > 0
-            if sweep["sweep"] == 0:
-                assert col["propensity_converged"] is True
-                assert col["propensity_gradient"] < GRADIENT_TOL
-            else:
-                assert col["propensity_n_iter"] == 1
-                assert col["propensity_gradient"] < REFIT_GRADIENT
+            assert col["propensity_converged"] is True
+            assert col["propensity_gradient"] < PROPENSITY_TOL
     assert set(diag["propensity"]) == {str(c) for c in planted}
 
     report_path = tmp_path / "report.json"

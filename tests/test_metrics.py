@@ -80,6 +80,16 @@ class TestRmseMasked:
         mask = self._mask([[True, False], [True, True]])
         with pytest.raises(ValueError, match="shape mismatch between truth and imputed"):
             rmse_masked(truth, truth[:1], mask)
+        # a mask of another shape than the table: numpy's boolean gather
+        # would raise its own IndexError
+        table = np.arange(12.0).reshape(6, 2)
+        short = self._mask([[True, False]] + [[True, True]] * 4)
+        with pytest.raises(ValueError) as info:
+            rmse_masked(table, table, short)
+        assert str(info.value) == \
+            "shape mismatch between truth and mask: (6, 2) vs (5, 2)"
+        with pytest.raises(ValueError, match="between truth and mask"):
+            evaluate_imputation(DataMatrix(table, ("a", "b")), table, short)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(0)

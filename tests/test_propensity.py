@@ -17,7 +17,7 @@ from shiftimpute import propensity
 from shiftimpute.masking import MarSpec, apply_mar_mask, sigmoid
 from shiftimpute.propensity import (
     PropensityModel,
-    _penalized_nll_and_exp,
+    _penalized_nll,
     effective_sample_size,
     fit_propensity,
     WeightVector,
@@ -111,7 +111,8 @@ class TestFitPropensity:
         r = (rng.random(z.size) < 0.5).astype(float)
         coef = rng.normal(size=3)
         reference = np.mean(np.logaddexp(0.0, z) - r * z) + 0.5 * 0.1 * coef @ coef
-        assert _penalized_nll_and_exp(z, r, coef, 0.1)[0] == pytest.approx(reference, rel=1e-14)
+        nll = _penalized_nll(z, np.exp(-np.abs(z)), r, coef, 0.1)
+        assert nll == pytest.approx(reference, rel=1e-14)
 
     def test_init_width_checked(self):
         x = np.random.default_rng(10).normal(size=(50, 2))
@@ -213,8 +214,9 @@ class TestFitMatchesReferenceLoop:
         z = rng.normal(scale=scale, size=n)
         r = (rng.random(n) < 0.5).astype(float)
         coef = rng.normal(size=3)
-        nll, e = _penalized_nll_and_exp(z, r, coef, l2)
-        assert nll == oracles._reference_penalized_nll(z, r, coef, l2)
+        e = np.exp(-np.abs(z))
+        assert (_penalized_nll(z, e, r, coef, l2)
+                == oracles._reference_penalized_nll(z, r, coef, l2))
         assert sigmoid(z, e=e).tobytes() == oracles._reference_sigmoid(z).tobytes()
         assert sigmoid(z).tobytes() == oracles._reference_sigmoid(z).tobytes()
 
@@ -267,7 +269,7 @@ class TestFittedProbabilities:
     @pytest.mark.parametrize("shape", [(199,), (201,), (200, 1), ()])
     def test_wrong_shape_rejected_before_fitting(self, monkeypatch, shape):
         calls = []
-        monkeypatch.setattr(propensity, "_penalized_nll_and_exp",
+        monkeypatch.setattr(propensity, "_penalized_nll",
                             lambda *args: calls.append(args))
         design, r = self._case()
         out = np.zeros(shape)
@@ -278,9 +280,9 @@ class TestFittedProbabilities:
 
 
 class TestCappedFit:
-    # the engine's warm steps: ``max_iter=1`` from a previous model is the
-    # reference loop's first Newton step, and the recorded gradient is that
-    # of the returned parameters, from the probabilities left in ``out``
+    # a fit stopped by ``MAX_ITER`` or by a looser ``tol``, as the engine's
+    # are, is the reference loop stopped alike, and the recorded gradient is
+    # that of the returned parameters, from the probabilities left in ``out``
 
     @staticmethod
     def _recorded_gradient(design, r, l2, model, out):
@@ -306,15 +308,16 @@ class TestCappedFit:
         assume(l2 > 0 or n > p + 1)
         design, r, init = _propensity_case(n, p, l2, labels, start, layout, seed)
         assume(0 < r.sum() < n)
+        out = np.full(n, np.nan)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(oracles, "MAX_ITER", 1)
+            mp.setattr(propensity, "MAX_ITER", 1)
             try:
                 coef, intercept, converged, n_iter = reference_fit_propensity(
                     design, r, l2, init)
             except np.linalg.LinAlgError:
                 return
-        out = np.full(n, np.nan)
-        model = fit_propensity(design, r, l2, init=init, out=out, max_iter=1)
+            model = fit_propensity(design, r, l2, init=init, out=out)
         assert np.array_equal(model.coefficients, coef)
         assert model.intercept == intercept
         assert model.converged == converged
@@ -324,6 +327,61 @@ class TestCappedFit:
         assert model.gradient == self._recorded_gradient(design, r, l2, model, out)
         # converged only when ``init`` passed the check; a step is not checked
         assert not converged or model.gradient < propensity.GRADIENT_TOL
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 80),
+        p=st.integers(1, 6),
+        l2=st.sampled_from([0.0, 1e-4, 0.05, 1.0]),
+        labels=st.sampled_from(["logistic", "near_separable"]),
+        start=st.sampled_from(["cold", "near", "far"]),
+        tol=st.sampled_from([1e-1, 1e-3, 1e-5]),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @example(n=60, p=3, l2=0.05, labels="near_separable", start="far",
+             tol=1e-3, seed=1)   # backtracks
+    @example(n=20, p=1, l2=0.05, labels="logistic", start="near", tol=1e-1,
+             seed=0)   # the start is below ``tol``: no step
+    @example(n=20, p=1, l2=0.05, labels="logistic", start="cold", tol=1e-1,
+             seed=0)   # zero is below ``tol``: no step
+    def test_tolerance_stop_is_the_reference_stop(self, n, p, l2, labels,
+                                                  start, tol, seed):
+        assume(l2 > 0 or n > p + 1)
+        design, r, init = _propensity_case(n, p, l2, labels, start, "F", seed)
+        assume(0 < r.sum() < n)
+        try:
+            coef, intercept, converged, n_iter = reference_fit_propensity(
+                design, r, l2, init, tol=tol)
+        except np.linalg.LinAlgError:
+            return
+        out = np.full(n, np.nan)
+        exps, nlls = [], []
+        exp, nll = np.exp, propensity._penalized_nll
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np, "exp", lambda x: exps.append(1) or exp(x))
+            mp.setattr(propensity, "_penalized_nll",
+                       lambda *args: nlls.append(1) or nll(*args))
+            model = fit_propensity(design, r, l2, init=init, out=out, tol=tol)
+        assert np.array_equal(model.coefficients, coef)
+        assert model.intercept == intercept
+        assert (model.converged, model.n_iter) == (converged, n_iter)
+        eta = oracles._reference_sigmoid(design @ np.append(coef, intercept))
+        assert out.tobytes() == eta.tobytes()
+        assert model.gradient == self._recorded_gradient(design, r, l2, model, out)
+        assert not converged or model.gradient < tol
+        # one exponential per logit vector: the starting NLL, computed only
+        # once a step is to be taken, reuses the gradient check's, and each
+        # trial of the line search takes one of each; a start below ``tol``
+        # takes no step and returns its own parameters and probabilities
+        steps = n_iter - converged
+        assert len(nlls) >= steps + (steps > 0)
+        assert len(exps) == len(nlls) + (steps == 0)
+        if steps == 0:
+            assert nlls == []
+            start_beta = (np.zeros(p + 1) if init is None
+                          else np.append(init.coefficients, init.intercept))
+            assert np.array_equal(
+                np.append(model.coefficients, model.intercept), start_beta)
 
     def test_converged_fit_records_its_last_check(self):
         design, r, _ = _propensity_case(200, 3, 1e-4, "logistic", "cold", "F", 4)
