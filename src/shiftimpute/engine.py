@@ -16,7 +16,7 @@ propensity design, then every step standardizes it in place over the
 observed rows, so no statistic of the completion is kept between steps. A
 run refills one set of step arrays allocated at its start. Every weighted
 step runs the propensity IRLS from the column's previous model (from zero in
-sweep 0) until its max-abs gradient is below ``PROPENSITY_TOL``.
+sweep 0) until its max-abs gradient is inside the gradient's sampling noise.
 """
 
 from __future__ import annotations
@@ -43,9 +43,6 @@ __all__ = [
 ]
 
 ASCENDING_MISSING = "ascending_missing_count"
-# every propensity fit stops below this max-abs gradient, inside the
-# gradient's sampling noise of about sqrt(0.7 * 0.3 / n): 6.5e-3 at n = 5000
-PROPENSITY_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -224,8 +221,7 @@ def _column_step(completed, i, cfg, sweep, workspace, init=None):
     if cfg.weighted:
         wv = weights_for_column(workspace.propensity_design(),
                                 workspace.labels[i], l2=cfg.propensity_l2,
-                                clip_epsilon=cfg.clip_epsilon, init=init,
-                                tol=PROPENSITY_TOL)
+                                clip_epsilon=cfg.clip_epsilon, init=init)
         weights, propensity = wv.weights, wv.propensity
     else:
         weights = np.ones(y_train.shape[0])

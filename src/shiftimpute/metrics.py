@@ -44,16 +44,19 @@ class WilcoxonResult(JsonRecord):
     n_zero_diffs: int
 
 
+def _require_same_shape(truth: np.ndarray, name: str, got: np.ndarray):
+    if got.shape != truth.shape:
+        raise ValueError(f"shape mismatch between truth and {name}: {truth.shape} vs {got.shape}")
+
+
 def rmse_masked(truth: DataMatrix | np.ndarray, imputed: np.ndarray,
                 mask: MaskMatrix) -> float:
     """Root mean squared error over the masked cells only."""
     truth_values = truth.values if isinstance(truth, DataMatrix) else np.asarray(truth, float)
     imputed = np.asarray(imputed, dtype=float)
     hidden = ~mask.observed
-    for name, other in (("imputed", imputed), ("mask", hidden)):
-        if other.shape != truth_values.shape:
-            raise ValueError(f"shape mismatch between truth and {name}: "
-                             f"{truth_values.shape} vs {other.shape}")
+    _require_same_shape(truth_values, "imputed", imputed)
+    _require_same_shape(truth_values, "mask", hidden)
     if not hidden.any():
         raise ValueError("no masked cells to score")
     # one gather, from a C-order difference: the completion may be
@@ -85,8 +88,7 @@ def wasserstein_marginal_sum(truth: DataMatrix | np.ndarray, imputed: np.ndarray
     """Per-column W1 over full columns and their sum; returns (sum, vector)."""
     truth_values = truth.values if isinstance(truth, DataMatrix) else np.asarray(truth, float)
     imputed = np.asarray(imputed, dtype=float)
-    if truth_values.shape != imputed.shape:
-        raise ValueError("shape mismatch between truth and imputed")
+    _require_same_shape(truth_values, "imputed", imputed)
     per_column = tuple(
         wasserstein_1d(truth_values[:, j], imputed[:, j])
         for j in range(truth_values.shape[1])

@@ -28,7 +28,9 @@ __all__ = [
 
 DEFAULT_L2 = 1e-4
 DEFAULT_CLIP = 1e-3
-GRADIENT_TOL = 1e-8
+# a fit stops below this max-abs gradient, or below a quarter of the gradient's
+# sampling noise sqrt(rbar (1 - rbar) / n) where smaller (rbar the mean label)
+GRADIENT_TOL = 1e-3
 MAX_ITER = 100
 
 
@@ -74,8 +76,7 @@ def _penalized_nll(z, e, r, coef, l2):
 
 def fit_propensity(design: np.ndarray, r: np.ndarray, l2: float = DEFAULT_L2,
                    init: PropensityModel | None = None,
-                   out: np.ndarray | None = None,
-                   tol: float = GRADIENT_TOL) -> PropensityModel:
+                   out: np.ndarray | None = None) -> PropensityModel:
     """Fit p(observed | x) by IRLS on the L2-penalized mean log-likelihood.
 
     ``design`` is the predictor matrix x with a trailing column of ones for
@@ -83,12 +84,13 @@ def fit_propensity(design: np.ndarray, r: np.ndarray, l2: float = DEFAULT_L2,
     rejected. The model's coefficients are those of x's ``d`` columns. The
     intercept is unpenalized. From ``init``'s parameters, else zero, each of
     at most ``MAX_ITER`` (100) iterations checks the max absolute gradient,
-    which the model records: below ``tol`` the fit has converged, else it
-    takes a Newton step (the first computes the starting NLL from that
-    check's exponentials). An unconverged fit reads ``converged=False``
-    rather than failing silently. With ``l2 > 0`` the objective is strictly
-    convex in the coefficients, so fewer rows than predictors is allowed;
-    with ``l2 = 0`` the intercept makes d + 1 parameters, so n must exceed d.
+    which the model records: below its stop (``GRADIENT_TOL``, or less on a
+    large table) the fit has converged, else it takes a Newton step (the
+    first computes the starting NLL from that check's exponentials). An
+    unconverged fit reads ``converged=False`` rather than failing silently.
+    With ``l2 > 0`` the objective is strictly convex in the coefficients, so
+    fewer rows than predictors is allowed; with ``l2 = 0`` the intercept
+    makes d + 1 parameters, so n must exceed d.
 
     ``out``, an n-vector, receives the fitted probabilities of every row at
     the returned parameters, ``sigmoid(design @ [coefficients, intercept])``:
@@ -115,6 +117,8 @@ def fit_propensity(design: np.ndarray, r: np.ndarray, l2: float = DEFAULT_L2,
     ones = r.sum()
     if ones == 0 or ones == n:
         raise ValueError("both label classes must be present (column not imputable)")
+    rbar = ones / n
+    tol = min(GRADIENT_TOL, 0.25 * np.sqrt(rbar * (1.0 - rbar) / n))
 
     penalty = np.append(np.full(p, l2), 0.0)
     hess_penalty = np.diag(penalty)
@@ -189,23 +193,21 @@ def weights_from_propensity(eta: np.ndarray,
 def weights_for_column(design: np.ndarray, obs_col: np.ndarray,
                        l2: float = DEFAULT_L2,
                        clip_epsilon: float = DEFAULT_CLIP,
-                       init: PropensityModel | None = None,
-                       tol: float = GRADIENT_TOL) -> WeightVector:
+                       init: PropensityModel | None = None) -> WeightVector:
     """Importance weights for the observed rows of one column.
 
     ``design`` holds the standardized completed values of every other column
     (all rows) followed by a column of ones, as :func:`fit_propensity` takes
     it, and ``obs_col`` the column's observedness indicator. The classifier
     is trained on all rows; weights are evaluated at the observed rows only.
-    ``init`` warm-starts the fit, which stops below a max-abs gradient of
-    ``tol``; its ``out`` vector holds the propensities, so no row of the
-    design is gathered again (with the observed rows first, as the engine
-    orders them, they are a slice of it). The weights carry the model.
+    ``init`` warm-starts the fit, which stops at its statistical tolerance;
+    its ``out`` vector holds the propensities, so no row of the design is
+    gathered again (with the observed rows first, as the engine orders them,
+    they are a slice of it). The weights carry the model.
     """
     obs_col = np.asarray(obs_col, dtype=bool)
     eta = np.empty(obs_col.shape[0])
-    model = fit_propensity(design, obs_col.astype(float), l2, init=init,
-                           out=eta, tol=tol)
+    model = fit_propensity(design, obs_col.astype(float), l2, init=init, out=eta)
     n_obs = np.count_nonzero(obs_col)
     observed = eta[:n_obs] if obs_col[:n_obs].all() else eta[obs_col]
     return WeightVector(weights_from_propensity(observed, clip_epsilon), model)

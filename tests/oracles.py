@@ -9,8 +9,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from shiftimpute.masking import CALIBRATION_MAX_ITER, CALIBRATION_TOL, sigmoid
-from shiftimpute.propensity import (DEFAULT_CLIP, DEFAULT_L2, GRADIENT_TOL,
-                                   MAX_ITER, weights_for_column)
+from shiftimpute import propensity
+from shiftimpute.propensity import (DEFAULT_CLIP, DEFAULT_L2, MAX_ITER,
+                                   weights_for_column)
 from shiftimpute.data import require_finite
 from shiftimpute.regressors import (SPLIT_GAIN_FLOOR, ForestSpec, RidgeModel,
                                     _check_xyw, _mlp_forward, _mlp_gradient,
@@ -132,13 +133,21 @@ def _reference_penalized_nll(z, r, coef, l2):
     return nll + 0.5 * l2 * float(coef @ coef)
 
 
-def reference_fit_propensity(design, r, l2=DEFAULT_L2, init=None,
-                             tol=GRADIENT_TOL):
+def reference_gradient_tol(r) -> float:
+    """The package's stop for labels ``r``: ``propensity.GRADIENT_TOL`` as it
+    reads now, or a quarter of sqrt(rbar (1 - rbar) / n) if smaller."""
+    rbar = np.mean(r)
+    return min(propensity.GRADIENT_TOL, 0.25 * np.sqrt(rbar * (1.0 - rbar) / r.size))
+
+
+def reference_fit_propensity(design, r, l2=DEFAULT_L2, init=None, tol=None):
     """(coefficients, intercept, converged, n_iter) of the IRLS fit, stopped
-    at the first max-abs gradient below ``tol``."""
+    at the first max-abs gradient below ``tol``, by default the package's."""
     design = np.asarray(design, dtype=float)
     r = np.asarray(r, dtype=float).ravel()
     n, p = design.shape[0], design.shape[1] - 1
+    if tol is None:
+        tol = reference_gradient_tol(r)
     penalty = np.append(np.full(p, l2), 0.0)
     if init is None:
         beta = np.zeros(p + 1)

@@ -13,7 +13,8 @@ import shiftimpute.engine as engine_mod
 from shiftimpute.benchmark import make_benchmark_dataset
 from shiftimpute.cli import main
 from shiftimpute.data import load_csv, load_masked_csv, save_csv
-from shiftimpute.engine import PROPENSITY_TOL, ImputationConfig, impute
+from shiftimpute.engine import ImputationConfig, impute
+from shiftimpute.propensity import GRADIENT_TOL
 
 
 @pytest.fixture
@@ -58,12 +59,12 @@ def test_simulate_mask_impute_metrics_pipeline(tmp_path, truth_csv, capsys):
     diag = json.loads(diagnostics.read_text())
     assert len(diag["per_sweep"]) == 2
     # every step fits each column until its gradient, which is recorded,
-    # falls below the engine's tolerance
+    # falls below the propensity tolerance
     for sweep in diag["per_sweep"]:
         for col in sweep["columns"]:
             assert col["propensity_n_iter"] > 0
             assert col["propensity_converged"] is True
-            assert col["propensity_gradient"] < PROPENSITY_TOL
+            assert col["propensity_gradient"] < GRADIENT_TOL
     assert set(diag["propensity"]) == {str(c) for c in planted}
 
     report_path = tmp_path / "report.json"

@@ -14,7 +14,6 @@ from shiftimpute.benchmark import (DatasetSource, ExperimentGrid,
 from shiftimpute.data import (DataMatrix, MaskMatrix, MaskedDataset,
                               load_masked_csv, save_csv)
 from shiftimpute.engine import (
-    PROPENSITY_TOL,
     ImputationConfig,
     impute,
     initial_impute,
@@ -22,7 +21,8 @@ from shiftimpute.engine import (
 )
 from shiftimpute.masking import MarSpec, apply_mar_mask, select_random_spec, sigmoid
 from shiftimpute.metrics import rmse_masked, wilcoxon_signed_rank
-from shiftimpute.propensity import WeightVector, weights_from_propensity
+from shiftimpute.propensity import (GRADIENT_TOL, WeightVector,
+                                   weights_from_propensity)
 from shiftimpute.regressors import (ForestSpec, MlpSpec, RegressorSpec,
                                     fit_weighted_ridge, predict)
 
@@ -255,7 +255,7 @@ class TestPlantedMechanismRecovery:
     # sweep is well specified: alpha on the planted predictors, 0 elsewhere.
     # Seeds 0 and 3 read 2.67-3.21 on the planted predictors, at most 0.40
     # in absolute value on the others and weight correlations 0.981-0.999;
-    # the last sweep's fits stop below the engine's tolerance like every
+    # the last sweep's fits stop below the propensity tolerance like every
     # other, at a gradient of at most 9.0e-4.
 
     @pytest.mark.parametrize("seed", [0, 3])
@@ -274,7 +274,7 @@ class TestPlantedMechanismRecovery:
         for k, (i, planted) in enumerate(zip(spec.missing_cols,
                                              spec.predictor_sets)):
             model = result.weights[i].propensity
-            assert model.gradient < PROPENSITY_TOL
+            assert model.gradient < GRADIENT_TOL
             others = [j for j in range(ds.data.n_cols) if j != i]
             coef = dict(zip(others, model.coefficients))
             for j in others:
@@ -294,7 +294,7 @@ class TestColumnStepState:
 
     def test_warm_started_sweeps_take_fewer_iterations(self):
         # sweep 0 fits from zero and each later step from the column's last
-        # model, all until the gradient falls below the engine's tolerance;
+        # model, all until the gradient falls below the propensity tolerance;
         # a warm start already below it takes no Newton step
         ds, cfg = paper_cell()
         result = impute(ds, cfg)
@@ -303,7 +303,7 @@ class TestColumnStepState:
         for sweep in result.per_sweep:
             for c in sweep.columns:
                 assert c.propensity_converged is True
-                assert c.propensity_gradient < PROPENSITY_TOL
+                assert c.propensity_gradient < GRADIENT_TOL
         for sweep in warm:
             assert all(c.propensity_n_iter < cold[c.column]
                        for c in sweep.columns)
@@ -321,7 +321,7 @@ class TestColumnStepState:
     def test_every_step_is_the_reference_fit_from_its_start(self, monkeypatch):
         # each step's model is the reference IRLS from the same start (zero
         # in sweep 0, else the column's previous model) stopped at the
-        # engine's tolerance, bit for bit, and its weights come from that
+        # propensity tolerance, bit for bit, and its weights come from that
         # model's probabilities
         original = engine_mod.weights_for_column
         steps = []
@@ -339,10 +339,8 @@ class TestColumnStepState:
         assert len(steps) == cfg.n_sweeps * n_cols
         for k, (design, obs_col, kwargs, wv) in enumerate(steps):
             assert (kwargs["init"] is None) == (k < n_cols)
-            assert kwargs["tol"] == PROPENSITY_TOL
             coef, intercept, converged, n_iter = reference_fit_propensity(
-                design, obs_col.astype(float), kwargs["l2"], kwargs["init"],
-                tol=PROPENSITY_TOL)
+                design, obs_col.astype(float), kwargs["l2"], kwargs["init"])
             model = wv.propensity
             assert np.array_equal(model.coefficients, coef)
             assert model.intercept == intercept
@@ -476,7 +474,7 @@ class TestColumnStepState:
         for sweep in result.per_sweep:
             for col in sweep.columns:
                 assert col.propensity_converged is True
-                assert col.propensity_gradient < PROPENSITY_TOL
+                assert col.propensity_gradient < GRADIENT_TOL
                 assert np.isfinite(col.effective_sample_size)
 
 
@@ -487,7 +485,7 @@ class TestRidgeGolden:
     # engine with column-major buffers and block-form ridge normal equations
     # solved through the inverse of their Cholesky factor, the weighted ones
     # with weights from the propensity fit's last pass, every propensity fit
-    # stopped at the engine's tolerance and a propensity design whose rows
+    # stopped at the propensity tolerance and a propensity design whose rows
     # come in the step's order, observed rows first; BLAS rounding depends on
     # memory order and on how a system is formed, so a change to either
     # shows here.
@@ -619,7 +617,7 @@ class TestImputeProperties:
     def test_every_propensity_fit_converges_below_the_tolerance(
             self, seed, n, d, rate, l2, n_sweeps):
         # every weighted step's fit, cold in sweep 0 and warm after, stops
-        # below the engine's tolerance, and the result carries the model of
+        # below the propensity tolerance, and the result carries the model of
         # each column's last step with the gradient and count it recorded
         rng = np.random.default_rng(seed)
         observed = rng.random((n, d)) >= rate
@@ -632,7 +630,7 @@ class TestImputeProperties:
         for sweep in result.per_sweep:
             for c in sweep.columns:
                 assert c.propensity_converged is True
-                assert c.propensity_gradient < PROPENSITY_TOL
+                assert c.propensity_gradient < GRADIENT_TOL
         last = {c.column: c for c in result.per_sweep[-1].columns}
         assert sorted(result.weights) == sorted(last) == ds.missing_columns()
         for i, wv in result.weights.items():
@@ -726,7 +724,7 @@ class TestMlpImpute:
         # weighted files were rewritten when propensity fits after sweep 0
         # became one warm Newton step, when the propensity design took the
         # step's row order, observed rows first, and when every propensity
-        # fit came to stop at the engine's tolerance; the unweighted files
+        # fit came to stop at the propensity tolerance; the unweighted files
         # stayed byte-identical through all three. Columns 1 and 3 have 26
         # and 28 observed rows, so every epoch ends on a partial batch.
         ds = load_masked_csv(DATA / "mlp_masked.csv")

@@ -176,6 +176,14 @@ class TestWassersteinMarginalSum:
         total, per_col = wasserstein_marginal_sum(truth, imputed)
         assert total == pytest.approx(sum(per_col), abs=1e-12)
 
+    def test_shape_mismatch_names_both_shapes(self):
+        # the message rmse_masked gives for the same mismatch
+        truth = np.arange(12.0).reshape(6, 2)
+        with pytest.raises(ValueError) as info:
+            wasserstein_marginal_sum(truth, truth[:5])
+        assert str(info.value) == \
+            "shape mismatch between truth and imputed: (6, 2) vs (5, 2)"
+
 
 class TestWilcoxon:
     def test_all_zero_diffs_rejected(self):

@@ -30,6 +30,9 @@ DATA = Path(__file__).parent / "data"
 
 # clip-then-formula hand oracle: eta=1e-9 clipped to 1e-3, (1 - 1e-3)/1e-3
 CLIPPED_RAW_WEIGHT = 999.0
+# a stop far below the statistical one, for checks of the optimum itself and
+# of the IRLS over many Newton steps
+FULL_CONVERGENCE = 1e-8
 
 
 class TestFitPropensity:
@@ -94,11 +97,13 @@ class TestFitPropensity:
         x = rng.normal(size=(n, p))
         r = (rng.random(n) < sigmoid(x @ rng.normal(size=p) + shift)).astype(float)
         assume(0 < r.sum() < n)
-        cold = fit_propensity(with_intercept(x), r, l2=1e-3)
-        start = replace(cold,
-                        coefficients=cold.coefficients + jitter * rng.normal(size=p),
-                        intercept=cold.intercept + jitter * rng.normal())
-        warm = fit_propensity(with_intercept(x), r, l2=1e-3, init=start)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(propensity, "GRADIENT_TOL", FULL_CONVERGENCE)
+            cold = fit_propensity(with_intercept(x), r, l2=1e-3)
+            start = replace(
+                cold, coefficients=cold.coefficients + jitter * rng.normal(size=p),
+                intercept=cold.intercept + jitter * rng.normal())
+            warm = fit_propensity(with_intercept(x), r, l2=1e-3, init=start)
         assert cold.converged and warm.converged
         np.testing.assert_allclose(warm.coefficients, cold.coefficients,
                                    rtol=0, atol=1e-6)
@@ -158,6 +163,12 @@ def _propensity_case(n, p, l2, labels, start, layout, seed):
 
 
 class TestFitMatchesReferenceLoop:
+    @pytest.fixture(autouse=True, scope="class")
+    def fully_converged(self):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(propensity, "GRADIENT_TOL", FULL_CONVERGENCE)
+            yield
+
     @settings(max_examples=80, deadline=None)
     @given(
         n=st.integers(2, 80),
@@ -280,8 +291,8 @@ class TestFittedProbabilities:
 
 
 class TestCappedFit:
-    # a fit stopped by ``MAX_ITER`` or by a looser ``tol``, as the engine's
-    # are, is the reference loop stopped alike, and the recorded gradient is
+    # a fit stopped by ``MAX_ITER`` or by another ``GRADIENT_TOL`` is the
+    # reference loop stopped alike, and the recorded gradient is
     # that of the returned parameters, from the probabilities left in ``out``
 
     @staticmethod
@@ -340,28 +351,30 @@ class TestCappedFit:
     )
     @example(n=60, p=3, l2=0.05, labels="near_separable", start="far",
              tol=1e-3, seed=1)   # backtracks
+    # at n = 20 the stop is the sampling-noise term, below a ``tol`` of 1e-1
     @example(n=20, p=1, l2=0.05, labels="logistic", start="near", tol=1e-1,
-             seed=0)   # the start is below ``tol``: no step
+             seed=7)   # the start is below the stop: no step
     @example(n=20, p=1, l2=0.05, labels="logistic", start="cold", tol=1e-1,
-             seed=0)   # zero is below ``tol``: no step
+             seed=0)   # zero is below the stop: no step
     def test_tolerance_stop_is_the_reference_stop(self, n, p, l2, labels,
                                                   start, tol, seed):
         assume(l2 > 0 or n > p + 1)
         design, r, init = _propensity_case(n, p, l2, labels, start, "F", seed)
         assume(0 < r.sum() < n)
-        try:
-            coef, intercept, converged, n_iter = reference_fit_propensity(
-                design, r, l2, init, tol=tol)
-        except np.linalg.LinAlgError:
-            return
         out = np.full(n, np.nan)
         exps, nlls = [], []
         exp, nll = np.exp, propensity._penalized_nll
         with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(propensity, "GRADIENT_TOL", tol)
+            try:
+                coef, intercept, converged, n_iter = reference_fit_propensity(
+                    design, r, l2, init)
+            except np.linalg.LinAlgError:
+                return
             mp.setattr(np, "exp", lambda x: exps.append(1) or exp(x))
             mp.setattr(propensity, "_penalized_nll",
                        lambda *args: nlls.append(1) or nll(*args))
-            model = fit_propensity(design, r, l2, init=init, out=out, tol=tol)
+            model = fit_propensity(design, r, l2, init=init, out=out)
         assert np.array_equal(model.coefficients, coef)
         assert model.intercept == intercept
         assert (model.converged, model.n_iter) == (converged, n_iter)
@@ -371,7 +384,7 @@ class TestCappedFit:
         assert not converged or model.gradient < tol
         # one exponential per logit vector: the starting NLL, computed only
         # once a step is to be taken, reuses the gradient check's, and each
-        # trial of the line search takes one of each; a start below ``tol``
+        # trial of the line search takes one of each; a start below the stop
         # takes no step and returns its own parameters and probabilities
         steps = n_iter - converged
         assert len(nlls) >= steps + (steps > 0)
@@ -392,6 +405,34 @@ class TestCappedFit:
         assert model.gradient < propensity.GRADIENT_TOL
         # a fit not made by fit_propensity records none
         assert PropensityModel(model.coefficients, 0.0, False, 0).gradient is None
+
+    def test_large_table_stops_inside_the_sampling_noise(self):
+        # at n = 100,000 a quarter of the gradient's sampling noise
+        # sqrt(rbar (1 - rbar) / n) is about 4e-4, below GRADIENT_TOL: that
+        # is the stop, for the reference loop as for the fit
+        n, l2 = 100_000, 1e-4
+        design, r, _ = _propensity_case(n, 2, l2, "logistic", "cold", "F", 5)
+        rbar = r.mean()
+        stop = 0.25 * np.sqrt(rbar * (1.0 - rbar) / n)
+        assert stop < 0.5 * propensity.GRADIENT_TOL
+        out = np.empty(n)
+        model = fit_propensity(design, r, l2, out=out)
+        assert model.converged and model.gradient < stop
+        coef, intercept, converged, n_iter = reference_fit_propensity(design, r, l2)
+        assert np.array_equal(model.coefficients, coef)
+        assert model.intercept == intercept
+        assert (model.converged, model.n_iter) == (converged, n_iter)
+        # a start between the two stops is not converged: it takes a step
+        shift = 1.6 * stop / np.mean(out * (1.0 - out))
+        start = replace(model, intercept=model.intercept + shift)
+        at_start = np.empty(n)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(propensity, "MAX_ITER", 0)
+            unchecked = fit_propensity(design, r, l2, init=start, out=at_start)
+        assert stop < self._recorded_gradient(
+            design, r, l2, unchecked, at_start) < propensity.GRADIENT_TOL
+        warm = fit_propensity(design, r, l2, init=start)
+        assert warm.converged and warm.n_iter == 2 and warm.gradient < stop
 
 
 class TestWeightsFromPropensity:
@@ -507,11 +548,12 @@ class TestDiagnostics:
         assert 0 < entry["effective_sample_size"] <= n_obs + 1e-9
         assert sum(entry["weight_histogram"]["counts"]) == n_obs
 
-    def test_dump_unchanged_on_fixed_input(self):
+    def test_dump_unchanged_on_fixed_input(self, monkeypatch):
         # the expected file was written with weights taken from the
         # propensity fit's last pass and with each fit's recorded gradient;
-        # cold fits on the same completion, formatted here, must reproduce
-        # it byte for byte
+        # cold fits to full convergence on the same completion, formatted
+        # here, must reproduce it byte for byte
+        monkeypatch.setattr(propensity, "GRADIENT_TOL", FULL_CONVERGENCE)
         rng = np.random.default_rng(31)
         data = DataMatrix(rng.normal(size=(400, 5)), tuple(f"c{j}" for j in range(5)))
         spec = MarSpec((0, 3), ((1, 2), (2, 4)), alpha=2.0,
