@@ -3,20 +3,22 @@ fitting a weighted conditional model per column on its observed rows and
 overwriting the missing entries with its predictions, for a fixed number of
 sweeps.
 
-Each column step re-estimates the importance weights from the freshly
-completed matrix (unless the run is unweighted, which is the identical code
-path with unit weights), standardizes the predictor columns with statistics
-of the rows where the target column is observed, fits on those rows, and
-predicts the rest. Observed cells are never altered, and a step whose
-predictions are not all finite fails, so a completion is always finite.
+Each column step standardizes the other columns of the freshly completed
+matrix with statistics of the rows where the target column is observed,
+re-estimates the importance weights from them (unless the run is
+unweighted, which is the identical code path with unit weights), fits on
+those rows, and predicts the rest. Observed cells are never altered, and a
+step whose predictions are not all finite fails, so a completion is always
+finite.
 
 A step gathers every other column at its rows, observed rows first, into
-one buffer: a weighted step standardizes it over all rows into the
-propensity design, then every step standardizes it in place over the
-observed rows, so no statistic of the completion is kept between steps. A
-run refills one set of step arrays allocated at its start. Every weighted
-step runs the propensity IRLS from the column's previous model (from zero in
-sweep 0) until its max-abs gradient is inside the gradient's sampling noise.
+one buffer and standardizes it in place over the observed rows, once: the
+regression reads its two parts and a weighted step's propensity fit reads
+the whole buffer with its trailing ones row, so no statistic of the
+completion is kept between steps. A run refills one set of step arrays
+allocated at its start. Every weighted step runs the propensity IRLS from
+the column's previous model (from zero in sweep 0) until its max-abs
+gradient is inside the gradient's sampling noise.
 """
 
 from __future__ import annotations
@@ -135,13 +137,13 @@ def _step_seed(cfg: ImputationConfig, sweep: int, column: int) -> int:
     return derive_seed(cfg.seed, sweep, column)
 
 
-def _standardize(x: np.ndarray, n_stat: int, out: np.ndarray) -> None:
-    """Each row of ``x`` into ``out``, less the mean and divided by the
+def _standardize(x: np.ndarray, n_stat: int) -> None:
+    """Each row of ``x``, in place, less the mean and divided by the
     population std (1.0 where constant) of the row's first ``n_stat``
-    entries; ``out`` may be ``x``."""
-    np.subtract(x, x[:, :n_stat].mean(axis=1)[:, None], out=out)
-    std = np.sqrt(np.array([r @ r for r in out[:, :n_stat]]) / n_stat)
-    out /= np.where(std > 0, std, 1.0)[:, None]
+    entries."""
+    x -= x[:, :n_stat].mean(axis=1)[:, None]
+    std = np.sqrt(np.array([r @ r for r in x[:, :n_stat]]) / n_stat)
+    x /= np.where(std > 0, std, 1.0)[:, None]
 
 
 class _Workspace:
@@ -149,21 +151,20 @@ class _Workspace:
 
     ``rows[i]`` lists target ``i``'s observed rows, then its missing rows
     ``miss_rows[i]``; ``y_train[i]`` holds the target's values at its
-    observed rows and, in a weighted run, ``labels[i]`` its observedness in
-    ``rows[i]`` order (the observed rows' ones, then zeros). The regression
-    predictors of target ``i`` are the columns ``others[i]``.
+    observed rows and ``labels[i]`` its observedness in ``rows[i]`` order
+    (the observed rows' ones, then zeros). The regression predictors of
+    target ``i`` are the columns ``others[i]``.
 
-    The arrays are one allocation, refilled in place by every step and
-    column-major like the completion: one predictor buffer that holds a
-    target's rows in ``rows[i]`` order (one contiguous row per predictor,
-    standardized over its observed part; a fit reads its observed-row and
-    missing-row parts as transposed views), and, in a weighted run, the
-    propensity design: the gathered rows standardized over all of them, with
-    a trailing column of ones.
+    The arrays are one (d, n) block, refilled in place by every step and
+    column-major like the completion: the d - 1 rows of the predictor buffer,
+    which holds a target's rows in ``rows[i]`` order (one contiguous row per
+    predictor, standardized over its observed part; a fit reads its
+    observed-row and missing-row parts as transposed views), then a row of
+    ones. Its transpose ``design`` is the propensity design: the same
+    standardized predictors with the trailing intercept column.
     """
 
-    def __init__(self, completed: np.ndarray, observed: np.ndarray, targets,
-                 weighted: bool):
+    def __init__(self, completed: np.ndarray, observed: np.ndarray, targets):
         n, d = completed.shape
         self.others = {i: np.delete(np.arange(d), i) for i in targets}
         self.rows, self.miss_rows, self.y_train, self.labels = {}, {}, {}, {}
@@ -174,14 +175,10 @@ class _Workspace:
             self.miss_rows[i] = rows[obs.shape[0]:]
             # observed cells of the completion are the data's own values
             self.y_train[i] = completed[obs, i]
-            if weighted:
-                self.labels[i] = np.arange(n) < obs.shape[0]
-        # one allocation, not one per buffer: on the MLP path, separate
-        # buffers measured slower than the per-step arrays they replace
-        work = np.empty((2 * d - 1 if weighted else d - 1, n))
-        self.gathered, design = np.split(work, [d - 1])
-        design[-1:] = 1.0  # the intercept column; no rows when unweighted
-        self.design = design.T if weighted else None
+            self.labels[i] = np.arange(n) < obs.shape[0]
+        work = np.empty((d, n))
+        work[-1] = 1.0  # the intercept column
+        self.gathered, self.design = work[:-1], work.T
 
     def gather(self, completed: np.ndarray, i: int) -> None:
         """Every column but ``i`` of the completion, at ``rows[i]``, into the
@@ -191,20 +188,13 @@ class _Workspace:
             # any mode but the default "raise" writes straight into ``out``
             np.take(completed[:, j], rows, out=row, mode="clip")
 
-    def propensity_design(self) -> np.ndarray:
-        """The gathered rows standardized over all of them, with the ones
-        column; call before :meth:`predictors` standardizes the buffer."""
-        _standardize(self.gathered, self.gathered.shape[1],
-                     self.design[:, :-1].T)
-        return self.design
-
     def predictors(self, i: int):
         """The gathered observed rows and missing rows, standardized in place
         over target ``i``'s observed rows: two parts of one buffer, as
         transposed views."""
         x = self.gathered
         n_obs = self.y_train[i].shape[0]
-        _standardize(x, n_obs, x)
+        _standardize(x, n_obs)
         return x[:, :n_obs].T, x[:, n_obs:].T
 
 
@@ -217,15 +207,15 @@ def _column_step(completed, i, cfg, sweep, workspace, init=None):
     """
     miss_rows, y_train = workspace.miss_rows[i], workspace.y_train[i]
     workspace.gather(completed, i)
+    x_train, x_miss = workspace.predictors(i)
     wv = propensity = None
     if cfg.weighted:
-        wv = weights_for_column(workspace.propensity_design(),
-                                workspace.labels[i], l2=cfg.propensity_l2,
+        wv = weights_for_column(workspace.design, workspace.labels[i],
+                                l2=cfg.propensity_l2,
                                 clip_epsilon=cfg.clip_epsilon, init=init)
         weights, propensity = wv.weights, wv.propensity
     else:
         weights = np.ones(y_train.shape[0])
-    x_train, x_miss = workspace.predictors(i)
     # ridge takes no seed, so none is derived for it
     seed = None if cfg.regressor.kind == "ridge" else _step_seed(cfg, sweep, i)
     model = fit_regressor(cfg.regressor, x_train, y_train, weights, seed)
@@ -262,7 +252,7 @@ def impute(ds: MaskedDataset, cfg: ImputationConfig) -> ImputationResult:
         return ImputationResult(ds.data.values.copy(), ())
     order = visitation_order(ds, cfg.visitation)
     completed = initial_impute(ds)
-    workspace = _Workspace(completed, ds.mask.observed, order, cfg.weighted)
+    workspace = _Workspace(completed, ds.mask.observed, order)
     # each column's weights from the previous sweep, whose propensity model
     # warm-starts the next fit; local to this call so results never depend
     # on what ran before

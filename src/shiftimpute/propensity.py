@@ -196,10 +196,12 @@ def weights_for_column(design: np.ndarray, obs_col: np.ndarray,
                        init: PropensityModel | None = None) -> WeightVector:
     """Importance weights for the observed rows of one column.
 
-    ``design`` holds the standardized completed values of every other column
-    (all rows) followed by a column of ones, as :func:`fit_propensity` takes
-    it, and ``obs_col`` the column's observedness indicator. The classifier
-    is trained on all rows; weights are evaluated at the observed rows only.
+    ``design`` holds every other column's completed values at all rows,
+    standardized over the column's observed rows (with the intercept
+    unpenalized, the statistics only set the scale the L2 penalty sees),
+    then a column of ones, as :func:`fit_propensity` takes it, and
+    ``obs_col`` the column's observedness indicator. The classifier is
+    trained on all rows; weights are evaluated at the observed rows only.
     ``init`` warm-starts the fit, which stops at its statistical tolerance;
     its ``out`` vector holds the propensities, so no row of the design is
     gathered again (with the observed rows first, as the engine orders them,
@@ -224,7 +226,8 @@ def effective_sample_size(weights: np.ndarray) -> float:
 
 def weight_diagnostics(weights: dict[int, WeightVector]) -> dict:
     """JSON-ready diagnostics of per-column weights and the models they came
-    from, in ascending column order; fits nothing.
+    from, in ascending column order; fits nothing. The convergence flag,
+    gradient and effective sample size are in the step records, not here.
 
     ``weights`` is :attr:`ImputationResult.weights` (or any column -> weights
     mapping whose entries carry their propensity model).
@@ -236,12 +239,9 @@ def weight_diagnostics(weights: dict[int, WeightVector]) -> dict:
         out[str(i)] = {
             "coefficients": [float(c) for c in model.coefficients],
             "intercept": model.intercept,
-            "converged": model.converged,
-            "gradient": model.gradient,
             "weight_histogram": {
                 "counts": [int(c) for c in counts],
                 "edges": [float(e) for e in edges],
             },
-            "effective_sample_size": effective_sample_size(wv.weights),
         }
     return out

@@ -249,14 +249,18 @@ def paper_cell(weighted=True, seed=0, alpha=3.0):
 
 
 class TestPlantedMechanismRecovery:
-    # The mechanism is logistic in the standardized sum of fully observed
-    # predictors, which the propensity design standardizes with the same
-    # population statistics; unpenalized, the fitted propensity of the last
-    # sweep is well specified: alpha on the planted predictors, 0 elsewhere.
-    # Seeds 0 and 3 read 2.67-3.21 on the planted predictors, at most 0.40
-    # in absolute value on the others and weight correlations 0.981-0.999;
-    # the last sweep's fits stop below the propensity tolerance like every
-    # other, at a gradient of at most 9.0e-4.
+    # The mechanism is logistic in the sum of fully observed predictors,
+    # each standardized over all rows; the propensity design standardizes
+    # over the target's observed rows instead, so a fitted coefficient
+    # times the column's std over all rows over its std over the observed
+    # rows (both on the completion) is the coefficient in the mechanism's
+    # basis, the intercept absorbing the shift. Unpenalized, the fitted
+    # propensity of the last sweep is well specified: alpha on the planted
+    # predictors, 0 elsewhere. Seeds 0 and 3 read 2.67-3.21 on the planted
+    # predictors, at most 0.40 in absolute value on the others and weight
+    # correlations 0.98-0.999; the last sweep's fits stop below the
+    # propensity tolerance like every other, at a gradient of at most
+    # 9.3e-4.
 
     @pytest.mark.parametrize("seed", [0, 3])
     def test_unpenalized_fit_recovers_alpha(self, seed):
@@ -276,7 +280,10 @@ class TestPlantedMechanismRecovery:
             model = result.weights[i].propensity
             assert model.gradient < GRADIENT_TOL
             others = [j for j in range(ds.data.n_cols) if j != i]
-            coef = dict(zip(others, model.coefficients))
+            x = result.completed
+            obs = ds.mask.observed[:, i]
+            coef = {j: c * x[:, j].std() / x[obs, j].std()
+                    for j, c in zip(others, model.coefficients)}
             for j in others:
                 if j in planted:
                     assert abs(coef[j] - alpha) < 0.5, (i, j, coef[j])
@@ -289,8 +296,8 @@ class TestPlantedMechanismRecovery:
 class TestColumnStepState:
     # the weighted paper cell's Newton steps as measured, the sum of
     # n_iter - 1 over its step records (every fit converges, so its last
-    # check takes no step): 16 in sweep 0 and 8 after
-    PAPER_CELL_NEWTON_STEPS = 24
+    # check takes no step): 16 in sweep 0 and 7 after
+    PAPER_CELL_NEWTON_STEPS = 23
 
     def test_warm_started_sweeps_take_fewer_iterations(self):
         # sweep 0 fits from zero and each later step from the column's last
@@ -381,44 +388,49 @@ class TestColumnStepState:
             self, monkeypatch):
         # every fit and predict gets, bit for bit, the other columns of the
         # completion before its step, each standardized over the target's
-        # observed rows; a weighted step's propensity design is the same
-        # columns taken in the step's row order (observed rows first) and
-        # standardized over all of them, its labels are the observedness in
-        # that order, and an unweighted run has none
+        # observed rows, by one standardization per step, weighted or not; a
+        # weighted step's propensity design is those same predictors in the
+        # step's row order (observed rows first), in the same memory, with a
+        # ones column, and its labels are the observedness in that order
         original_step = engine_mod._column_step
-        original_fit, original_predict, original_weights = (
+        original_fit, original_predict, original_weights, original_std = (
             engine_mod.fit_regressor, engine_mod.predict,
-            engine_mod.weights_for_column)
+            engine_mod.weights_for_column, engine_mod._standardize)
         expected = {}
-        steps, fits, designs = [], [], []
+        steps, fits, designs, standardized = [], [], [], []
 
         def checked_step(*args):
-            completed, i, cfg, workspace = args[0], args[1], args[2], args[4]
+            completed, i, workspace = args[0], args[1], args[4]
             observed = expected["observed"]
             obs, miss = (np.flatnonzero(observed[:, i]),
                          np.flatnonzero(~observed[:, i]))
             rows = np.concatenate([obs, miss])
             assert np.array_equal(workspace.rows[i], rows)
-            others = np.delete(completed, i, axis=1)
-            z = reference_standardize(others, obs)
+            z = reference_standardize(np.delete(completed, i, axis=1), obs)
             expected["train"], expected["miss"] = z[obs], z[miss]
-            expected["design"] = reference_standardize(
-                others[rows], np.arange(completed.shape[0]))
+            expected["design"] = np.column_stack([z[rows], np.ones(len(rows))])
             expected["labels"] = observed[rows, i]
+            expected["buffer"] = workspace.gathered
+            before = len(standardized)
             out = original_step(*args)
-            assert (workspace.design is None) == (not cfg.weighted)
+            assert len(standardized) == before + 1
             steps.append(i)
             return out
 
+        def counted_standardize(*args):
+            standardized.append(1)
+            return original_std(*args)
+
         def checked_weights(design, labels, *args, **kwargs):
-            assert np.array_equal(design[:, :-1], expected["design"])
-            assert np.all(design[:, -1] == 1.0)
+            assert np.array_equal(design, expected["design"])
             assert np.array_equal(labels, expected["labels"])
+            assert np.shares_memory(design, expected["buffer"])
             designs.append(1)
             return original_weights(design, labels, *args, **kwargs)
 
         def checked_fit(spec, x_train, *args):
             assert np.array_equal(x_train, expected["train"])
+            assert np.shares_memory(x_train, expected["buffer"])
             fits.append(spec)
             return original_fit(spec, x_train, *args)
 
@@ -427,18 +439,18 @@ class TestColumnStepState:
             return original_predict(model, x)
 
         monkeypatch.setattr(engine_mod, "_column_step", checked_step)
+        monkeypatch.setattr(engine_mod, "_standardize", counted_standardize)
         monkeypatch.setattr(engine_mod, "fit_regressor", checked_fit)
         monkeypatch.setattr(engine_mod, "predict", checked_predict)
         monkeypatch.setattr(engine_mod, "weights_for_column", checked_weights)
         for weighted in (True, False):
             ds, cfg = paper_cell(weighted=weighted)
             expected["observed"] = ds.mask.observed
-            steps.clear()
-            fits.clear()
-            designs.clear()
+            for record in (steps, fits, designs, standardized):
+                record.clear()
             impute(ds, cfg)
-            assert len(steps) == len(fits) == (cfg.n_sweeps
-                                               * len(ds.missing_columns()))
+            assert len(steps) == len(fits) == len(standardized) == (
+                cfg.n_sweeps * len(ds.missing_columns()))
             assert len(designs) == (len(steps) if weighted else 0)
 
     def test_only_seeded_fits_derive_a_seed(self, monkeypatch):
@@ -485,9 +497,10 @@ class TestRidgeGolden:
     # engine with column-major buffers and block-form ridge normal equations
     # solved through the inverse of their Cholesky factor, the weighted ones
     # with weights from the propensity fit's last pass, every propensity fit
-    # stopped at the propensity tolerance and a propensity design whose rows
-    # come in the step's order, observed rows first; BLAS rounding depends on
-    # memory order and on how a system is formed, so a change to either
+    # stopped at the propensity tolerance and a propensity design that is
+    # the predictor buffer itself, rows in the step's order (observed rows
+    # first) and standardized over the observed rows; BLAS rounding depends
+    # on memory order and on how a system is formed, so a change to either
     # shows here.
 
     @pytest.mark.parametrize("tag, weighted", [("weighted", True),
@@ -648,15 +661,12 @@ class TestWorkspacePredictors:
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 20_000),
            d=st.integers(2, 5), frac_obs=st.floats(0.0, 1.0),
            kinds=st.lists(st.sampled_from(["normal", "constant", "tied",
-                                           "offset"]), min_size=5, max_size=5),
-           weighted=st.booleans())
-    @example(seed=0, n=9, d=3, frac_obs=0.0, kinds=["normal"] * 5,
-             weighted=False)
+                                           "offset"]), min_size=5, max_size=5))
+    @example(seed=0, n=9, d=3, frac_obs=0.0, kinds=["normal"] * 5)
     @example(seed=1, n=20_001, d=4, frac_obs=0.9,
-             kinds=["normal", "tied", "offset", "constant", "normal"],
-             weighted=True)
+             kinds=["normal", "tied", "offset", "constant", "normal"])
     def test_predictors_match_per_column_statistics(self, seed, n, d, frac_obs,
-                                                    kinds, weighted):
+                                                    kinds):
         rng = np.random.default_rng(seed)
         columns = {"normal": lambda: rng.normal(size=n),
                    "constant": lambda: np.full(n, rng.normal()),
@@ -668,22 +678,21 @@ class TestWorkspacePredictors:
         observed = np.zeros((n, d), bool)
         observed[rng.permutation(n)[:n_obs], 0] = True
         obs, miss = np.flatnonzero(observed[:, 0]), np.flatnonzero(~observed[:, 0])
-        work = engine_mod._Workspace(completed, observed, [0], weighted)
+        work = engine_mod._Workspace(completed, observed, [0])
         rows = np.concatenate([obs, miss])
         assert np.array_equal(work.rows[0], rows)
+        assert np.array_equal(work.labels[0], observed[rows, 0])
         work.gather(completed, 0)
-        if weighted:
-            # the design is read before the buffer is standardized in place
-            design = work.propensity_design()
-            assert np.array_equal(
-                design[:, :-1],
-                reference_standardize(completed[rows, 1:], np.arange(n)))
-            assert np.all(design[:, -1] == 1.0)
-            assert np.array_equal(work.labels[0], observed[rows, 0])
         x_train, x_miss = work.predictors(0)
         z = reference_standardize(completed[:, 1:], obs)
         assert np.array_equal(x_train, z[obs])
         assert np.array_equal(x_miss, z[miss])
+        # the propensity design is the same buffer with a ones column
+        design = work.design
+        assert np.shares_memory(design, x_train)
+        assert np.shares_memory(design, x_miss)
+        assert np.array_equal(design,
+                              np.column_stack([z[rows], np.ones(n)]))
 
 
 class TestSingleColumnSweeps:
@@ -723,10 +732,12 @@ class TestMlpImpute:
         # and took train_weighted_mse from a separate forward pass. The
         # weighted files were rewritten when propensity fits after sweep 0
         # became one warm Newton step, when the propensity design took the
-        # step's row order, observed rows first, and when every propensity
-        # fit came to stop at the propensity tolerance; the unweighted files
-        # stayed byte-identical through all three. Columns 1 and 3 have 26
-        # and 28 observed rows, so every epoch ends on a partial batch.
+        # step's row order, observed rows first, when every propensity fit
+        # came to stop at the propensity tolerance, and when the design
+        # became the predictor buffer, standardized over the observed rows;
+        # the unweighted files stayed byte-identical through all four.
+        # Columns 1 and 3 have 26 and 28 observed rows, so every epoch ends
+        # on a partial batch.
         ds = load_masked_csv(DATA / "mlp_masked.csv")
         for tag, weighted, completion in (
                 ("weighted", True, "mlp_complete.csv"),
@@ -746,10 +757,11 @@ class TestMlpImpute:
 
     def test_divergence_names_column_sweep_and_epoch(self):
         # the message, loss included, was recorded with weights taken from
-        # the last pass of a propensity fit stopped at the engine's
-        # tolerance, on a design whose rows come in the step's order,
-        # observed rows first; the epoch and loss depend on every update, so
-        # the last bits of the weights show in the loss
+        # the last pass of a propensity fit stopped at the propensity
+        # tolerance, on the predictor buffer (rows in the step's order,
+        # observed rows first, standardized over the observed rows); the
+        # epoch and loss depend on every update, so the last bits of the
+        # weights show in the loss
         rng = np.random.default_rng(21)
         x1 = rng.normal(size=60)
         data = DataMatrix(np.column_stack([x1, 2.0 * x1]), ("x1", "x2"))
@@ -763,7 +775,7 @@ class TestMlpImpute:
             impute(ds, cfg)
         assert str(info.value) == (
             "column 1 failed at sweep 0: MLP diverged at epoch 6: "
-            "loss=8412877236651.383 (learning_rate=0.4)")
+            "loss=771093171503.697 (learning_rate=0.4)")
 
 
 class TestConfig:
