@@ -352,13 +352,52 @@ def _mlp_forward(params, x, out=None):
     return hidden, hidden @ w_out + b_out
 
 
-def _mlp_gradient(params, x, hidden, resid, w):
-    """Gradients of the weighted MSE in the order of ``params``, given the
-    forward pass ``hidden`` on ``x`` and the residuals ``pred - y``."""
-    dpred = 2.0 * w * resid / w.sum()
-    dhidden = dpred[:, None] * params[2]
-    dhidden *= 1.0 - hidden * hidden
-    return x.T @ dhidden, dhidden.sum(axis=0), hidden.T @ dpred, float(dpred.sum())
+class _MlpStep:
+    """A network held as one flat parameter vector ``theta``, and the gradient
+    of its weighted MSE on one batch.
+
+    ``theta`` holds the (p + 1) x h hidden weights, whose last row is the
+    hidden bias, then the h output weights, then the output bias; ``grad``
+    is laid out alike. A batch comes feature-major, (p + 1) x m with a last
+    row of ones, so ``x1.T @ w1`` adds the hidden bias and ``x1 @ dhidden``
+    gives its gradient. The activations and their gradients go into buffers
+    of ``rows`` rows, allocated once.
+    """
+
+    def __init__(self, theta: np.ndarray, p: int, rows: int):
+        h = (theta.shape[0] - 1) // (p + 2)
+        k = (p + 1) * h
+        self.theta, self.grad = theta, np.empty_like(theta)
+        self.w1, self.w2 = theta[:k].reshape(p + 1, h), theta[k:-1]
+        self.g1, self.g2 = self.grad[:k].reshape(p + 1, h), self.grad[k:-1]
+        self.hidden, self.dhidden = np.empty((rows, h)), np.empty((rows, h))
+        self.dpred = np.empty(rows)
+
+    @property
+    def params(self):
+        """(w_hidden, b_hidden, w_out, b_out), the arrays as views of ``theta``."""
+        p = self.w1.shape[0] - 1
+        return self.w1[:p], self.w1[p], self.w2, float(self.theta[-1])
+
+    def gradient(self, x1: np.ndarray, y: np.ndarray, scale: np.ndarray):
+        """``grad`` at ``theta`` of ``sum_k w_k (pred_k - y_k)^2 / sum_k w_k``
+        over the batch ``x1``, given ``scale`` = 2 w / sum(w) for its rows."""
+        m = y.shape[0]
+        hidden, dhidden, dpred = self.hidden[:m], self.dhidden[:m], self.dpred[:m]
+        np.matmul(x1.T, self.w1, out=hidden)
+        np.tanh(hidden, out=hidden)
+        np.matmul(hidden, self.w2, out=dpred)
+        dpred += self.theta[-1]
+        dpred -= y
+        dpred *= scale
+        np.matmul(hidden.T, dpred, out=self.g2)
+        self.grad[-1] = dpred.sum()
+        np.multiply(dpred[:, None], self.w2, out=dhidden)
+        hidden *= hidden
+        np.subtract(1.0, hidden, out=hidden)
+        dhidden *= hidden
+        np.matmul(x1, dhidden, out=self.g1)
+        return self.grad
 
 
 def fit_weighted_mlp(x: np.ndarray, y: np.ndarray, w: np.ndarray,
@@ -367,30 +406,35 @@ def fit_weighted_mlp(x: np.ndarray, y: np.ndarray, w: np.ndarray,
 
     Zero-weight rows are dropped before batching, so the fit is identical to
     one on the surviving rows alone. Each epoch gathers the rows in a fresh
-    random order once and steps on consecutive slices of it; the epoch loss
-    is a forward pass over all rows, ``LOSS_BLOCK`` rows at a time. Aborts
-    if it exceeds 1e10.
+    random order once, feature-major with a row of ones, and steps on
+    consecutive slices of it; each row's factor 2 w / sum(w) over its batch
+    is formed once per epoch. A step writes the gradient of every parameter
+    into one vector and applies it in one pass. The epoch loss is a forward
+    pass over all rows, ``LOSS_BLOCK`` rows at a time. Aborts if it exceeds
+    1e10.
 
-    The gathered rows, one block's hidden activations and the epoch loss's
-    predictions live in buffers allocated once per fit. With every weight
-    positive the rows are read where they are, not copied; the last entry of
-    ``loss_trace`` is then exactly ``weighted_mse`` of the model on
-    ``x, y, w``.
+    The gathered rows, the step's activations and gradients, one block's
+    hidden activations and the epoch loss's predictions live in buffers
+    allocated once per fit. ``x`` is read where it is, never copied whole;
+    with every weight positive the last entry of ``loss_trace`` is exactly
+    ``weighted_mse`` of the model on ``x, y, w``.
     """
     x, y, w = _check_xyw(x, y, w)
     keep = w > 0
     if not keep.all():
         x, y, w = x[keep], y[keep], w[keep]
-    x = np.ascontiguousarray(x)  # a row copy's layout: BLAS rounding follows it
     n, p = x.shape
     h = spec.hidden_units
-    rng = np.random.default_rng(seed)
-    w_hidden = _glorot(rng, p, h, (p, h))
-    b_hidden = np.zeros(h)
-    w_out = _glorot(rng, h, 1, (h,))
-    b_out = 0.0
     lr, size = spec.learning_rate, spec.batch_size
-    xp, yp, wp = np.empty((n, p)), np.empty(n), np.empty(n)
+    rng = np.random.default_rng(seed)
+    step = _MlpStep(np.zeros((p + 2) * h + 1), p, min(n, size))
+    step.w1[:p] = _glorot(rng, p, h, (p, h))
+    step.w2[:] = _glorot(rng, h, 1, (h,))
+    theta = step.theta
+    starts = np.arange(0, n, size)
+    counts = np.diff(starts, append=n)
+    x1, yp, scale = np.empty((p + 1, n)), np.empty(n), np.empty(n)
+    x1[p] = 1.0
     # no n x h array: one that large can fall above glibc's mmap threshold,
     # and each fit then faults its pages in afresh
     loss_hidden, loss_pred = np.empty((min(n, LOSS_BLOCK), h)), np.empty(n)
@@ -398,20 +442,20 @@ def fit_weighted_mlp(x: np.ndarray, y: np.ndarray, w: np.ndarray,
     for _ in range(spec.epochs):
         perm = rng.permutation(n)
         # any mode but the default "raise" writes straight into ``out``
-        for src, dst in ((x, xp), (y, yp), (w, wp)):
-            np.take(src, perm, axis=0, out=dst, mode="clip")
+        for j in range(p):
+            np.take(x[:, j], perm, out=x1[j], mode="clip")
+        np.take(y, perm, out=yp, mode="clip")
+        np.take(w, perm, out=scale, mode="clip")
+        batch_sums = np.add.reduceat(scale, starts)
+        scale *= 2.0
+        scale /= np.repeat(batch_sums, counts)
         for start in range(0, n, size):
-            xb = xp[start:start + size]
-            params = (w_hidden, b_hidden, w_out, b_out)
-            hidden, pred = _mlp_forward(params, xb)
-            g_whidden, g_bhidden, g_wout, g_bout = _mlp_gradient(
-                params, xb, hidden, pred - yp[start:start + size],
-                wp[start:start + size])
-            w_hidden -= lr * g_whidden
-            b_hidden -= lr * g_bhidden
-            w_out -= lr * g_wout
-            b_out -= lr * g_bout
-        params = (w_hidden, b_hidden, w_out, b_out)
+            stop = start + size
+            grad = step.gradient(x1[:, start:stop], yp[start:stop],
+                                 scale[start:stop])
+            grad *= lr
+            theta -= grad
+        params = step.params
         for start in range(0, n, LOSS_BLOCK):
             xb = x[start:start + LOSS_BLOCK]
             loss_pred[start:start + LOSS_BLOCK] = _mlp_forward(
@@ -423,7 +467,7 @@ def fit_weighted_mlp(x: np.ndarray, y: np.ndarray, w: np.ndarray,
                 f"(learning_rate={spec.learning_rate})"
             )
         trace.append(loss)
-    return MlpModel(w_hidden, b_hidden, w_out, float(b_out), tuple(trace))
+    return MlpModel(*step.params, tuple(trace))
 
 
 # ---------------------------------------------------------------------------

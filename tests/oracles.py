@@ -4,6 +4,7 @@ Each one restates, in the most direct numpy, a quantity the package computes
 by a faster or more incremental route.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,7 +15,7 @@ from shiftimpute.propensity import (DEFAULT_CLIP, DEFAULT_L2, MAX_ITER,
                                    weights_for_column)
 from shiftimpute.data import require_finite
 from shiftimpute.regressors import (SPLIT_GAIN_FLOOR, ForestSpec, RidgeModel,
-                                    _check_xyw, _mlp_forward, _mlp_gradient,
+                                    _check_xyw, _mlp_forward, _MlpStep,
                                     _weighted_mean_square)
 
 
@@ -238,14 +239,81 @@ def mlp_loss_and_gradient(params, x, y, w):
     """Weighted-MSE loss and analytic gradients for one tanh hidden layer.
 
     ``params`` is (w_hidden, b_hidden, w_out, b_out); gradients come back in
-    the same order. Composed of the fit's own forward pass and gradient, so
-    a finite-difference check of it checks the gradient the fit descends
-    along.
+    the same order. The loss is the fit's own forward pass, and the gradient
+    is the fit's own step on the flat parameter vector, with all rows as one
+    batch, so a finite-difference check of it checks the gradient the fit
+    descends along.
     """
-    hidden, pred = _mlp_forward(params, x)
+    w_hidden, b_hidden, w_out, b_out = params
+    p = w_hidden.shape[0]
+    theta = np.concatenate([np.ravel(w_hidden), b_hidden, w_out, [b_out]])
+    step = _MlpStep(theta, p, x.shape[0])
+    x1 = np.ones((p + 1, x.shape[0]))
+    x1[:p] = x.T
+    step.gradient(x1, y, 2.0 * w / w.sum())
+    loss = _weighted_mean_square(_mlp_forward(params, x)[1] - y, w)
+    return loss, (step.g1[:p], step.g1[p], step.g2, float(step.grad[-1]))
+
+
+# The MLP fit as it stood before its parameters became one flat vector with
+# the hidden bias folded into the hidden weights: separate bias terms, a
+# per-batch 2 w * r / sum(w), a fancy-index gather per batch and a full
+# loss-and-gradient pass for every step and epoch. The new arithmetic rounds
+# differently, so it is kept as the oracle the fit must stay close to.
+def _reference_unfolded_loss_and_gradient(params, x, y, w):
+    w_hidden, b_hidden, w_out, b_out = params
+    sw = w.sum()
+    hidden = np.tanh(x @ w_hidden + b_hidden)
+    pred = hidden @ w_out + b_out
     resid = pred - y
-    loss = _weighted_mean_square(resid, w)
-    return loss, _mlp_gradient(params, x, hidden, resid, w)
+    loss = float((w * resid * resid).sum() / sw)
+    dpred = 2.0 * w * resid / sw
+    g_wout = hidden.T @ dpred
+    g_bout = float(dpred.sum())
+    dhidden = np.outer(dpred, w_out) * (1.0 - hidden * hidden)
+    g_whidden = x.T @ dhidden
+    g_bhidden = dhidden.sum(axis=0)
+    return loss, (g_whidden, g_bhidden, g_wout, g_bout)
+
+
+def reference_glorot(rng, fan_in, fan_out, shape):
+    """The MLP's initial weights: uniform on +-sqrt(6 / (fan_in + fan_out))."""
+    limit = math.sqrt(6.0 / (fan_in + fan_out))
+    return rng.uniform(-limit, limit, size=shape)
+
+
+def reference_unfolded_fit_mlp(x, y, w, spec, seed):
+    """(params, loss_trace) of the MLP fit with separate bias terms."""
+    keep = w > 0
+    x, y, w = x[keep], y[keep], w[keep]
+    n, p = x.shape
+    h = spec.hidden_units
+    rng = np.random.default_rng(seed)
+    w_hidden = reference_glorot(rng, p, h, (p, h))
+    b_hidden = np.zeros(h)
+    w_out = reference_glorot(rng, h, 1, (h,))
+    b_out = 0.0
+    trace = []
+    for _ in range(spec.epochs):
+        perm = rng.permutation(n)
+        for start in range(0, n, spec.batch_size):
+            batch = perm[start:start + spec.batch_size]
+            _, grads = _reference_unfolded_loss_and_gradient(
+                (w_hidden, b_hidden, w_out, b_out), x[batch], y[batch], w[batch]
+            )
+            w_hidden = w_hidden - spec.learning_rate * grads[0]
+            b_hidden = b_hidden - spec.learning_rate * grads[1]
+            w_out = w_out - spec.learning_rate * grads[2]
+            b_out = b_out - spec.learning_rate * grads[3]
+        loss, _ = _reference_unfolded_loss_and_gradient(
+            (w_hidden, b_hidden, w_out, b_out), x, y, w)
+        if not np.isfinite(loss) or loss > 1e10:
+            raise RuntimeError(
+                f"MLP diverged at epoch {len(trace) + 1}: loss={loss!r} "
+                f"(learning_rate={spec.learning_rate})"
+            )
+        trace.append(loss)
+    return (w_hidden, b_hidden, w_out, float(b_out)), tuple(trace)
 
 
 def full_table_scores(values: np.ndarray, spec) -> np.ndarray:

@@ -734,8 +734,11 @@ class TestMlpImpute:
         # became one warm Newton step, when the propensity design took the
         # step's row order, observed rows first, when every propensity fit
         # came to stop at the propensity tolerance, and when the design
-        # became the predictor buffer, standardized over the observed rows;
-        # the unweighted files stayed byte-identical through all four.
+        # became the predictor buffer, standardized over the observed rows,
+        # and when the MLP came to hold its parameters in one flat vector
+        # with the hidden bias folded in and to scale each batch by
+        # 2 w / sum(w); the unweighted files stayed byte-identical through
+        # all five, the last because unit weights make 2 w / sum(w) exact.
         # Columns 1 and 3 have 26 and 28 observed rows, so every epoch ends
         # on a partial batch.
         ds = load_masked_csv(DATA / "mlp_masked.csv")
@@ -759,9 +762,10 @@ class TestMlpImpute:
         # the message, loss included, was recorded with weights taken from
         # the last pass of a propensity fit stopped at the propensity
         # tolerance, on the predictor buffer (rows in the step's order,
-        # observed rows first, standardized over the observed rows); the
-        # epoch and loss depend on every update, so the last bits of the
-        # weights show in the loss
+        # observed rows first, standardized over the observed rows), and an
+        # MLP step on one flat parameter vector with the hidden bias folded
+        # in; the epoch and loss depend on every update, so the last bits of
+        # the weights and of the step's rounding show in the loss
         rng = np.random.default_rng(21)
         x1 = rng.normal(size=60)
         data = DataMatrix(np.column_stack([x1, 2.0 * x1]), ("x1", "x2"))
@@ -775,7 +779,7 @@ class TestMlpImpute:
             impute(ds, cfg)
         assert str(info.value) == (
             "column 1 failed at sweep 0: MLP diverged at epoch 6: "
-            "loss=771093171503.697 (learning_rate=0.4)")
+            "loss=771093171428.5979 (learning_rate=0.4)")
 
 
 class TestConfig:

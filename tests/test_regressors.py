@@ -1,5 +1,4 @@
 import gc
-import math
 import tracemalloc
 
 import numpy as np
@@ -361,30 +360,21 @@ class TestForestMatchesReferenceTrees:
                               oracles.reference_forest_predict(roots, query))
 
 
-# The mini-batch loop as it stood before the training loop gathered each
-# epoch once and computed only the forward pass for the epoch loss: one
-# fancy-index gather per batch and a full loss-and-gradient pass for every
-# step and epoch. Kept verbatim as the oracle the fit must reproduce bit for
+# The fit's arithmetic restated in plain numpy, in the fit's operation order:
+# the hidden bias is the last row of the hidden weights, read through a row
+# of ones under the feature-major gathered rows, and each row's residual is
+# scaled by 2 w / sum(w) over its batch. The fit must reproduce it bit for
 # bit.
-def _reference_loss_and_gradient(params, x, y, w):
-    w_hidden, b_hidden, w_out, b_out = params
-    sw = w.sum()
-    hidden = np.tanh(x @ w_hidden + b_hidden)
-    pred = hidden @ w_out + b_out
-    resid = pred - y
-    loss = float((w * resid * resid).sum() / sw)
-    dpred = 2.0 * w * resid / sw
-    g_wout = hidden.T @ dpred
-    g_bout = float(dpred.sum())
-    dhidden = np.outer(dpred, w_out) * (1.0 - hidden * hidden)
-    g_whidden = x.T @ dhidden
-    g_bhidden = dhidden.sum(axis=0)
-    return loss, (g_whidden, g_bhidden, g_wout, g_bout)
+def _reference_gradient(w1, w2, b2, x1, y, scale):
+    hidden = np.tanh(x1.T @ w1)
+    dpred = (hidden @ w2 + b2 - y) * scale
+    dhidden = np.outer(dpred, w2) * (1.0 - hidden * hidden)
+    return x1 @ dhidden, hidden.T @ dpred, dpred.sum()
 
 
-def _reference_glorot(rng, fan_in, fan_out, shape):
-    limit = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape)
+def _reference_forward(w1, w2, b2, x):
+    p = x.shape[1]
+    return np.tanh(x @ w1[:p] + w1[p]) @ w2 + b2
 
 
 def _reference_fit_mlp(x, y, w, spec, seed):
@@ -393,30 +383,37 @@ def _reference_fit_mlp(x, y, w, spec, seed):
     n, p = x.shape
     h = spec.hidden_units
     rng = np.random.default_rng(seed)
-    w_hidden = _reference_glorot(rng, p, h, (p, h))
-    b_hidden = np.zeros(h)
-    w_out = _reference_glorot(rng, h, 1, (h,))
-    b_out = 0.0
+    w1 = np.vstack([oracles.reference_glorot(rng, p, h, (p, h)), np.zeros(h)])
+    w2 = oracles.reference_glorot(rng, h, 1, (h,))
+    b2 = 0.0
     trace = []
     for _ in range(spec.epochs):
         perm = rng.permutation(n)
+        # one C-order row per predictor, as the fit's buffer: BLAS rounding
+        # follows the layout
+        x1 = np.ones((p + 1, n))
+        x1[:p] = x[perm].T
+        yp, wp = y[perm], w[perm]
         for start in range(0, n, spec.batch_size):
-            batch = perm[start:start + spec.batch_size]
-            _, grads = _reference_loss_and_gradient(
-                (w_hidden, b_hidden, w_out, b_out), x[batch], y[batch], w[batch]
-            )
-            w_hidden = w_hidden - spec.learning_rate * grads[0]
-            b_hidden = b_hidden - spec.learning_rate * grads[1]
-            w_out = w_out - spec.learning_rate * grads[2]
-            b_out = b_out - spec.learning_rate * grads[3]
-        loss, _ = _reference_loss_and_gradient((w_hidden, b_hidden, w_out, b_out), x, y, w)
+            batch = slice(start, start + spec.batch_size)
+            wb = wp[batch]
+            # the sum np.add.reduceat takes over a batch: its first weight,
+            # then the rest added pairwise
+            scale = 2.0 * wb / np.add.reduceat(wb, [0])[0]
+            g1, g2, gb2 = _reference_gradient(w1, w2, b2, x1[:, batch],
+                                              yp[batch], scale)
+            w1 = w1 - spec.learning_rate * g1
+            w2 = w2 - spec.learning_rate * g2
+            b2 = b2 - spec.learning_rate * gb2
+        resid = _reference_forward(w1, w2, b2, x) - y
+        loss = float((w * resid * resid).sum() / w.sum())
         if not np.isfinite(loss) or loss > 1e10:
             raise RuntimeError(
                 f"MLP diverged at epoch {len(trace) + 1}: loss={loss!r} "
                 f"(learning_rate={spec.learning_rate})"
             )
         trace.append(loss)
-    return (w_hidden, b_hidden, w_out, float(b_out)), tuple(trace)
+    return (w1[:p], w1[p], w2, float(b2)), tuple(trace)
 
 
 class TestMlpMatchesReferenceLoop:
@@ -435,6 +432,8 @@ class TestMlpMatchesReferenceLoop:
              zero_frac=0.0, seed=0)
     @example(n=40, p=3, hidden_units=6, batch=1000, epochs=3, learning_rate=0.05,
              zero_frac=0.3, seed=1)
+    @example(n=50, p=2, hidden_units=5, batch=16, epochs=2, learning_rate=0.05,
+             zero_frac=0.3, seed=2)   # a partial last batch
     def test_fit_is_bit_identical(self, n, p, hidden_units, batch, epochs,
                                   learning_rate, zero_frac, seed):
         rng = np.random.default_rng(seed)
@@ -457,14 +456,19 @@ class TestMlpMatchesReferenceLoop:
             assert np.array_equal(got, want)
         assert model.loss_trace == trace
         # the loss-and-gradient the finite-difference checks test is the
-        # reference's, bit for bit
+        # reference's, bit for bit, with all rows as one batch
         loss, grads = mlp_loss_and_gradient(params, x, y, w)
-        ref_loss, ref_grads = _reference_loss_and_gradient(params, x, y, w)
-        assert loss == ref_loss
-        for got, want in zip(grads, ref_grads):
+        w1 = np.vstack([params[0], params[1]])
+        resid = _reference_forward(w1, params[2], params[3], x) - y
+        assert loss == float((w * resid * resid).sum() / w.sum())
+        x1 = np.ones((p + 1, n))
+        x1[:p] = x.T
+        g1, g2, gb2 = _reference_gradient(w1, params[2], params[3], x1, y,
+                                          2.0 * w / w.sum())
+        for got, want in zip(grads, (g1[:p], g1[p], g2, gb2)):
             assert np.array_equal(got, want)
-        hidden = np.tanh(x @ params[0] + params[1])
-        assert np.array_equal(predict(model, x), hidden @ params[2] + params[3])
+        assert np.array_equal(predict(model, x),
+                              _reference_forward(w1, params[2], params[3], x))
 
 
 class TestMlpEpochLossBlocks:
@@ -504,7 +508,9 @@ class TestMlpEpochLossBlocks:
 
 class TestMlpFitReadsItsRowsInPlace:
     # with every weight positive the fit reads x, y and w where they are, and
-    # the engine takes its train_weighted_mse from the last epoch loss
+    # the engine takes its train_weighted_mse from the last epoch loss. The
+    # engine's layout: each predictor is a row of one (d, n) block, and a fit
+    # reads a slice of its columns as a transposed view
     @settings(max_examples=40, deadline=None)
     @given(
         n=st.integers(1, 60),
@@ -513,20 +519,34 @@ class TestMlpFitReadsItsRowsInPlace:
         batch=st.one_of(st.just(1), st.integers(2, 30), st.just(1000)),
         epochs=st.integers(1, 3),
         offset=st.integers(0, 5),
+        layout=st.sampled_from(["rows", "engine"]),
         seed=st.integers(0, 2**31 - 1),
     )
-    @example(n=1, p=1, hidden_units=1, batch=1, epochs=1, offset=0, seed=0)
-    @example(n=1, p=2, hidden_units=3, batch=1000, epochs=2, offset=3, seed=1)
-    @example(n=25, p=3, hidden_units=4, batch=1000, epochs=2, offset=2, seed=2)
+    @example(n=1, p=1, hidden_units=1, batch=1, epochs=1, offset=0,
+             layout="rows", seed=0)
+    @example(n=1, p=2, hidden_units=3, batch=1000, epochs=2, offset=3,
+             layout="rows", seed=1)
+    @example(n=25, p=3, hidden_units=4, batch=1000, epochs=2, offset=2,
+             layout="rows", seed=2)
+    @example(n=1, p=1, hidden_units=1, batch=1, epochs=1, offset=0,
+             layout="engine", seed=0)
+    @example(n=37, p=4, hidden_units=6, batch=8, epochs=2, offset=0,
+             layout="engine", seed=3)
     def test_last_epoch_loss_is_the_weighted_mse(self, n, p, hidden_units, batch,
-                                                 epochs, offset, seed):
+                                                 epochs, offset, layout, seed):
         rng = np.random.default_rng(seed)
         rows = slice(offset, offset + n)
-        block = rng.normal(size=(n + offset + 3, p))
-        y_all = block.sum(axis=1) + rng.normal(size=block.shape[0])
-        w_all = rng.uniform(0.1, 3.0, block.shape[0])
+        if layout == "rows":
+            block = rng.normal(size=(n + offset + 3, p))
+            table = block
+        else:
+            block = rng.normal(size=(p + 1, n + offset + 3))
+            block[-1] = 1.0
+            table = block[:p].T
+        y_all = table.sum(axis=1) + rng.normal(size=table.shape[0])
+        w_all = rng.uniform(0.1, 3.0, table.shape[0])
         kept = block.tobytes(), y_all.tobytes(), w_all.tobytes()
-        x, y, w = block[rows], y_all[rows], w_all[rows]
+        x, y, w = table[rows], y_all[rows], w_all[rows]
         spec = MlpSpec(hidden_units=hidden_units, learning_rate=0.05,
                        epochs=epochs, batch_size=batch)
         model = fit_weighted_mlp(x, y, w, spec, seed % 1000)
@@ -538,6 +558,54 @@ class TestMlpFitReadsItsRowsInPlace:
         assert (block.tobytes(), y_all.tobytes(), w_all.tobytes()) == kept
         assert not any(np.shares_memory(a, arr) for a in model.params[:3]
                        for arr in (block, y_all, w_all))
+
+    def test_engine_layout_is_not_copied(self):
+        # at a width where one n x p copy of x outweighs every array the fit
+        # holds beside its gathered rows
+        n, p, h = 3500, 40, 32
+        rng = np.random.default_rng(12)
+        block = rng.normal(size=(p + 1, 5000))
+        block[-1] = 1.0
+        x = block[:p, :n].T
+        y = np.tanh(x[:, 0]) + x[:, 1] + 0.1 * rng.normal(size=n)
+        w = rng.uniform(0.2, 3.0, n)
+        spec = MlpSpec(hidden_units=h, epochs=2)
+        model = fit_weighted_mlp(x, y, w, spec, 4)
+        assert model.loss_trace[-1] == weighted_mse(model, x, y, w)
+        tracemalloc.start()
+        try:
+            fit_weighted_mlp(x, y, w, spec, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        gathered = (p + 1) * n * 8  # the rows of an epoch, with a ones row
+        assert peak < gathered + n * p * 8
+
+
+class TestMlpStaysNearTheUnfoldedLoop:
+    # the fit with separate bias terms and a per-batch 2 w * r / sum(w)
+    # rounds differently; over a default-length fit at the engine's size the
+    # two stay apart only by rounding, and a divergence stops both at the
+    # same epoch
+    def test_default_length_fit_drifts_only_by_rounding(self):
+        x, y, w = TestMlpEpochLossBlocks()._data()
+        spec = MlpSpec(hidden_units=TestMlpEpochLossBlocks.H)
+        params, trace = oracles.reference_unfolded_fit_mlp(x, y, w, spec, 4)
+        model = fit_weighted_mlp(x, y, w, spec, 4)
+        for got, want in zip(model.params, params):
+            assert np.max(np.abs(np.subtract(got, want))) <= 1e-12
+        assert len(model.loss_trace) == len(trace) == spec.epochs
+
+    def test_divergence_stops_at_the_same_epoch(self):
+        rng = np.random.default_rng(21)
+        x = rng.normal(size=(60, 1))
+        y, w = 2.0 * x[:, 0], np.linspace(0.5, 2.0, 60)
+        spec = MlpSpec(hidden_units=4, learning_rate=0.5, epochs=30,
+                       batch_size=8)
+        with pytest.raises(RuntimeError, match="diverged at epoch 4:"):
+            oracles.reference_unfolded_fit_mlp(x, y, w, spec, 3)
+        with pytest.raises(RuntimeError, match="diverged at epoch 4:"):
+            fit_weighted_mlp(x, y, w, spec, 3)
 
 
 class TestWeightedMlp:
