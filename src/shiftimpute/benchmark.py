@@ -144,12 +144,14 @@ class ExperimentGrid(JsonRecord):
         # the masking's and the runs' own checks, before any cell runs
         low, high = MISSING_RATE_RANGE
         if not low < self.missing_rate < high:
-            raise ValueError(f"target_rate must be in ({low}, {high})")
+            raise ValueError(f"missing_rate must be in ({low}, {high}), "
+                             f"got {self.missing_rate!r}")
         # a CSV's width is known only once the file is read
         check_layout(self.n_missing_cols, self.n_predictors,
                      self.dataset.d if self.dataset.kind == "synthetic" else None)
-        if not all(map(math.isfinite, self.alphas)):
-            raise ValueError("scores must be finite")
+        for alpha in self.alphas:
+            if not math.isfinite(alpha):
+                raise ValueError(f"alphas must be finite, got {alpha!r}")
         self.imputation_config(self.models[0], True, 0)
 
     def imputation_config(self, kind: str, weighted: bool,

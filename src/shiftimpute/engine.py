@@ -31,8 +31,7 @@ from .data import (JsonRecord, MaskedDataset, derive_seed, require_finite,
                    require_seed)
 from .propensity import (DEFAULT_CLIP, DEFAULT_L2, WeightVector,
                          effective_sample_size, weights_for_column)
-from .regressors import (MlpModel, RegressorSpec, fit_regressor, predict,
-                         weighted_mse)
+from .regressors import RegressorSpec, fit_regressor, predict, weighted_mse
 
 __all__ = [
     "ImputationConfig",
@@ -133,10 +132,6 @@ def visitation_order(ds: MaskedDataset, policy) -> list[int]:
     return order
 
 
-def _step_seed(cfg: ImputationConfig, sweep: int, column: int) -> int:
-    return derive_seed(cfg.seed, sweep, column)
-
-
 def _standardize(x: np.ndarray, n_stat: int) -> None:
     """Each row of ``x``, in place, less the mean and divided by the
     population std (1.0 where constant) of the row's first ``n_stat``
@@ -217,20 +212,16 @@ def _column_step(completed, i, cfg, sweep, workspace, init=None):
     else:
         weights = np.ones(y_train.shape[0])
     # ridge takes no seed, so none is derived for it
-    seed = None if cfg.regressor.kind == "ridge" else _step_seed(cfg, sweep, i)
+    seed = (None if cfg.regressor.kind == "ridge"
+            else derive_seed(cfg.seed, sweep, i))
     model = fit_regressor(cfg.regressor, x_train, y_train, weights, seed)
     preds = predict(model, x_miss)
     finite = np.isfinite(preds)
     if not finite.all():
         raise ValueError(f"non-finite imputation at row {miss_rows[np.argmin(finite)]}")
-    if isinstance(model, MlpModel) and (weights > 0).all():
-        # the fit's last epoch loss is this MSE, over the same rows
-        train_mse = model.loss_trace[-1]
-    else:
-        train_mse = weighted_mse(model, x_train, y_train, weights)
     diag = ColumnDiagnostics(
         column=int(i),
-        train_weighted_mse=train_mse,
+        train_weighted_mse=weighted_mse(model, x_train, y_train, weights),
         mean_abs_update=float(np.mean(np.abs(completed[miss_rows, i] - preds))),
         effective_sample_size=effective_sample_size(weights),
         propensity_n_iter=0 if propensity is None else propensity.n_iter,

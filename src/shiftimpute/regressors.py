@@ -42,7 +42,6 @@ __all__ = [
 
 SPLIT_GAIN_FLOOR = 1e-12
 DIVERGENCE_LIMIT = 1e10
-LOSS_BLOCK = 256  # rows per forward pass of the MLP's epoch loss
 
 
 # ---------------------------------------------------------------------------
@@ -341,27 +340,25 @@ def _weighted_mean_square(resid, w) -> float:
     return float((w * resid * resid).sum() / w.sum())
 
 
-def _mlp_forward(params, x, out=None):
-    """Hidden activations and predictions of the network ``params`` on ``x``;
-    the activations are written into ``out`` (rows of ``x`` by hidden units)
-    when it is given, else into a new array."""
+def _mlp_forward(params, x):
+    """Hidden activations and predictions of the network ``params`` on ``x``."""
     w_hidden, b_hidden, w_out, b_out = params
-    hidden = np.matmul(x, w_hidden, out=out)
+    hidden = x @ w_hidden
     hidden += b_hidden
     np.tanh(hidden, out=hidden)
     return hidden, hidden @ w_out + b_out
 
 
 class _MlpStep:
-    """A network held as one flat parameter vector ``theta``, and the gradient
-    of its weighted MSE on one batch.
+    """A network held as one flat parameter vector ``theta``, and the weighted
+    MSE and its gradient on one batch.
 
     ``theta`` holds the (p + 1) x h hidden weights, whose last row is the
     hidden bias, then the h output weights, then the output bias; ``grad``
     is laid out alike. A batch comes feature-major, (p + 1) x m with a last
     row of ones, so ``x1.T @ w1`` adds the hidden bias and ``x1 @ dhidden``
-    gives its gradient. The activations and their gradients go into buffers
-    of ``rows`` rows, allocated once.
+    gives its gradient. The activations, residuals and their gradients go
+    into buffers of ``rows`` rows, allocated once.
     """
 
     def __init__(self, theta: np.ndarray, p: int, rows: int):
@@ -371,7 +368,7 @@ class _MlpStep:
         self.w1, self.w2 = theta[:k].reshape(p + 1, h), theta[k:-1]
         self.g1, self.g2 = self.grad[:k].reshape(p + 1, h), self.grad[k:-1]
         self.hidden, self.dhidden = np.empty((rows, h)), np.empty((rows, h))
-        self.dpred = np.empty(rows)
+        self.resid, self.dpred = np.empty(rows), np.empty(rows)
 
     @property
     def params(self):
@@ -381,15 +378,18 @@ class _MlpStep:
 
     def gradient(self, x1: np.ndarray, y: np.ndarray, scale: np.ndarray):
         """``grad`` at ``theta`` of ``sum_k w_k (pred_k - y_k)^2 / sum_k w_k``
-        over the batch ``x1``, given ``scale`` = 2 w / sum(w) for its rows."""
+        over the batch ``x1``, given ``scale`` = 2 w / sum(w) for its rows;
+        the MSE itself goes into ``loss``."""
         m = y.shape[0]
-        hidden, dhidden, dpred = self.hidden[:m], self.dhidden[:m], self.dpred[:m]
+        hidden, dhidden = self.hidden[:m], self.dhidden[:m]
+        resid, dpred = self.resid[:m], self.dpred[:m]
         np.matmul(x1.T, self.w1, out=hidden)
         np.tanh(hidden, out=hidden)
-        np.matmul(hidden, self.w2, out=dpred)
-        dpred += self.theta[-1]
-        dpred -= y
-        dpred *= scale
+        np.matmul(hidden, self.w2, out=resid)
+        resid += self.theta[-1]
+        resid -= y
+        np.multiply(resid, scale, out=dpred)
+        self.loss = 0.5 * (dpred @ resid)
         np.matmul(hidden.T, dpred, out=self.g2)
         self.grad[-1] = dpred.sum()
         np.multiply(dpred[:, None], self.w2, out=dhidden)
@@ -409,15 +409,14 @@ def fit_weighted_mlp(x: np.ndarray, y: np.ndarray, w: np.ndarray,
     random order once, feature-major with a row of ones, and steps on
     consecutive slices of it; each row's factor 2 w / sum(w) over its batch
     is formed once per epoch. A step writes the gradient of every parameter
-    into one vector and applies it in one pass. The epoch loss is a forward
-    pass over all rows, ``LOSS_BLOCK`` rows at a time. Aborts if it exceeds
-    1e10.
+    into one vector and applies it in one pass. The epoch loss is the running
+    training loss, as scikit-learn's ``loss_curve_``: each batch's weighted
+    MSE at the parameters it stepped from, weighted by the batch's share of
+    the weight. Aborts if it exceeds 1e10.
 
-    The gathered rows, the step's activations and gradients, one block's
-    hidden activations and the epoch loss's predictions live in buffers
-    allocated once per fit. ``x`` is read where it is, never copied whole;
-    with every weight positive the last entry of ``loss_trace`` is exactly
-    ``weighted_mse`` of the model on ``x, y, w``.
+    The gathered rows and the step's activations, residuals and gradients
+    live in buffers allocated once per fit; ``x`` is read where it is, never
+    copied whole.
     """
     x, y, w = _check_xyw(x, y, w)
     keep = w > 0
@@ -435,9 +434,7 @@ def fit_weighted_mlp(x: np.ndarray, y: np.ndarray, w: np.ndarray,
     counts = np.diff(starts, append=n)
     x1, yp, scale = np.empty((p + 1, n)), np.empty(n), np.empty(n)
     x1[p] = 1.0
-    # no n x h array: one that large can fall above glibc's mmap threshold,
-    # and each fit then faults its pages in afresh
-    loss_hidden, loss_pred = np.empty((min(n, LOSS_BLOCK), h)), np.empty(n)
+    losses, total = np.empty(starts.shape[0]), w.sum()
     trace = []
     for _ in range(spec.epochs):
         perm = rng.permutation(n)
@@ -449,18 +446,14 @@ def fit_weighted_mlp(x: np.ndarray, y: np.ndarray, w: np.ndarray,
         batch_sums = np.add.reduceat(scale, starts)
         scale *= 2.0
         scale /= np.repeat(batch_sums, counts)
-        for start in range(0, n, size):
+        for b, start in enumerate(range(0, n, size)):
             stop = start + size
             grad = step.gradient(x1[:, start:stop], yp[start:stop],
                                  scale[start:stop])
             grad *= lr
             theta -= grad
-        params = step.params
-        for start in range(0, n, LOSS_BLOCK):
-            xb = x[start:start + LOSS_BLOCK]
-            loss_pred[start:start + LOSS_BLOCK] = _mlp_forward(
-                params, xb, out=loss_hidden[:xb.shape[0]])[1]
-        loss = _weighted_mean_square(loss_pred - y, w)
+            losses[b] = step.loss
+        loss = float(batch_sums @ losses / total)
         if not np.isfinite(loss) or loss > DIVERGENCE_LIMIT:
             raise RuntimeError(
                 f"MLP diverged at epoch {len(trace) + 1}: loss={loss!r} "

@@ -239,7 +239,7 @@ def mlp_loss_and_gradient(params, x, y, w):
     """Weighted-MSE loss and analytic gradients for one tanh hidden layer.
 
     ``params`` is (w_hidden, b_hidden, w_out, b_out); gradients come back in
-    the same order. The loss is the fit's own forward pass, and the gradient
+    the same order. The loss is ``predict``'s forward pass, and the gradient
     is the fit's own step on the flat parameter vector, with all rows as one
     batch, so a finite-difference check of it checks the gradient the fit
     descends along.
@@ -258,7 +258,8 @@ def mlp_loss_and_gradient(params, x, y, w):
 # The MLP fit as it stood before its parameters became one flat vector with
 # the hidden bias folded into the hidden weights: separate bias terms, a
 # per-batch 2 w * r / sum(w), a fancy-index gather per batch and a full
-# loss-and-gradient pass for every step and epoch. The new arithmetic rounds
+# loss-and-gradient pass for every step, whose batch losses, each by its
+# batch's weight, make the epoch loss. The new arithmetic rounds
 # differently, so it is kept as the oracle the fit must stay close to.
 def _reference_unfolded_loss_and_gradient(params, x, y, w):
     w_hidden, b_hidden, w_out, b_out = params
@@ -296,17 +297,18 @@ def reference_unfolded_fit_mlp(x, y, w, spec, seed):
     trace = []
     for _ in range(spec.epochs):
         perm = rng.permutation(n)
+        weighted_losses = 0.0
         for start in range(0, n, spec.batch_size):
             batch = perm[start:start + spec.batch_size]
-            _, grads = _reference_unfolded_loss_and_gradient(
+            batch_loss, grads = _reference_unfolded_loss_and_gradient(
                 (w_hidden, b_hidden, w_out, b_out), x[batch], y[batch], w[batch]
             )
+            weighted_losses += w[batch].sum() * batch_loss
             w_hidden = w_hidden - spec.learning_rate * grads[0]
             b_hidden = b_hidden - spec.learning_rate * grads[1]
             w_out = w_out - spec.learning_rate * grads[2]
             b_out = b_out - spec.learning_rate * grads[3]
-        loss, _ = _reference_unfolded_loss_and_gradient(
-            (w_hidden, b_hidden, w_out, b_out), x, y, w)
+        loss = float(weighted_losses / w.sum())
         if not np.isfinite(loss) or loss > 1e10:
             raise RuntimeError(
                 f"MLP diverged at epoch {len(trace) + 1}: loss={loss!r} "

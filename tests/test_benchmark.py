@@ -265,16 +265,17 @@ class TestGridConfig:
     @pytest.mark.parametrize("setting, message", [
         ({"n_sweeps": 0}, "n_sweeps must be >= 1"),
         ({"ridge_lambda": -1.0}, "ridge_lambda must be nonnegative"),
-        # the messages each cell's masking would fail with
-        ({"missing_rate": 0.995}, "target_rate must be in (0.01, 0.99)"),
-        ({"missing_rate": 0.01}, "target_rate must be in (0.01, 0.99)"),
-        ({"missing_rate": float("nan")}, "target_rate must be in (0.01, 0.99)"),
+        # what each cell's masking would reject, named as the grid's fields
+        ({"missing_rate": 0.995}, "missing_rate must be in (0.01, 0.99), got 0.995"),
+        ({"missing_rate": 0.01}, "missing_rate must be in (0.01, 0.99), got 0.01"),
+        ({"missing_rate": float("nan")},
+         "missing_rate must be in (0.01, 0.99), got nan"),
         ({"n_missing_cols": 7}, "n_missing_cols must be in 1..4"),
         ({"n_missing_cols": 0}, "n_missing_cols must be in 1..4"),
         ({"n_predictors": 0}, "n_predictors must be in 1..4"),
         ({"n_predictors": 5}, "n_predictors must be in 1..4"),
-        ({"alphas": (float("nan"),)}, "scores must be finite"),
-        ({"alphas": (0.0, float("-inf"))}, "scores must be finite"),
+        ({"alphas": (float("nan"),)}, "alphas must be finite, got nan"),
+        ({"alphas": (0.0, float("-inf"))}, "alphas must be finite, got -inf"),
         # a synthetic table too small to generate, or too narrow for the layout
         ({"dataset": {"n": 1}},
          "synthetic dataset needs n >= 2 and d >= 2, got n=1, d=10"),

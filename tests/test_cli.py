@@ -220,6 +220,9 @@ BENCHMARK = ["benchmark", "--out", "out.csv", "--grid"]
      "ExperimentGrid.n_sweeps must be a JSON integer, got 2.5"),
     (BENCHMARK, '{"alphas": [1.0, 1.0]}', "duplicate alphas in [1.0, 1.0]"),
     (BENCHMARK, '{"n_sweeps": 0}', "n_sweeps must be >= 1"),
+    (BENCHMARK, '{"missing_rate": 0.995}',
+     "missing_rate must be in (0.01, 0.99), got 0.995"),
+    (BENCHMARK, '{"alphas": [0.0, NaN]}', "alphas must be finite, got nan"),
     (BENCHMARK, '{"dataset": {"n": 1}}',
      "synthetic dataset needs n >= 2 and d >= 2, got n=1, d=10"),
     (BENCHMARK, '{"dataset": {"d": 5}, "n_missing_cols": 4}',

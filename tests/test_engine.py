@@ -457,8 +457,8 @@ class TestColumnStepState:
         ds, cfg = paper_cell(weighted=False)
         cfg = replace(cfg, n_sweeps=1)
         derived = []
-        original = engine_mod._step_seed
-        monkeypatch.setattr(engine_mod, "_step_seed",
+        original = engine_mod.derive_seed
+        monkeypatch.setattr(engine_mod, "derive_seed",
                             lambda *args: derived.append(args) or original(*args))
         impute(ds, cfg)
         assert derived == []
@@ -739,6 +739,9 @@ class TestMlpImpute:
         # with the hidden bias folded in and to scale each batch by
         # 2 w / sum(w); the unweighted files stayed byte-identical through
         # all five, the last because unit weights make 2 w / sum(w) exact.
+        # All four stayed byte-identical when the epoch loss became the
+        # running loss of the epoch's batches and train_weighted_mse came
+        # from weighted_mse, as for every model.
         # Columns 1 and 3 have 26 and 28 observed rows, so every epoch ends
         # on a partial batch.
         ds = load_masked_csv(DATA / "mlp_masked.csv")
@@ -764,8 +767,9 @@ class TestMlpImpute:
         # tolerance, on the predictor buffer (rows in the step's order,
         # observed rows first, standardized over the observed rows), and an
         # MLP step on one flat parameter vector with the hidden bias folded
-        # in; the epoch and loss depend on every update, so the last bits of
-        # the weights and of the step's rounding show in the loss
+        # in, whose epoch loss is the running loss of the epoch's batches;
+        # the epoch and loss depend on every update, so the last bits of the
+        # weights and of the step's rounding show in the loss
         rng = np.random.default_rng(21)
         x1 = rng.normal(size=60)
         data = DataMatrix(np.column_stack([x1, 2.0 * x1]), ("x1", "x2"))
@@ -779,7 +783,7 @@ class TestMlpImpute:
             impute(ds, cfg)
         assert str(info.value) == (
             "column 1 failed at sweep 0: MLP diverged at epoch 6: "
-            "loss=771093171428.5979 (learning_rate=0.4)")
+            "loss=74992277350.23079 (learning_rate=0.4)")
 
 
 class TestConfig:

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import mlp_loss_and_gradient, ridge_normal_equation_residual
+from shiftimpute import regressors
 from shiftimpute.masking import MarSpec, apply_mar_mask
 from shiftimpute.data import DataMatrix
 from shiftimpute.regressors import (
-    LOSS_BLOCK,
     ForestSpec,
     MlpSpec,
     RegressorSpec,
@@ -363,13 +363,15 @@ class TestForestMatchesReferenceTrees:
 # The fit's arithmetic restated in plain numpy, in the fit's operation order:
 # the hidden bias is the last row of the hidden weights, read through a row
 # of ones under the feature-major gathered rows, and each row's residual is
-# scaled by 2 w / sum(w) over its batch. The fit must reproduce it bit for
-# bit.
+# scaled by 2 w / sum(w) over its batch; half the scaled residuals' dot with
+# the residuals is the batch's weighted MSE. The fit must reproduce it bit
+# for bit.
 def _reference_gradient(w1, w2, b2, x1, y, scale):
     hidden = np.tanh(x1.T @ w1)
-    dpred = (hidden @ w2 + b2 - y) * scale
+    resid = hidden @ w2 + b2 - y
+    dpred = resid * scale
     dhidden = np.outer(dpred, w2) * (1.0 - hidden * hidden)
-    return x1 @ dhidden, hidden.T @ dpred, dpred.sum()
+    return (x1 @ dhidden, hidden.T @ dpred, dpred.sum()), 0.5 * (dpred @ resid)
 
 
 def _reference_forward(w1, w2, b2, x):
@@ -394,19 +396,21 @@ def _reference_fit_mlp(x, y, w, spec, seed):
         x1 = np.ones((p + 1, n))
         x1[:p] = x[perm].T
         yp, wp = y[perm], w[perm]
+        sums, losses = [], []
         for start in range(0, n, spec.batch_size):
             batch = slice(start, start + spec.batch_size)
             wb = wp[batch]
             # the sum np.add.reduceat takes over a batch: its first weight,
             # then the rest added pairwise
-            scale = 2.0 * wb / np.add.reduceat(wb, [0])[0]
-            g1, g2, gb2 = _reference_gradient(w1, w2, b2, x1[:, batch],
-                                              yp[batch], scale)
+            sums.append(np.add.reduceat(wb, [0])[0])
+            (g1, g2, gb2), batch_loss = _reference_gradient(
+                w1, w2, b2, x1[:, batch], yp[batch], 2.0 * wb / sums[-1])
+            losses.append(batch_loss)
             w1 = w1 - spec.learning_rate * g1
             w2 = w2 - spec.learning_rate * g2
             b2 = b2 - spec.learning_rate * gb2
-        resid = _reference_forward(w1, w2, b2, x) - y
-        loss = float((w * resid * resid).sum() / w.sum())
+        # the running loss: each batch's MSE by its share of the weight
+        loss = float(np.array(sums) @ np.array(losses) / w.sum())
         if not np.isfinite(loss) or loss > 1e10:
             raise RuntimeError(
                 f"MLP diverged at epoch {len(trace) + 1}: loss={loss!r} "
@@ -463,52 +467,28 @@ class TestMlpMatchesReferenceLoop:
         assert loss == float((w * resid * resid).sum() / w.sum())
         x1 = np.ones((p + 1, n))
         x1[:p] = x.T
-        g1, g2, gb2 = _reference_gradient(w1, params[2], params[3], x1, y,
-                                          2.0 * w / w.sum())
+        (g1, g2, gb2), _ = _reference_gradient(w1, params[2], params[3], x1,
+                                               y, 2.0 * w / w.sum())
         for got, want in zip(grads, (g1[:p], g1[p], g2, gb2)):
             assert np.array_equal(got, want)
         assert np.array_equal(predict(model, x),
                               _reference_forward(w1, params[2], params[3], x))
 
 
-class TestMlpEpochLossBlocks:
-    # the epoch loss runs its forward pass LOSS_BLOCK rows at a time; at the
-    # engine's size (3,500 rows of 9 predictors, 32 hidden units) the last of
-    # its 14 blocks holds 172 rows
-    N, P, H = 3500, 9, 32
+# the engine's size on the paper's table: 3,500 observed rows of 9
+# predictors, and 32 hidden units
+ENGINE_N, ENGINE_P, ENGINE_H = 3500, 9, 32
 
-    def _data(self):
-        rng = np.random.default_rng(31)
-        x = rng.normal(size=(self.N, self.P))
-        y = np.tanh(x[:, 0]) + x[:, 1] + 0.1 * rng.normal(size=self.N)
-        return x, y, rng.uniform(0.2, 3.0, self.N)
 
-    def test_fit_is_bit_identical_past_one_block(self):
-        assert self.N % LOSS_BLOCK
-        x, y, w = self._data()
-        spec = MlpSpec(hidden_units=self.H, epochs=2)
-        params, trace = _reference_fit_mlp(x, y, w, spec, 4)
-        model = fit_weighted_mlp(x, y, w, spec, 4)
-        for got, want in zip(model.params, params):
-            assert np.array_equal(got, want)
-        assert model.loss_trace == trace
-
-    def test_fit_holds_no_rows_by_hidden_units_array(self):
-        x, y, w = self._data()
-        spec = MlpSpec(hidden_units=self.H, epochs=2)
-        fit_weighted_mlp(x, y, w, spec, 4)
-        tracemalloc.start()
-        try:
-            fit_weighted_mlp(x, y, w, spec, 4)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < self.N * self.H * 8
+def _engine_size_data():
+    rng = np.random.default_rng(31)
+    x = rng.normal(size=(ENGINE_N, ENGINE_P))
+    y = np.tanh(x[:, 0]) + x[:, 1] + 0.1 * rng.normal(size=ENGINE_N)
+    return x, y, rng.uniform(0.2, 3.0, ENGINE_N)
 
 
 class TestMlpFitReadsItsRowsInPlace:
-    # with every weight positive the fit reads x, y and w where they are, and
-    # the engine takes its train_weighted_mse from the last epoch loss. The
+    # with every weight positive the fit reads x, y and w where they are. The
     # engine's layout: each predictor is a row of one (d, n) block, and a fit
     # reads a slice of its columns as a transposed view
     @settings(max_examples=40, deadline=None)
@@ -532,8 +512,8 @@ class TestMlpFitReadsItsRowsInPlace:
              layout="engine", seed=0)
     @example(n=37, p=4, hidden_units=6, batch=8, epochs=2, offset=0,
              layout="engine", seed=3)
-    def test_last_epoch_loss_is_the_weighted_mse(self, n, p, hidden_units, batch,
-                                                 epochs, offset, layout, seed):
+    def test_fit_equals_one_on_copies(self, n, p, hidden_units, batch, epochs,
+                                      offset, layout, seed):
         rng = np.random.default_rng(seed)
         rows = slice(offset, offset + n)
         if layout == "rows":
@@ -550,7 +530,6 @@ class TestMlpFitReadsItsRowsInPlace:
         spec = MlpSpec(hidden_units=hidden_units, learning_rate=0.05,
                        epochs=epochs, batch_size=batch)
         model = fit_weighted_mlp(x, y, w, spec, seed % 1000)
-        assert model.loss_trace[-1] == weighted_mse(model, x, y, w)
         fresh = fit_weighted_mlp(x.copy(), y.copy(), w.copy(), spec, seed % 1000)
         for got, want in zip(model.params, fresh.params):
             assert np.array_equal(got, want)
@@ -570,8 +549,7 @@ class TestMlpFitReadsItsRowsInPlace:
         y = np.tanh(x[:, 0]) + x[:, 1] + 0.1 * rng.normal(size=n)
         w = rng.uniform(0.2, 3.0, n)
         spec = MlpSpec(hidden_units=h, epochs=2)
-        model = fit_weighted_mlp(x, y, w, spec, 4)
-        assert model.loss_trace[-1] == weighted_mse(model, x, y, w)
+        fit_weighted_mlp(x, y, w, spec, 4)
         tracemalloc.start()
         try:
             fit_weighted_mlp(x, y, w, spec, 4)
@@ -581,6 +559,29 @@ class TestMlpFitReadsItsRowsInPlace:
         gathered = (p + 1) * n * 8  # the rows of an epoch, with a ones row
         assert peak < gathered + n * p * 8
 
+    def test_fit_holds_no_rows_by_hidden_units_array(self):
+        x, y, w = _engine_size_data()
+        spec = MlpSpec(hidden_units=ENGINE_H, epochs=2)
+        fit_weighted_mlp(x, y, w, spec, 4)
+        tracemalloc.start()
+        try:
+            fit_weighted_mlp(x, y, w, spec, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < ENGINE_N * ENGINE_H * 8
+
+    def test_fit_runs_no_forward_pass(self, monkeypatch):
+        # the epoch loss comes from the residuals of the steps themselves
+        def forward(*args):
+            raise AssertionError("the fit ran a forward pass")
+
+        monkeypatch.setattr(regressors, "_mlp_forward", forward)
+        x, y, w = _engine_size_data()
+        model = fit_weighted_mlp(x, y, w, MlpSpec(hidden_units=ENGINE_H,
+                                                  epochs=2), 4)
+        assert len(model.loss_trace) == 2
+
 
 class TestMlpStaysNearTheUnfoldedLoop:
     # the fit with separate bias terms and a per-batch 2 w * r / sum(w)
@@ -588,13 +589,14 @@ class TestMlpStaysNearTheUnfoldedLoop:
     # two stay apart only by rounding, and a divergence stops both at the
     # same epoch
     def test_default_length_fit_drifts_only_by_rounding(self):
-        x, y, w = TestMlpEpochLossBlocks()._data()
-        spec = MlpSpec(hidden_units=TestMlpEpochLossBlocks.H)
+        x, y, w = _engine_size_data()
+        spec = MlpSpec(hidden_units=ENGINE_H)
         params, trace = oracles.reference_unfolded_fit_mlp(x, y, w, spec, 4)
         model = fit_weighted_mlp(x, y, w, spec, 4)
         for got, want in zip(model.params, params):
             assert np.max(np.abs(np.subtract(got, want))) <= 1e-12
         assert len(model.loss_trace) == len(trace) == spec.epochs
+        np.testing.assert_allclose(model.loss_trace, trace, rtol=1e-12)
 
     def test_divergence_stops_at_the_same_epoch(self):
         rng = np.random.default_rng(21)
@@ -602,9 +604,9 @@ class TestMlpStaysNearTheUnfoldedLoop:
         y, w = 2.0 * x[:, 0], np.linspace(0.5, 2.0, 60)
         spec = MlpSpec(hidden_units=4, learning_rate=0.5, epochs=30,
                        batch_size=8)
-        with pytest.raises(RuntimeError, match="diverged at epoch 4:"):
+        with pytest.raises(RuntimeError, match="diverged at epoch 5:"):
             oracles.reference_unfolded_fit_mlp(x, y, w, spec, 3)
-        with pytest.raises(RuntimeError, match="diverged at epoch 4:"):
+        with pytest.raises(RuntimeError, match="diverged at epoch 5:"):
             fit_weighted_mlp(x, y, w, spec, 3)
 
 
