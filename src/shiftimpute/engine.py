@@ -31,7 +31,8 @@ from .data import (JsonRecord, MaskedDataset, derive_seed, require_finite,
                    require_seed)
 from .propensity import (DEFAULT_CLIP, DEFAULT_L2, WeightVector,
                          effective_sample_size, weights_for_column)
-from .regressors import RegressorSpec, fit_regressor, predict, weighted_mse
+from .regressors import (RegressorSpec, check_mlp_loss, fit_regressor,
+                         predict, weighted_mse)
 
 __all__ = [
     "ImputationConfig",
@@ -215,13 +216,16 @@ def _column_step(completed, i, cfg, sweep, workspace, init=None):
     seed = (None if cfg.regressor.kind == "ridge"
             else derive_seed(cfg.seed, sweep, i))
     model = fit_regressor(cfg.regressor, x_train, y_train, weights, seed)
+    train_mse = weighted_mse(model, x_train, y_train, weights)
+    if cfg.regressor.kind == "mlp":  # the fit's running loss misses its last steps
+        check_mlp_loss(train_mse, cfg.regressor.mlp.epochs, cfg.regressor.mlp)
     preds = predict(model, x_miss)
     finite = np.isfinite(preds)
     if not finite.all():
         raise ValueError(f"non-finite imputation at row {miss_rows[np.argmin(finite)]}")
     diag = ColumnDiagnostics(
         column=int(i),
-        train_weighted_mse=weighted_mse(model, x_train, y_train, weights),
+        train_weighted_mse=train_mse,
         mean_abs_update=float(np.mean(np.abs(completed[miss_rows, i] - preds))),
         effective_sample_size=effective_sample_size(weights),
         propensity_n_iter=0 if propensity is None else propensity.n_iter,

@@ -35,6 +35,7 @@ __all__ = [
     "fit_weighted_ridge",
     "fit_weighted_forest",
     "fit_weighted_mlp",
+    "check_mlp_loss",
     "fit_regressor",
     "predict",
     "weighted_mse",
@@ -412,7 +413,8 @@ def fit_weighted_mlp(x: np.ndarray, y: np.ndarray, w: np.ndarray,
     into one vector and applies it in one pass. The epoch loss is the running
     training loss, as scikit-learn's ``loss_curve_``: each batch's weighted
     MSE at the parameters it stepped from, weighted by the batch's share of
-    the weight. Aborts if it exceeds 1e10.
+    the weight. Aborts if it exceeds 1e10 (``check_mlp_loss``). That loss
+    misses the last steps' updates: the engine checks the returned model too.
 
     The gathered rows and the step's activations, residuals and gradients
     live in buffers allocated once per fit; ``x`` is read where it is, never
@@ -453,14 +455,18 @@ def fit_weighted_mlp(x: np.ndarray, y: np.ndarray, w: np.ndarray,
             grad *= lr
             theta -= grad
             losses[b] = step.loss
-        loss = float(batch_sums @ losses / total)
-        if not np.isfinite(loss) or loss > DIVERGENCE_LIMIT:
-            raise RuntimeError(
-                f"MLP diverged at epoch {len(trace) + 1}: loss={loss!r} "
-                f"(learning_rate={spec.learning_rate})"
-            )
-        trace.append(loss)
+        trace.append(check_mlp_loss(float(batch_sums @ losses / total),
+                                    len(trace) + 1, spec))
     return MlpModel(*step.params, tuple(trace))
+
+
+def check_mlp_loss(loss: float, epoch: int, spec: MlpSpec) -> float:
+    """``loss``, the MLP's weighted MSE after ``epoch`` epochs; raises if it
+    is not finite or exceeds ``DIVERGENCE_LIMIT``."""
+    if not np.isfinite(loss) or loss > DIVERGENCE_LIMIT:
+        raise RuntimeError(f"MLP diverged at epoch {epoch}: loss={loss!r} "
+                           f"(learning_rate={spec.learning_rate})")
+    return loss
 
 
 # ---------------------------------------------------------------------------

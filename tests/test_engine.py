@@ -785,6 +785,26 @@ class TestMlpImpute:
             "column 1 failed at sweep 0: MLP diverged at epoch 6: "
             "loss=74992277350.23079 (learning_rate=0.4)")
 
+    def test_divergence_in_the_last_epoch_is_not_returned(self):
+        # at learning rate 0.5 the running loss of the last epoch, 3, stays
+        # under the limit, but the returned model's training MSE does not:
+        # the step raises what the full-data loss of epoch 3 raised when the
+        # fit still made a pass over all rows after every epoch
+        rng = np.random.default_rng(21)
+        x1 = rng.normal(size=60)
+        data = DataMatrix(np.column_stack([x1, 2.0 * x1]), ("x1", "x2"))
+        ds, _ = apply_mar_mask(data, MarSpec((1,), ((0,),), alpha=1.0,
+                                             target_missing_rate=0.3, seed=22))
+        cfg = ImputationConfig(
+            regressor=RegressorSpec(kind="mlp", mlp=MlpSpec(
+                hidden_units=4, learning_rate=0.5, epochs=3, batch_size=8)),
+            n_sweeps=3, seed=3)
+        with pytest.raises(RuntimeError) as info:
+            impute(ds, cfg)
+        assert str(info.value) == (
+            "column 1 failed at sweep 0: MLP diverged at epoch 3: "
+            "loss=13624090308.873396 (learning_rate=0.5)")
+
 
 class TestConfig:
     def test_json_round_trip(self):

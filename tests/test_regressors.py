@@ -16,6 +16,7 @@ from shiftimpute.regressors import (
     MlpSpec,
     RegressorSpec,
     Tree,
+    check_mlp_loss,
     fit_weighted_forest,
     fit_weighted_mlp,
     fit_weighted_ridge,
@@ -608,6 +609,22 @@ class TestMlpStaysNearTheUnfoldedLoop:
             oracles.reference_unfolded_fit_mlp(x, y, w, spec, 3)
         with pytest.raises(RuntimeError, match="diverged at epoch 5:"):
             fit_weighted_mlp(x, y, w, spec, 3)
+
+    def test_last_epoch_blow_up_is_caught_on_the_returned_model(self):
+        # the running loss of epoch 4 stays under the limit, but the model
+        # epoch 4 ends with does not; its weighted MSE, checked as the engine
+        # checks it, gives the message the full-data loss of epoch 4 gave
+        # when the fit still made a pass over all rows after every epoch
+        rng = np.random.default_rng(21)
+        x = rng.normal(size=(60, 1))
+        y, w = 2.0 * x[:, 0], np.linspace(0.5, 2.0, 60)
+        spec = MlpSpec(hidden_units=4, learning_rate=0.5, epochs=4,
+                       batch_size=8)
+        model = fit_weighted_mlp(x, y, w, spec, 3)
+        with pytest.raises(RuntimeError) as info:
+            check_mlp_loss(weighted_mse(model, x, y, w), spec.epochs, spec)
+        assert str(info.value) == ("MLP diverged at epoch 4: "
+                                   "loss=11642272288.636524 (learning_rate=0.5)")
 
 
 class TestWeightedMlp:
