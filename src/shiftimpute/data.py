@@ -276,11 +276,17 @@ def _read_csv(path, has_header: bool, allow_missing: bool):
     cell is observed when its field is non-empty, and is parsed with Python's
     ``float``; all cells go through one ``fromiter`` call, and only a failure
     walks the rows again to name the first error. A line that is empty, or a
-    single field of only whitespace, is skipped.
+    single field of only whitespace, is skipped. A line the ``csv`` module
+    cannot read, such as one with a field over its size limit, is a
+    ``ValueError`` naming the file line it stopped at.
     """
     with open(path, newline="", encoding="utf-8-sig") as handle:
-        rows = [row for row in csv.reader(handle)
-                if len(row) > 1 or row and row[0].strip()]
+        reader = csv.reader(handle)
+        try:
+            rows = [row for row in reader
+                    if len(row) > 1 or row and row[0].strip()]
+        except csv.Error as exc:
+            raise ValueError(f"CSV line {reader.line_num}: {exc}") from None
     if not rows:
         raise ValueError("empty CSV file")
     width = len(rows[0])

@@ -16,9 +16,12 @@ one buffer and standardizes it in place over the observed rows, once: the
 regression reads its two parts and a weighted step's propensity fit reads
 the whole buffer with its trailing ones row, so no statistic of the
 completion is kept between steps. A run refills one set of step arrays
-allocated at its start. Every weighted step runs the propensity IRLS from
-the column's previous model (from zero in sweep 0) until its max-abs
-gradient is inside the gradient's sampling noise.
+allocated at its start; a weighted run's include the propensity fit's
+Newton scratch, a d x n buffer every IRLS step of every fit writes its
+scaled transpose into, and an unweighted run, which fits no propensity,
+allocates none. Every weighted step runs the propensity IRLS from the
+column's previous model (from zero in sweep 0) until its max-abs gradient
+is inside the gradient's sampling noise.
 """
 
 from __future__ import annotations
@@ -157,10 +160,13 @@ class _Workspace:
     predictor, standardized over its observed part; a fit reads its
     observed-row and missing-row parts as transposed views), then a row of
     ones. Its transpose ``design`` is the propensity design: the same
-    standardized predictors with the trailing intercept column.
+    standardized predictors with the trailing intercept column. ``scratch``,
+    in a weighted run, is a second (d, n) block in that layout: the Newton
+    buffer of every propensity fit (None when unweighted).
     """
 
-    def __init__(self, completed: np.ndarray, observed: np.ndarray, targets):
+    def __init__(self, completed: np.ndarray, observed: np.ndarray, targets,
+                 weighted: bool):
         n, d = completed.shape
         self.others = {i: np.delete(np.arange(d), i) for i in targets}
         self.rows, self.miss_rows, self.y_train, self.labels = {}, {}, {}, {}
@@ -175,6 +181,7 @@ class _Workspace:
         work = np.empty((d, n))
         work[-1] = 1.0  # the intercept column
         self.gathered, self.design = work[:-1], work.T
+        self.scratch = np.empty((d, n)) if weighted else None
 
     def gather(self, completed: np.ndarray, i: int) -> None:
         """Every column but ``i`` of the completion, at ``rows[i]``, into the
@@ -208,7 +215,8 @@ def _column_step(completed, i, cfg, sweep, workspace, init=None):
     if cfg.weighted:
         wv = weights_for_column(workspace.design, workspace.labels[i],
                                 l2=cfg.propensity_l2,
-                                clip_epsilon=cfg.clip_epsilon, init=init)
+                                clip_epsilon=cfg.clip_epsilon, init=init,
+                                scratch=workspace.scratch)
         weights, propensity = wv.weights, wv.propensity
     else:
         weights = np.ones(y_train.shape[0])
@@ -247,7 +255,7 @@ def impute(ds: MaskedDataset, cfg: ImputationConfig) -> ImputationResult:
         return ImputationResult(ds.data.values.copy(), ())
     order = visitation_order(ds, cfg.visitation)
     completed = initial_impute(ds)
-    workspace = _Workspace(completed, ds.mask.observed, order)
+    workspace = _Workspace(completed, ds.mask.observed, order, cfg.weighted)
     # each column's weights from the previous sweep, whose propensity model
     # warm-starts the next fit; local to this call so results never depend
     # on what ran before

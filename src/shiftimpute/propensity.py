@@ -76,7 +76,8 @@ def _penalized_nll(z, e, r, coef, l2):
 
 def fit_propensity(design: np.ndarray, r: np.ndarray, l2: float = DEFAULT_L2,
                    init: PropensityModel | None = None,
-                   out: np.ndarray | None = None) -> PropensityModel:
+                   out: np.ndarray | None = None,
+                   scratch: np.ndarray | None = None) -> PropensityModel:
     """Fit p(observed | x) by IRLS on the L2-penalized mean log-likelihood.
 
     ``design`` is the predictor matrix x with a trailing column of ones for
@@ -96,6 +97,13 @@ def fit_propensity(design: np.ndarray, r: np.ndarray, l2: float = DEFAULT_L2,
     the returned parameters, ``sigmoid(design @ [coefficients, intercept])``:
     after convergence the last check's (the start's, if no step was taken),
     else one more logistic of the final logits. Its shape is checked first.
+
+    ``scratch``, an array of ``design.T``'s shape sharing no memory with
+    ``design``, receives each Newton step's scaled transpose ``design.T * s``
+    (what it held is ignored); without it, a fit that takes a step allocates
+    its own. The engine passes one per weighted ``impute`` call to every fit
+    of that call. In ``design.T``'s layout it leaves every result
+    bit-identical. Its shape and overlap are checked before any fitting.
     """
     design = np.asarray(design, dtype=float)
     r = np.asarray(r, dtype=float).ravel()
@@ -109,6 +117,12 @@ def fit_propensity(design: np.ndarray, r: np.ndarray, l2: float = DEFAULT_L2,
         raise ValueError("label length mismatch")
     if out is not None and out.shape != (n,):
         raise ValueError(f"out must have shape ({n},), got {out.shape}")
+    if scratch is not None:
+        if scratch.shape != (p + 1, n):
+            raise ValueError(f"scratch must have the design's transposed shape "
+                             f"{(p + 1, n)}, got {scratch.shape}")
+        if np.shares_memory(scratch, design):
+            raise ValueError("scratch must not share memory with the design")
     if n <= p and l2 == 0:
         raise ValueError(f"need n > d for an unpenalized fit (d predictors plus "
                          f"the intercept), got n={n}, d={p}")
@@ -130,7 +144,6 @@ def fit_propensity(design: np.ndarray, r: np.ndarray, l2: float = DEFAULT_L2,
             raise ValueError(
                 f"init has {beta.shape[0] - 1} coefficients, the design has "
                 f"{p} predictor columns")
-    scaled_t = None  # design.T * s, allocated once and reused
     z = design @ beta
     e = np.exp(-np.abs(z))
     nll = None  # the line search's reference, computed before the first step
@@ -148,7 +161,8 @@ def fit_propensity(design: np.ndarray, r: np.ndarray, l2: float = DEFAULT_L2,
         s = 1.0 - eta
         s *= eta
         np.maximum(s, 1e-12, out=s)
-        gram, scaled_t = weighted_gram(design, s, scaled_t)
+        # design.T * s, into the caller's buffer or one allocated by this fit
+        gram, scratch = weighted_gram(design, s, scratch)
         hess = gram / n + hess_penalty
         step = np.linalg.solve(hess, grad)
         # backtrack if the Newton step overshoots (rare; separable-ish data):
@@ -193,7 +207,8 @@ def weights_from_propensity(eta: np.ndarray,
 def weights_for_column(design: np.ndarray, obs_col: np.ndarray,
                        l2: float = DEFAULT_L2,
                        clip_epsilon: float = DEFAULT_CLIP,
-                       init: PropensityModel | None = None) -> WeightVector:
+                       init: PropensityModel | None = None,
+                       scratch: np.ndarray | None = None) -> WeightVector:
     """Importance weights for the observed rows of one column.
 
     ``design`` holds every other column's completed values at all rows,
@@ -205,11 +220,15 @@ def weights_for_column(design: np.ndarray, obs_col: np.ndarray,
     ``init`` warm-starts the fit, which stops at its statistical tolerance;
     its ``out`` vector holds the propensities, so no row of the design is
     gathered again (with the observed rows first, as the engine orders them,
-    they are a slice of it). The weights carry the model.
+    they are a slice of it). ``scratch`` is the fit's Newton buffer, as
+    :func:`fit_propensity` takes it: the engine allocates one per weighted
+    ``impute`` call, and none for an unweighted call, which fits no
+    propensity. The weights carry the model.
     """
     obs_col = np.asarray(obs_col, dtype=bool)
     eta = np.empty(obs_col.shape[0])
-    model = fit_propensity(design, obs_col.astype(float), l2, init=init, out=eta)
+    model = fit_propensity(design, obs_col.astype(float), l2, init=init,
+                           out=eta, scratch=scratch)
     n_obs = np.count_nonzero(obs_col)
     observed = eta[:n_obs] if obs_col[:n_obs].all() else eta[obs_col]
     return WeightVector(weights_from_propensity(observed, clip_epsilon), model)

@@ -364,6 +364,9 @@ def _good_argv(command, truth, masked):
 @pytest.mark.parametrize("text, message", [
     (None, "[Errno 2] No such file or directory"),
     ("a,b\n1,x\n", "cannot parse 'x' as a number at row 0, column b"),
+    pytest.param("a,b\n" + "1" * 200_000 + ",2\n",
+                 "CSV line 2: field larger than field limit (131072)",
+                 id="field-over-the-csv-limit"),
 ])
 def test_bad_input_csv_is_a_one_line_error(tmp_path, monkeypatch, truth_csv, masked_csv,
                                            command, flag, text, message):

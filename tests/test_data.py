@@ -282,6 +282,15 @@ class TestReaderEdges:
                                match="^ragged CSV: row 2 has 1 cells, expected 2$"):
                 load(path)
 
+    def test_field_over_the_csv_limit_names_its_line(self, tmp_path):
+        # the csv module reads at most 131,072 characters per field; the
+        # count is of file lines, blank ones included, from 1
+        path = self.write(tmp_path, "a,b\n\n1,2\n" + "3" * 200_000 + ",4\n")
+        for load in (load_csv, load_masked_csv):
+            with pytest.raises(ValueError, match=r"^CSV line 4: field larger "
+                                                 r"than field limit \(131072\)$"):
+                load(path)
+
     def test_ragged_beats_bad_cell(self, tmp_path):
         path = self.write(tmp_path, "a,b\nx,2\n3\n")
         with pytest.raises(ValueError, match="ragged"):

@@ -357,6 +357,32 @@ class TestColumnStepState:
                 wv.weights,
                 weights_from_propensity(eta[obs_col], kwargs["clip_epsilon"]))
 
+    def test_one_newton_scratch_per_weighted_call(self, monkeypatch):
+        # every weighted step's fit gets its call's one d x n buffer; an
+        # unweighted call allocates none
+        original = engine_mod.weights_for_column
+        scratches, built = [], []
+
+        def recording(design, obs_col, **kwargs):
+            scratches.append(kwargs["scratch"])
+            return original(design, obs_col, **kwargs)
+
+        class RecordingWorkspace(engine_mod._Workspace):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
+
+        monkeypatch.setattr(engine_mod, "weights_for_column", recording)
+        monkeypatch.setattr(engine_mod, "_Workspace", RecordingWorkspace)
+        ds, cfg = paper_cell()
+        impute(ds, cfg)
+        impute(ds, replace(cfg, weighted=False))
+        weighted, unweighted = built
+        assert len(scratches) == cfg.n_sweeps * len(ds.missing_columns())
+        assert all(s is weighted.scratch for s in scratches)
+        assert weighted.scratch.shape == weighted.design.T.shape
+        assert unweighted.scratch is None
+
     def test_unweighted_steps_record_no_fit(self):
         ds, cfg = paper_cell(weighted=False)
         for sweep in impute(ds, cfg).per_sweep:
@@ -678,7 +704,7 @@ class TestWorkspacePredictors:
         observed = np.zeros((n, d), bool)
         observed[rng.permutation(n)[:n_obs], 0] = True
         obs, miss = np.flatnonzero(observed[:, 0]), np.flatnonzero(~observed[:, 0])
-        work = engine_mod._Workspace(completed, observed, [0])
+        work = engine_mod._Workspace(completed, observed, [0], weighted=True)
         rows = np.concatenate([obs, miss])
         assert np.array_equal(work.rows[0], rows)
         assert np.array_equal(work.labels[0], observed[rows, 0])
@@ -693,6 +719,10 @@ class TestWorkspacePredictors:
         assert np.shares_memory(design, x_miss)
         assert np.array_equal(design,
                               np.column_stack([z[rows], np.ones(n)]))
+        # the Newton scratch has the layout of the design's transpose, apart
+        assert work.scratch.shape == design.T.shape
+        assert work.scratch.strides == design.T.strides
+        assert not np.shares_memory(work.scratch, design)
 
 
 class TestSingleColumnSweeps:

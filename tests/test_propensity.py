@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -433,6 +434,92 @@ class TestCappedFit:
             design, r, l2, unchecked, at_start) < propensity.GRADIENT_TOL
         warm = fit_propensity(design, r, l2, init=start)
         assert warm.converged and warm.n_iter == 2 and warm.gradient < stop
+
+
+class TestNewtonScratch:
+    # ``scratch`` holds every Newton step's design.T * s; what it held before
+    # never reaches a result, and it is checked like ``out``
+
+    @staticmethod
+    def _scratch(design):
+        # full_like keeps the design's layout, so .T has design.T's
+        return np.full_like(design, np.nan).T
+
+    @staticmethod
+    def _fit(design, r, l2, init, scratch):
+        out = np.full(r.shape[0], np.nan)
+        model = fit_propensity(design, r, l2, init=init, out=out, scratch=scratch)
+        return model, out
+
+    @pytest.mark.parametrize("case", [
+        (200, 3, 1e-4, "logistic", "cold", "F", 4),
+        (200, 3, 1e-4, "logistic", "near", "C", 5),
+        (60, 3, 0.05, "near_separable", "far", "C", 1),   # backtracks
+    ], ids=["cold", "warm", "backtracks"])
+    def test_results_are_bit_identical_to_no_scratch(self, monkeypatch, case):
+        design, r, init = _propensity_case(*case)
+        l2 = case[2]
+        calls = []
+        nll = propensity._penalized_nll
+        monkeypatch.setattr(propensity, "_penalized_nll",
+                            lambda *args: calls.append(1) or nll(*args))
+        plain, plain_out = self._fit(design, r, l2, init, None)
+        steps = plain.n_iter - plain.converged
+        assert steps > 0
+        if case[4] == "far":  # one NLL up front and one per unshrunk step
+            assert len(calls) > 1 + steps
+        scratch = self._scratch(design)
+        model, out = self._fit(design, r, l2, init, scratch)
+        assert model.coefficients.tobytes() == plain.coefficients.tobytes()
+        assert model.intercept == plain.intercept
+        assert (model.converged, model.n_iter) == (plain.converged, plain.n_iter)
+        assert model.gradient == plain.gradient
+        assert out.tobytes() == plain_out.tobytes()
+        assert not np.isnan(scratch).any()  # the steps wrote into it
+        wv = weights_for_column(design, r == 1.0, l2, init=init,
+                                scratch=self._scratch(design))
+        assert wv.weights.tobytes() == weights_for_column(
+            design, r == 1.0, l2, init=init).weights.tobytes()
+
+    @pytest.mark.parametrize("shape", [(4, 199), (200, 4), (3, 200), (4, 200, 1)])
+    def test_wrong_shape_rejected_before_fitting(self, monkeypatch, shape):
+        calls = []
+        monkeypatch.setattr(propensity, "_penalized_nll",
+                            lambda *args: calls.append(args))
+        design, r, _ = _propensity_case(200, 3, 1e-4, "logistic", "cold", "F", 4)
+        scratch = np.zeros(shape)
+        message = (r"scratch must have the design's transposed shape \(4, 200\), "
+                   rf"got \({', '.join(map(str, shape))}\)")
+        with pytest.raises(ValueError, match=message):
+            fit_propensity(design, r, scratch=scratch)
+        assert calls == []
+        assert not scratch.any()
+
+    def test_scratch_sharing_the_design_rejected(self):
+        design, r, _ = _propensity_case(200, 3, 1e-4, "logistic", "cold", "F", 4)
+        work = np.empty((5, 200))
+        work[:4] = design.T
+        # the design's own transpose, and rows overlapping it
+        for scratch in (work[:4], work[1:]):
+            with pytest.raises(ValueError, match="scratch must not share memory "
+                                                 "with the design"):
+                fit_propensity(work[:4].T, r, scratch=scratch)
+
+    def test_warm_fit_allocates_no_design_sized_array(self):
+        # with the scratch given, a fit's temporaries are n-vectors and
+        # (d + 1)-sized; d = 29 keeps them far below one design
+        n, p = 5000, 29
+        design, r, init = _propensity_case(n, p, 1e-4, "logistic", "near", "F", 6)
+        scratch = self._scratch(design)
+        fit_propensity(design, r, init=init, scratch=scratch)
+        tracemalloc.start()
+        try:
+            model = fit_propensity(design, r, init=init, scratch=scratch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert model.n_iter > 1  # it took a Newton step
+        assert peak < design.nbytes
 
 
 class TestWeightsFromPropensity:
