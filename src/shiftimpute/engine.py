@@ -140,9 +140,13 @@ def _standardize(x: np.ndarray, n_stat: int) -> None:
     """Each row of ``x``, in place, less the mean and divided by the
     population std (1.0 where constant) of the row's first ``n_stat``
     entries."""
-    x -= x[:, :n_stat].mean(axis=1)[:, None]
+    # the bits of .mean(axis=1), without its wrapper
+    mean = np.add.reduce(x[:, :n_stat], axis=1)
+    mean /= n_stat
+    x -= mean[:, None]
     std = np.sqrt(np.array([r @ r for r in x[:, :n_stat]]) / n_stat)
-    x /= np.where(std > 0, std, 1.0)[:, None]
+    std[~(std > 0)] = 1.0
+    x /= std[:, None]
 
 
 class _Workspace:
@@ -209,6 +213,7 @@ def _column_step(completed, i, cfg, sweep, workspace, init=None):
     with (None when unweighted), which carry this sweep's propensity model.
     """
     miss_rows, y_train = workspace.miss_rows[i], workspace.y_train[i]
+    target = completed[:, i]  # a 1-D view: the column is contiguous
     workspace.gather(completed, i)
     x_train, x_miss = workspace.predictors(i)
     wv = propensity = None
@@ -234,13 +239,13 @@ def _column_step(completed, i, cfg, sweep, workspace, init=None):
     diag = ColumnDiagnostics(
         column=int(i),
         train_weighted_mse=train_mse,
-        mean_abs_update=float(np.mean(np.abs(completed[miss_rows, i] - preds))),
+        mean_abs_update=float(np.mean(np.abs(target[miss_rows] - preds))),
         effective_sample_size=effective_sample_size(weights),
         propensity_n_iter=0 if propensity is None else propensity.n_iter,
         propensity_converged=None if propensity is None else propensity.converged,
         propensity_gradient=None if propensity is None else propensity.gradient,
     )
-    completed[miss_rows, i] = preds
+    target[miss_rows] = preds
     return diag, wv
 
 

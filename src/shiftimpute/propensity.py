@@ -74,6 +74,13 @@ def _penalized_nll(z, e, r, coef, l2):
     return nll + 0.5 * l2 * float(coef @ coef)
 
 
+def _probabilities_and_gradient(design, z, e, r, penalty, beta):
+    """The probabilities ``sigmoid(z)`` from logits ``z = design @ beta`` and
+    their ``e = exp(-|z|)``, and the penalized NLL's gradient at ``beta``."""
+    eta = sigmoid(z, e=e)
+    return eta, design.T @ (eta - r) / r.shape[0] + penalty * beta
+
+
 def fit_propensity(design: np.ndarray, r: np.ndarray, l2: float = DEFAULT_L2,
                    init: PropensityModel | None = None,
                    out: np.ndarray | None = None,
@@ -86,17 +93,23 @@ def fit_propensity(design: np.ndarray, r: np.ndarray, l2: float = DEFAULT_L2,
     intercept is unpenalized. From ``init``'s parameters, else zero, each of
     at most ``MAX_ITER`` (100) iterations checks the max absolute gradient,
     which the model records: below its stop (``GRADIENT_TOL``, or less on a
-    large table) the fit has converged, else it takes a Newton step (the
-    first computes the starting NLL from that check's exponentials). An
-    unconverged fit reads ``converged=False`` rather than failing silently.
-    With ``l2 > 0`` the objective is strictly convex in the coefficients, so
-    fewer rows than predictors is allowed; with ``l2 = 0`` the intercept
-    makes d + 1 parameters, so n must exceed d.
+    large table) the fit has converged, else it takes a Newton step. The
+    step computes its trial's probabilities and gradient at once, for the
+    next check. The NLL is convex, so a trial gradient whose product with
+    the step is nonnegative certifies that the full step does not raise it;
+    only an uncertified step evaluates the NLL, at its start and at each
+    trial of a halving line search (at most 31 trials, the last kept if
+    none is accepted). An unconverged fit reads ``converged=False`` rather
+    than failing silently. With ``l2 > 0`` the objective is strictly convex
+    in the coefficients, so fewer rows than predictors is allowed; with
+    ``l2 = 0`` the intercept makes d + 1 parameters, so n must exceed d, and
+    a singular Newton system (a constant or duplicated predictor) raises a
+    ``LinAlgError`` that says so.
 
     ``out``, an n-vector, receives the fitted probabilities of every row at
-    the returned parameters, ``sigmoid(design @ [coefficients, intercept])``:
-    after convergence the last check's (the start's, if no step was taken),
-    else one more logistic of the final logits. Its shape is checked first.
+    the returned parameters, ``sigmoid(design @ [coefficients, intercept])``,
+    those the recorded gradient was computed from (the start's, if no step
+    was taken). Its shape is checked first.
 
     ``scratch``, an array of ``design.T``'s shape sharing no memory with
     ``design``, receives each Newton step's scaled transpose ``design.T * s``
@@ -146,40 +159,50 @@ def fit_propensity(design: np.ndarray, r: np.ndarray, l2: float = DEFAULT_L2,
                 f"{p} predictor columns")
     z = design @ beta
     e = np.exp(-np.abs(z))
-    nll = None  # the line search's reference, computed before the first step
+    eta, grad = _probabilities_and_gradient(design, z, e, r, penalty, beta)
+    gradient = np.max(np.abs(grad))
     converged = False
     it = 0
     for it in range(1, MAX_ITER + 1):
-        eta = sigmoid(z, e=e)
-        grad = design.T @ (eta - r) / n + penalty * beta
-        gradient = np.max(np.abs(grad))
         if gradient < tol:
             converged = True
             break
-        if nll is None:
-            nll = _penalized_nll(z, e, r, beta[:p], l2)
         s = 1.0 - eta
         s *= eta
         np.maximum(s, 1e-12, out=s)
         # design.T * s, into the caller's buffer or one allocated by this fit
         gram, scratch = weighted_gram(design, s, scratch)
         hess = gram / n + hess_penalty
-        step = np.linalg.solve(hess, grad)
-        # backtrack if the Newton step overshoots (rare; separable-ish data):
-        # halve it at most 30 times; a NaN trial NLL is taken as it is
-        for _ in range(31):
-            trial = beta - step
-            z_trial = design @ trial
-            e_trial = np.exp(-np.abs(z_trial))
-            trial_nll = _penalized_nll(z_trial, e_trial, r, trial[:p], l2)
-            if not trial_nll > nll + 1e-12:
-                break
-            step *= 0.5
-        beta, nll, z, e = trial, trial_nll, z_trial, e_trial
-    if not converged:
-        # eta and the gradient are those of the parameters before the last step
-        eta = sigmoid(z, e=e)
-        gradient = np.max(np.abs(design.T @ (eta - r) / n + penalty * beta))
+        try:
+            step = np.linalg.solve(hess, grad)
+        except np.linalg.LinAlgError:
+            raise np.linalg.LinAlgError(
+                "singular propensity Hessian (a constant or duplicated "
+                "predictor); use propensity_l2 > 0") from None
+        trial = beta - step
+        z_trial = design @ trial
+        e_trial = np.exp(-np.abs(z_trial))
+        eta_trial, grad_trial = _probabilities_and_gradient(
+            design, z_trial, e_trial, r, penalty, trial)
+        # the NLL is convex: NLL(beta) >= NLL(trial) + grad_trial @ step, so a
+        # nonnegative product certifies the full step; else the step is halved
+        # while its trial's NLL exceeds beta's (rare; separable-ish data), at
+        # most 30 times; a NaN trial NLL is taken as it is
+        if not grad_trial @ step >= 0:
+            nll = _penalized_nll(z, e, r, beta[:p], l2)
+            halvings = 0
+            while (_penalized_nll(z_trial, e_trial, r, trial[:p], l2)
+                   > nll + 1e-12 and halvings < 30):
+                step *= 0.5
+                trial = beta - step
+                z_trial = design @ trial
+                e_trial = np.exp(-np.abs(z_trial))
+                halvings += 1
+            if halvings:
+                eta_trial, grad_trial = _probabilities_and_gradient(
+                    design, z_trial, e_trial, r, penalty, trial)
+        beta, z, e, eta, grad = trial, z_trial, e_trial, eta_trial, grad_trial
+        gradient = np.max(np.abs(grad))
     if out is not None:
         out[:] = eta
     return PropensityModel(beta[:p].copy(), float(beta[p]), converged, it,

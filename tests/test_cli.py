@@ -299,6 +299,31 @@ def test_failed_run_is_a_one_line_error(tmp_path, masked_csv):
     assert not out.exists() and not (tmp_path / "diag.json").exists()
 
 
+def test_singular_propensity_hessian_is_a_one_line_error(tmp_path):
+    # a constant predictor, unpenalized, leaves the propensity fit's Newton
+    # system singular; the message names the cause, not numpy's solver
+    rng = np.random.default_rng(0)
+    values = rng.normal(size=(400, 4))
+    values[:, 2] = 1.0
+    rows = [[repr(float(v)) for v in row] for row in values]
+    for row in rows[::4]:
+        row[0] = ""
+    path = tmp_path / "constant.csv"
+    path.write_text("a,b,c,d\n" + "".join(",".join(r) + "\n" for r in rows))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"propensity_l2": 0.0}))
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as info:
+        main(["impute", "--input", str(path), "--config", str(config),
+              "--output", str(out)])
+    assert str(info.value) == (
+        "shiftimpute: column 0 failed at sweep 0: singular propensity Hessian "
+        "(a constant or duplicated predictor); use propensity_l2 > 0")
+    assert not out.exists()
+    # the default penalty keeps the system nonsingular
+    assert main(["impute", "--input", str(path), "--output", str(out)]) == 0
+
+
 def test_non_finite_imputation_is_a_one_line_error(tmp_path, masked_csv, monkeypatch):
     monkeypatch.setattr(engine_mod, "predict",
                         lambda model, x: np.full(x.shape[0], np.nan))

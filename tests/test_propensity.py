@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 from scipy.stats import spearmanr
 
 import oracles
+import shiftimpute.engine as engine_mod
 from oracles import (cold_column_weights, reference_fit_propensity,
                      reference_weights_for_column, standardize, with_intercept)
+from shiftimpute.benchmark import ExperimentGrid, run_benchmark
 from shiftimpute.data import DataMatrix
 from shiftimpute.engine import initial_impute
 from shiftimpute import propensity
@@ -80,6 +82,19 @@ class TestFitPropensity:
                                              r"fit \(d predictors plus the "
                                              rf"intercept\), got n={n}, d={d}$"):
             fit_propensity(with_intercept(x), np.arange(n) % 2.0, l2=0.0)
+
+    def test_singular_hessian_names_its_cause(self):
+        # a constant predictor, standardized, is a zero column: unpenalized,
+        # the Newton system is singular at the first step
+        x = np.random.default_rng(13).normal(size=(400, 3))
+        x[:, 1] = 0.0
+        r = (np.arange(400) % 3 != 0).astype(float)
+        message = (r"^singular propensity Hessian \(a constant or duplicated "
+                   r"predictor\); use propensity_l2 > 0$")
+        with pytest.raises(np.linalg.LinAlgError, match=message) as info:
+            fit_propensity(with_intercept(x), r, l2=0.0)
+        assert isinstance(info.value, ValueError)
+        assert fit_propensity(with_intercept(x), r).converged
 
     def test_penalized_fit_allows_fewer_rows_than_columns(self):
         # 4 rows, 8 predictors: separable, but the L2 term keeps it well posed
@@ -235,9 +250,10 @@ class TestFitMatchesReferenceLoop:
     @pytest.mark.parametrize("l2, layout, seed", [(0.0, "F", 0), (0.05, "C", 1)])
     def test_near_separable_far_start_backtracks(self, monkeypatch, l2, layout,
                                                  seed):
-        # the bit-identity examples above reach the backtracking branch,
-        # which no benchmark-grid fit does
-        calls = []
+        # the bit-identity examples above reach the halving search, which no
+        # benchmark-grid fit does: a step the convexity certificate leaves
+        # open whose full step raises the NLL
+        calls, exps = [], []
         nll = oracles._reference_penalized_nll
         monkeypatch.setattr(oracles, "_reference_penalized_nll",
                             lambda *args: calls.append(1) or nll(*args))
@@ -245,7 +261,88 @@ class TestFitMatchesReferenceLoop:
                                            layout, seed)
         _, _, converged, n_iter = reference_fit_propensity(design, r, l2, init)
         # one call up front and one per Newton step when no step backtracks
-        assert len(calls) > 1 + n_iter - converged
+        steps = n_iter - converged
+        assert len(calls) > 1 + steps
+        # the fit takes one exponential at its start and one per trial, so
+        # more than one per step means a step was halved
+        exp = np.exp
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np, "exp", lambda x: exps.append(1) or exp(x))
+            fit_propensity(design, r, l2, init=init)
+        assert len(exps) > 1 + steps
+
+
+class TestConvexityCertificate:
+    # a Newton step whose trial gradient g satisfies g @ step >= 0 is taken
+    # whole without evaluating the NLL: by convexity
+    # NLL(beta) >= NLL(trial) + g @ (beta - trial), and beta - trial = step
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(2, 80),
+        p=st.integers(1, 6),
+        l2=st.sampled_from([0.0, 1e-4, 0.05, 1.0]),
+        labels=st.sampled_from(["logistic", "near_separable"]),
+        start=st.sampled_from(["cold", "near", "far"]),
+        layout=st.sampled_from(["C", "F"]),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @example(n=60, p=3, l2=0.05, labels="near_separable", start="far",
+             layout="C", seed=1)   # backtracks
+    def test_certified_step_does_not_raise_the_nll(self, n, p, l2, labels,
+                                                   start, layout, seed):
+        # along a path of full Newton steps, as the fit computes each piece
+        assume(l2 > 0 or n > p + 1)
+        design, r, init = _propensity_case(n, p, l2, labels, start, layout, seed)
+        assume(0 < r.sum() < n)
+        penalty = np.append(np.full(p, l2), 0.0)
+        beta = (np.zeros(p + 1) if init is None
+                else np.append(init.coefficients, init.intercept))
+
+        def at(beta):
+            z = design @ beta
+            e = np.exp(-np.abs(z))
+            eta, grad = propensity._probabilities_and_gradient(
+                design, z, e, r, penalty, beta)
+            return _penalized_nll(z, e, r, beta[:p], l2), eta, grad
+
+        nll, eta, grad = at(beta)
+        for _ in range(8):
+            s = np.maximum(eta * (1.0 - eta), 1e-12)
+            hess = (design.T * s) @ design / n + np.diag(penalty)
+            try:
+                step = np.linalg.solve(hess, grad)
+            except np.linalg.LinAlgError:
+                return
+            trial = beta - step
+            trial_nll, eta, grad = at(trial)
+            if grad @ step >= 0:
+                assert trial_nll <= nll + 1e-12
+            beta, nll = trial, trial_nll
+
+    def test_cold_paper_cell_fit_evaluates_no_nll(self, monkeypatch):
+        # the first weighted step of the grid's seed-11, alpha = 3 cell fits
+        # from zero; every one of its Newton steps is certified
+        first = []
+        original = engine_mod.weights_for_column
+
+        def recording(design, obs_col, **kwargs):
+            if not first:
+                first.append((design.copy(order="K"), obs_col.copy(),
+                              kwargs["l2"]))
+            return original(design, obs_col, **kwargs)
+
+        monkeypatch.setattr(engine_mod, "weights_for_column", recording)
+        assert not run_benchmark(ExperimentGrid(seeds=(11,),
+                                                alphas=(3.0,))).failures
+        design, obs_col, l2 = first[0]
+        calls = []
+        nll = propensity._penalized_nll
+        monkeypatch.setattr(propensity, "_penalized_nll",
+                            lambda *args: calls.append(1) or nll(*args))
+        model = fit_propensity(design, obs_col.astype(float), l2)
+        assert model.converged and model.n_iter > 2
+        assert calls == []
 
 
 class TestFittedProbabilities:
@@ -281,7 +378,8 @@ class TestFittedProbabilities:
     @pytest.mark.parametrize("shape", [(199,), (201,), (200, 1), ()])
     def test_wrong_shape_rejected_before_fitting(self, monkeypatch, shape):
         calls = []
-        monkeypatch.setattr(propensity, "_penalized_nll",
+        # every Newton step forms its Hessian here
+        monkeypatch.setattr(propensity, "weighted_gram",
                             lambda *args: calls.append(args))
         design, r = self._case()
         out = np.zeros(shape)
@@ -383,13 +481,16 @@ class TestCappedFit:
         assert out.tobytes() == eta.tobytes()
         assert model.gradient == self._recorded_gradient(design, r, l2, model, out)
         assert not converged or model.gradient < tol
-        # one exponential per logit vector: the starting NLL, computed only
-        # once a step is to be taken, reuses the gradient check's, and each
-        # trial of the line search takes one of each; a start below the stop
-        # takes no step and returns its own parameters and probabilities
+        # one exponential per logit vector: the start's, then one per trial
+        # of each Newton step, the first trial being the full step; NLLs
+        # only for a step the convexity certificate does not settle, one at
+        # its start and one per trial; a start below the stop takes no step
+        # and returns its own parameters and probabilities
         steps = n_iter - converged
-        assert len(nlls) >= steps + (steps > 0)
-        assert len(exps) == len(nlls) + (steps == 0)
+        halvings = len(exps) - 1 - steps
+        uncertified, odd = divmod(len(nlls) - halvings, 2)
+        assert halvings >= 0 and odd == 0 and 0 <= uncertified <= steps
+        assert halvings == 0 or uncertified > 0
         if steps == 0:
             assert nlls == []
             start_beta = (np.zeros(p + 1) if init is None
@@ -466,8 +567,8 @@ class TestNewtonScratch:
         plain, plain_out = self._fit(design, r, l2, init, None)
         steps = plain.n_iter - plain.converged
         assert steps > 0
-        if case[4] == "far":  # one NLL up front and one per unshrunk step
-            assert len(calls) > 1 + steps
+        if case[4] == "far":  # halves: an unhalved step takes at most two NLLs
+            assert len(calls) > 2 * steps
         scratch = self._scratch(design)
         model, out = self._fit(design, r, l2, init, scratch)
         assert model.coefficients.tobytes() == plain.coefficients.tobytes()
@@ -484,7 +585,8 @@ class TestNewtonScratch:
     @pytest.mark.parametrize("shape", [(4, 199), (200, 4), (3, 200), (4, 200, 1)])
     def test_wrong_shape_rejected_before_fitting(self, monkeypatch, shape):
         calls = []
-        monkeypatch.setattr(propensity, "_penalized_nll",
+        # every Newton step forms its Hessian here
+        monkeypatch.setattr(propensity, "weighted_gram",
                             lambda *args: calls.append(args))
         design, r, _ = _propensity_case(200, 3, 1e-4, "logistic", "cold", "F", 4)
         scratch = np.zeros(shape)
