@@ -316,16 +316,18 @@ def _model_summary(records):
         "rmse_ratio_mean": _ratio_mean(pairs, "rmse"),
         "wasserstein_ratio_mean": _ratio_mean(pairs, "wasserstein"),
         "wilcoxon_rmse": None,
+        "wilcoxon_wasserstein": None,
     }
     if len(pairs) >= 10:
-        try:
-            test = wilcoxon_signed_rank(
-                np.array([w.rmse for w, _ in pairs]),
-                np.array([u.rmse for _, u in pairs]),
-            )
-            summary["wilcoxon_rmse"] = test.to_dict()
-        except ValueError:
-            pass
+        for metric in ("rmse", "wasserstein"):
+            try:
+                test = wilcoxon_signed_rank(
+                    np.array([getattr(w, metric) for w, _ in pairs]),
+                    np.array([getattr(u, metric) for _, u in pairs]),
+                )
+                summary[f"wilcoxon_{metric}"] = test.to_dict()
+            except ValueError:
+                pass
     try:
         summary["alpha_profile"] = summarize_alpha_profile(records, pairs)
     except ValueError:

@@ -12,16 +12,20 @@ step whose predictions are not all finite fails, so a completion is always
 finite.
 
 A step gathers every other column at its rows, observed rows first, into
-one buffer and standardizes it in place over the observed rows, once: the
-regression reads its two parts and a weighted step's propensity fit reads
-the whole buffer with its trailing ones row, so no statistic of the
-completion is kept between steps. A run refills one set of step arrays
-allocated at its start; a weighted run's include the propensity fit's
-Newton scratch, a d x n buffer every IRLS step of every fit writes its
-scaled transpose into, and an unweighted run, which fits no propensity,
-allocates none. Every weighted step runs the propensity IRLS from the
-column's previous model (from zero in sweep 0) until its max-abs gradient
-is inside the gradient's sampling noise.
+its target's buffer and standardizes it in place over the observed rows:
+the regression reads its two parts and a weighted step's propensity fit
+reads the whole buffer with its trailing ones row, all as read-only views.
+A column with no missing cell never changes during a run, so when the table
+has one, each target keeps its own buffer (within a byte budget) and, after
+its first step, regathers and restandardizes only the rows of the columns
+the run imputes; the only thing kept between steps is those fully observed
+rows, standardized. A run refills one set of step arrays allocated at its
+start; a weighted run's include the propensity fit's Newton scratch, a
+d x n buffer every IRLS step of every fit writes its scaled transpose into,
+and an unweighted run, which fits no propensity, allocates none. Every
+weighted step runs the propensity IRLS from the column's previous model
+(from zero in sweep 0) until its max-abs gradient is inside the gradient's
+sampling noise.
 """
 
 from __future__ import annotations
@@ -48,6 +52,12 @@ __all__ = [
 ]
 
 ASCENDING_MISSING = "ascending_missing_count"
+
+# the bytes one impute call may spend on per-target blocks beyond the first
+# (see _Workspace): 4 targets of a 100,000 x 10 or a 20,000 x 30 table fit
+# in it, while a 100,000 x 40 table with 20 incomplete columns would
+# otherwise take 640 MB
+BLOCK_BUDGET_BYTES = 64 * 2**20
 
 
 @dataclass(frozen=True)
@@ -158,23 +168,45 @@ class _Workspace:
     (the observed rows' ones, then zeros). The regression predictors of
     target ``i`` are the columns ``others[i]``.
 
-    The arrays are one (d, n) block, refilled in place by every step and
-    column-major like the completion: the d - 1 rows of the predictor buffer,
-    which holds a target's rows in ``rows[i]`` order (one contiguous row per
-    predictor, standardized over its observed part; a fit reads its
-    observed-row and missing-row parts as transposed views), then a row of
-    ones. Its transpose ``design`` is the propensity design: the same
-    standardized predictors with the trailing intercept column. ``scratch``,
-    in a weighted run, is a second (d, n) block in that layout: the Newton
+    A target's arrays are one (d, n) block, column-major like the
+    completion: the d - 1 rows of its predictor buffer, which holds the
+    target's rows in ``rows[i]`` order (one contiguous row per predictor,
+    standardized over its observed part; a fit reads its observed-row and
+    missing-row parts as transposed views), then a row of ones. The block's
+    transpose is the propensity design: the same standardized predictors
+    with the trailing intercept column. Every view handed out is read-only,
+    since only :meth:`predictors` writes a block.
+
+    A row standardized alone keeps its bits, so a block that still holds
+    its target's last step needs only its rows of the columns the run
+    imputes refilled: the rows of the never-imputed columns hold the same
+    values. Those T - 1 rows (T targets) are gathered into ``part`` and
+    standardized there in one call, then copied into the block. With a
+    fully observed column in the table and B = ``BLOCK_BUDGET_BYTES``, the
+    call takes 1 + min(T - 1, B // (8 d n)) blocks of 8 d n bytes, one per
+    target while the budget lasts, then one that the remaining targets
+    share and refill in full at every step, and 8 (T - 1) n bytes for
+    ``part``. With no fully observed column there is nothing to keep: every
+    target shares one block, and ``part`` is None. ``scratch``, in a
+    weighted run, is one more (d, n) block in that layout: the Newton
     buffer of every propensity fit (None when unweighted).
     """
 
     def __init__(self, completed: np.ndarray, observed: np.ndarray, targets,
                  weighted: bool):
         n, d = completed.shape
-        self.others = {i: np.delete(np.arange(d), i) for i in targets}
+        imputed = np.isin(np.arange(d), targets)
+        n_blocks, self.part = 1, None
+        if not imputed.all():
+            n_blocks += min(len(targets) - 1, BLOCK_BUDGET_BYTES // (8 * d * n))
+            self.part = np.empty((len(targets) - 1, n))
+        work = np.empty((n_blocks, d, n))
+        work[:, -1] = 1.0  # the intercept column
+        self.gathered = work[:, :-1]
+        self.holder = [None] * n_blocks  # the target whose rows a block holds
+        self.others, self.block, self.refills, self.views = {}, {}, {}, {}
         self.rows, self.miss_rows, self.y_train, self.labels = {}, {}, {}, {}
-        for i in targets:
+        for k, i in enumerate(targets):
             obs, miss = (np.flatnonzero(observed[:, i]),
                          np.flatnonzero(~observed[:, i]))
             self.rows[i] = rows = np.concatenate([obs, miss])
@@ -182,27 +214,37 @@ class _Workspace:
             # observed cells of the completion are the data's own values
             self.y_train[i] = completed[obs, i]
             self.labels[i] = np.arange(n) < obs.shape[0]
-        work = np.empty((d, n))
-        work[-1] = 1.0  # the intercept column
-        self.gathered, self.design = work[:-1], work.T
+            self.others[i] = others = np.delete(np.arange(d), i)
+            self.block[i] = b = min(k, n_blocks - 1)
+            self.refills[i] = np.flatnonzero(imputed[others])
+            x = work[b]
+            views = x[:-1, :obs.shape[0]].T, x[:-1, obs.shape[0]:].T, x.T
+            for view in views:
+                view.flags.writeable = False
+            self.views[i] = views
         self.scratch = np.empty((d, n)) if weighted else None
 
-    def gather(self, completed: np.ndarray, i: int) -> None:
-        """Every column but ``i`` of the completion, at ``rows[i]``, into the
-        predictor buffer: one contiguous row per predictor."""
-        rows = self.rows[i]
-        for j, row in zip(self.others[i], self.gathered):
+    def predictors(self, completed: np.ndarray, i: int):
+        """Target ``i``'s training predictors, prediction predictors and
+        propensity design, read-only views of its block after refilling it
+        from the completion: every other column at ``rows[i]``, standardized
+        over its observed part. A block that holds ``i``'s last step refills
+        only the rows of imputed columns."""
+        b, rows = self.block[i], self.rows[i]
+        x, others = self.gathered[b], self.others[i]
+        if self.holder[b] == i:
+            refill = self.refills[i]
+            part = self.part[:refill.size]
+        else:
+            refill, part = slice(None), x
+            self.holder[b] = i
+        for j, row in zip(others[refill], part):
             # any mode but the default "raise" writes straight into ``out``
             np.take(completed[:, j], rows, out=row, mode="clip")
-
-    def predictors(self, i: int):
-        """The gathered observed rows and missing rows, standardized in place
-        over target ``i``'s observed rows: two parts of one buffer, as
-        transposed views."""
-        x = self.gathered
-        n_obs = self.y_train[i].shape[0]
-        _standardize(x, n_obs)
-        return x[:, :n_obs].T, x[:, n_obs:].T
+        _standardize(part, self.y_train[i].shape[0])
+        if part is not x:
+            x[refill] = part
+        return self.views[i]
 
 
 def _column_step(completed, i, cfg, sweep, workspace, init=None):
@@ -214,11 +256,10 @@ def _column_step(completed, i, cfg, sweep, workspace, init=None):
     """
     miss_rows, y_train = workspace.miss_rows[i], workspace.y_train[i]
     target = completed[:, i]  # a 1-D view: the column is contiguous
-    workspace.gather(completed, i)
-    x_train, x_miss = workspace.predictors(i)
+    x_train, x_miss, design = workspace.predictors(completed, i)
     wv = propensity = None
     if cfg.weighted:
-        wv = weights_for_column(workspace.design, workspace.labels[i],
+        wv = weights_for_column(design, workspace.labels[i],
                                 l2=cfg.propensity_l2,
                                 clip_epsilon=cfg.clip_epsilon, init=init,
                                 scratch=workspace.scratch)

@@ -13,7 +13,6 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
-import pytest
 from scipy.stats import spearmanr
 
 import shiftimpute
@@ -53,11 +52,6 @@ def _pair_stats(records, alphas):
     test = wilcoxon_signed_rank(np.array([w.rmse for w, _ in pairs]),
                                 np.array([u.rmse for _, u in pairs]))
     return float(rmse_ratios.mean()), float(w_ratios.mean()), test.p_value
-
-
-@pytest.fixture(scope="session")
-def full_grid_result():
-    return run_benchmark(ExperimentGrid(), jobs=2)
 
 
 def test_criterion_1_mcar_null():

@@ -1,4 +1,6 @@
+import hashlib
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import shiftimpute.engine as engine_mod
 from shiftimpute.benchmark import (
     DatasetSource,
     ExperimentGrid,
+    RunRecord,
     build_summary,
     make_benchmark_dataset,
     records_to_csv,
@@ -15,6 +18,7 @@ from shiftimpute.benchmark import (
     summarize_alpha_profile,
 )
 from shiftimpute.engine import ImputationConfig
+from shiftimpute.metrics import wilcoxon_signed_rank
 from shiftimpute.regressors import RegressorSpec
 
 
@@ -192,6 +196,14 @@ class TestCsv:
         header = p1.read_text().splitlines()[0]
         assert header == "seed,alpha,model,weighted,rmse,wasserstein"
 
+    def test_default_grid_reproduces_its_digest(self, full_grid_result, tmp_path):
+        # the default grid's results CSV, byte for byte; a change that moves
+        # the numerics on purpose updates the digest and says so
+        path = tmp_path / "r.csv"
+        records_to_csv(full_grid_result.records, path)
+        digest = hashlib.md5(path.read_bytes()).hexdigest()
+        assert digest == "ecb1db75181ebd4066aab48f721ea2a6"
+
 
 class TestSummaries:
     def test_alpha_profile_needs_two_alphas(self):
@@ -217,6 +229,30 @@ class TestSummaries:
         assert model["rmse_ratio_mean"] > 0
         assert len(model["alpha_profile"]) == 2
         assert summary["wall_time_ms"]["total"] > 0
+
+
+    def test_wilcoxon_tests_rmse_and_wasserstein_from_ten_pairs(self):
+        # 12 pairs: weighting lowers every RMSE and raises every W1 but one
+        rng = np.random.default_rng(5)
+        rmse, w1 = rng.uniform(1, 2, size=(2, 12))
+        records = [RunRecord(seed, 3.0, "ridge", weighted, r * scale, w * w_scale, 1.0)
+                   for seed, (r, w) in enumerate(zip(rmse, w1))
+                   for weighted, scale, w_scale in ((False, 1.0, 1.0),
+                                                    (True, 0.9, 1.1 if seed else 0.9))]
+        summary = bench._model_summary(records)
+        assert summary["n_pairs"] == 12
+        for metric, values, factor in (("rmse", rmse, 0.9),
+                                       ("wasserstein", w1,
+                                        np.r_[0.9, np.full(11, 1.1)])):
+            test = wilcoxon_signed_rank(values * factor, values)
+            assert summary[f"wilcoxon_{metric}"] == test.to_dict()
+        assert summary["wilcoxon_rmse"]["statistic"] == 0.0
+        assert summary["wilcoxon_wasserstein"]["statistic"] > 0.0
+        # fewer than 10 pairs, or no nonzero difference: no test
+        assert bench._model_summary(records[:18])["wilcoxon_wasserstein"] is None
+        same = [replace(r, rmse=1.0, wasserstein=1.0) for r in records]
+        assert bench._model_summary(same)["wilcoxon_rmse"] is None
+        assert bench._model_summary(same)["wilcoxon_wasserstein"] is None
 
 
 class TestGridConfig:

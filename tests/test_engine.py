@@ -380,7 +380,8 @@ class TestColumnStepState:
         weighted, unweighted = built
         assert len(scratches) == cfg.n_sweeps * len(ds.missing_columns())
         assert all(s is weighted.scratch for s in scratches)
-        assert weighted.scratch.shape == weighted.design.T.shape
+        assert all(weighted.scratch.shape == design.T.shape
+                   for _, _, design in weighted.views.values())
         assert unweighted.scratch is None
 
     def test_unweighted_steps_record_no_fit(self):
@@ -414,10 +415,13 @@ class TestColumnStepState:
             self, monkeypatch):
         # every fit and predict gets, bit for bit, the other columns of the
         # completion before its step, each standardized over the target's
-        # observed rows, by one standardization per step, weighted or not; a
-        # weighted step's propensity design is those same predictors in the
-        # step's row order (observed rows first), in the same memory, with a
-        # ones column, and its labels are the observedness in that order
+        # observed rows, weighted or not. Each step standardizes once: its
+        # own block's predictor rows at the target's first step, then only
+        # the rows of the other columns the run imputes, since the rest
+        # still hold those same bits. A weighted step's propensity design is
+        # those same predictors in the step's row order (observed rows
+        # first), in the same memory, with a ones column, and its labels are
+        # the observedness in that order
         original_step = engine_mod._column_step
         original_fit, original_predict, original_weights, original_std = (
             engine_mod.fit_regressor, engine_mod.predict,
@@ -436,16 +440,21 @@ class TestColumnStepState:
             expected["train"], expected["miss"] = z[obs], z[miss]
             expected["design"] = np.column_stack([z[rows], np.ones(len(rows))])
             expected["labels"] = observed[rows, i]
-            expected["buffer"] = workspace.gathered
-            before = len(standardized)
+            buffer = expected["buffer"] = workspace.gathered[workspace.block[i]]
+            standardized.clear()
             out = original_step(*args)
-            assert len(standardized) == before + 1
+            [x] = standardized
+            if i in steps:
+                assert x.shape == (len(expected["imputed"]) - 1, buffer.shape[1])
+            else:
+                assert x.ctypes.data == buffer.ctypes.data
+                assert x.shape == buffer.shape
             steps.append(i)
             return out
 
-        def counted_standardize(*args):
-            standardized.append(1)
-            return original_std(*args)
+        def counted_standardize(x, n_stat):
+            standardized.append(x)
+            return original_std(x, n_stat)
 
         def checked_weights(design, labels, *args, **kwargs):
             assert np.array_equal(design, expected["design"])
@@ -472,12 +481,48 @@ class TestColumnStepState:
         for weighted in (True, False):
             ds, cfg = paper_cell(weighted=weighted)
             expected["observed"] = ds.mask.observed
-            for record in (steps, fits, designs, standardized):
+            expected["imputed"] = ds.missing_columns()
+            for record in (steps, fits, designs):
                 record.clear()
             impute(ds, cfg)
-            assert len(steps) == len(fits) == len(standardized) == (
+            assert len(steps) == len(fits) == (
                 cfg.n_sweeps * len(ds.missing_columns()))
             assert len(designs) == (len(steps) if weighted else 0)
+
+    def test_a_fit_cannot_write_into_its_predictors(self, monkeypatch):
+        # a block's rows of fully observed columns outlive the step, so the
+        # fits, predict and the propensity fit get read-only views: a fit
+        # that writes fails its step instead of corrupting a later one
+        ds, cfg = paper_cell()
+        original = engine_mod.fit_regressor
+        seen = []
+
+        def writing_fit(spec, x_train, *args):
+            seen.append(x_train)
+            x_train[0, 0] = 0.0
+            return original(spec, x_train, *args)
+
+        monkeypatch.setattr(engine_mod, "fit_regressor", writing_fit)
+        with pytest.raises(RuntimeError,
+                           match="column .* failed at sweep 0: .*read-only"):
+            impute(ds, cfg)
+        assert len(seen) == 1
+
+    def test_step_arrays_are_read_only_views(self, monkeypatch):
+        seen = []
+        for name in ("fit_regressor", "predict", "weights_for_column"):
+            original = getattr(engine_mod, name)
+
+            def recording(*args, _original=original, **kwargs):
+                seen.append(next(a for a in args if isinstance(a, np.ndarray)
+                                 and a.ndim == 2))
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(engine_mod, name, recording)
+        ds, cfg = paper_cell()
+        impute(ds, cfg)
+        assert len(seen) == 3 * cfg.n_sweeps * len(ds.missing_columns())
+        assert not any(x.flags.writeable for x in seen)
 
     def test_only_seeded_fits_derive_a_seed(self, monkeypatch):
         ds, cfg = paper_cell(weighted=False)
@@ -594,6 +639,70 @@ class TestImputeProperties:
         assert not any(np.shares_memory(a, b)
                        for a in arrays(first) for b in arrays(second))
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 30),
+           d=st.integers(2, 5), rate=st.sampled_from([0.1, 0.4]),
+           kinds=st.lists(st.sampled_from(["normal", "tied", "constant"]),
+                          min_size=5, max_size=5),
+           weighted=st.booleans(), all_incomplete=st.booleans(),
+           extra_blocks=st.integers(0, 3))
+    @example(seed=3, n=12, d=5, rate=0.4, kinds=["normal"] * 5, weighted=True,
+             all_incomplete=True, extra_blocks=3)
+    @example(seed=4, n=20, d=5, rate=0.4, kinds=["normal", "tied", "constant",
+                                                  "normal", "tied"],
+             weighted=False, all_incomplete=False, extra_blocks=1)
+    def test_kept_rows_give_the_bytes_of_full_refills(
+            self, seed, n, d, rate, kinds, weighted, all_incomplete,
+            extra_blocks):
+        # a target that keeps its block refills only the rows of imputed
+        # columns; the same run with every step refilling its whole block
+        # (a budget of 0) gives the same bytes, and so does a budget that
+        # gives only some targets a block of their own
+        rng = np.random.default_rng(seed)
+        columns = {"normal": lambda: rng.normal(size=n),
+                   "tied": lambda: rng.integers(0, 3, size=n) * 0.5,
+                   "constant": lambda: np.full(n, rng.normal())}
+        values = np.column_stack([columns[kind]() for kind in kinds[:d]])
+        observed = rng.random((n, d)) >= rate
+        observed[0] = True           # no empty column
+        observed[1, d - 1] = False   # something to impute
+        if all_incomplete:
+            # column j misses row h(j) = 1 + j % (n - 1), and an empty row r
+            # gets column 0 or, if r = h(0), column 1 back
+            observed[1 + np.arange(d) % (n - 1), np.arange(d)] = False
+            empty = np.flatnonzero(~observed.any(axis=1))
+            observed[empty, (empty == 1).astype(int)] = True
+        else:
+            observed[:, 0] = True    # no empty row, a column to keep
+        ds = make_masked(values, observed)
+        cfg = ridge_config(weighted=weighted, n_sweeps=3, ridge_lambda=1e-3)
+        block_bytes = 8 * d * n
+        built = []
+
+        class RecordingWorkspace(engine_mod._Workspace):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
+
+        def run(budget):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(engine_mod, "_Workspace", RecordingWorkspace)
+                if budget is not None:
+                    mp.setattr(engine_mod, "BLOCK_BUDGET_BYTES", budget)
+                result = impute(ds, cfg)
+            return (result.completed.tobytes(),
+                    json.dumps([s.to_dict() for s in result.per_sweep]))
+
+        kept = run(None)
+        assert run(extra_blocks * block_bytes) == kept
+        assert run(0) == kept
+        n_targets = len(ds.missing_columns())
+        blocks = [len(work.holder) for work in built]
+        if n_targets == d:
+            assert blocks == [1, 1, 1]
+        else:
+            assert blocks == [n_targets, 1 + min(n_targets - 1, extra_blocks), 1]
+
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(30, 80),
            d=st.integers(2, 5), alpha=st.sampled_from([0.0, 1.5, 3.0]),
@@ -708,13 +817,11 @@ class TestWorkspacePredictors:
         rows = np.concatenate([obs, miss])
         assert np.array_equal(work.rows[0], rows)
         assert np.array_equal(work.labels[0], observed[rows, 0])
-        work.gather(completed, 0)
-        x_train, x_miss = work.predictors(0)
+        x_train, x_miss, design = work.predictors(completed, 0)
         z = reference_standardize(completed[:, 1:], obs)
         assert np.array_equal(x_train, z[obs])
         assert np.array_equal(x_miss, z[miss])
         # the propensity design is the same buffer with a ones column
-        design = work.design
         assert np.shares_memory(design, x_train)
         assert np.shares_memory(design, x_miss)
         assert np.array_equal(design,
