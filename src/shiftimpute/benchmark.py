@@ -11,6 +11,7 @@ the cell coordinates, which makes results independent of worker count.
 from __future__ import annotations
 
 import math
+import multiprocessing
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -236,23 +237,78 @@ def _run_cell(grid: ExperimentGrid, seed: int, alpha_index: int):
     return records, failures
 
 
-def _run_cell_star(args):
-    return _run_cell(*args)
+# a pool worker's share of run_benchmark's next-cell counter, set by the
+# pool's initializer; the calling process passes its counter explicitly
+_shared_counter = None
+
+
+def _share_counter(counter) -> None:
+    global _shared_counter
+    _shared_counter = counter
+
+
+def _claim_cells(cells, counter=None):
+    """Run ``cells[i]`` for each next index ``i`` taken from the shared
+    counter until none is left; returns the (index, outcome) pairs run here.
+
+    ``_run_cell`` is looked up at call time, so a wrapper installed on it
+    before the pool starts runs in every process."""
+    counter = _shared_counter if counter is None else counter
+    claimed = []
+    while True:
+        with counter.get_lock():
+            index = counter.value
+            counter.value = index + 1
+        if index >= len(cells):
+            return claimed
+        claimed.append((index, _run_cell(*cells[index])))
 
 
 def run_benchmark(grid: ExperimentGrid, jobs: int = 1) -> BenchmarkResult:
-    """Run the whole grid in at most ``jobs`` (>= 1) processes, one per cell
-    at most; cell order and results are independent of ``jobs``."""
+    """Run the whole grid in at most ``jobs`` (an int >= 1) processes, this one
+    included, and in at most one per cell; cell order and results are
+    independent of ``jobs``.
+
+    The calling process takes cells beside a pool of ``jobs - 1`` workers,
+    every process taking the next cell from one shared counter until none
+    is left. A fresh worker's first cell builds the dataset and costs about
+    twice a later one, so only the pool's workers start cold. An exception
+    raised out of a cell, or a worker that dies (``BrokenProcessPool``),
+    stops every process at its next cell and propagates."""
+    if isinstance(jobs, bool) or not isinstance(jobs, int):
+        raise TypeError(f"jobs must be an int, got {jobs!r}")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     cells = [(grid, seed, ai) for seed in grid.seeds
              for ai in range(len(grid.alphas))]
     workers = min(jobs, len(cells))
     if workers <= 1:
-        outcomes = [_run_cell_star(c) for c in cells]
+        outcomes = [_run_cell(*cell) for cell in cells]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_run_cell_star, cells, chunksize=1))
+        counter = multiprocessing.Value("q", 0)
+
+        # a worker's future ends when the counter is spent, or when its cell
+        # raised or it died; in every case no process should take another cell
+        def stop(_future=None):
+            with counter.get_lock():
+                counter.value = len(cells)
+
+        with ProcessPoolExecutor(max_workers=workers - 1,
+                                 initializer=_share_counter,
+                                 initargs=(counter,)) as pool:
+            futures = [pool.submit(_claim_cells, cells)
+                       for _ in range(workers - 1)]
+            for future in futures:
+                future.add_done_callback(stop)
+            try:
+                claimed = _claim_cells(cells, counter)
+            except BaseException:
+                stop()
+                raise
+            for future in futures:
+                claimed += future.result()
+        by_index = dict(claimed)
+        outcomes = [by_index[i] for i in range(len(cells))]
     return BenchmarkResult(tuple(r for recs, _ in outcomes for r in recs),
                            tuple(f for _, fails in outcomes for f in fails), grid)
 

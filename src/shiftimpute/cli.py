@@ -235,7 +235,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="results CSV")
     p.add_argument("--summary", help="summary JSON")
     p.add_argument("--jobs", type=int, default=1,
-                   help="parallel workers (at least 1; at most one per cell)")
+                   help="processes running cells, this one included (at "
+                        "least 1; at most one per cell); this process takes "
+                        "cells too, so only jobs - 1 workers start cold")
     p.set_defaults(func=_cmd_benchmark)
     return parser
 

@@ -1,5 +1,9 @@
 import hashlib
+import os
 import re
+import time
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
 import numpy as np
@@ -112,16 +116,27 @@ class TestRunBenchmark:
         with pytest.raises(ValueError, match=f"jobs must be at least 1, got {jobs}"):
             run_benchmark(small_grid(), jobs=jobs)
 
-    @pytest.mark.parametrize("jobs, workers", [(64, 2), (2, 2), (1, None)])
+    @pytest.mark.parametrize("jobs", [2.0, "2", None, True, np.int64(2)])
+    def test_jobs_not_an_int_rejected(self, monkeypatch, jobs):
+        ran = []
+        monkeypatch.setattr(bench, "_run_cell", lambda *cell: ran.append(cell))
+        message = f"jobs must be an int, got {jobs!r}"
+        with pytest.raises(TypeError, match=re.escape(message)):
+            run_benchmark(small_grid(), jobs=jobs)
+        assert ran == []
+
+    @pytest.mark.parametrize("jobs, workers", [(64, 1), (2, 1), (1, None)])
     def test_pool_starts_no_more_workers_than_cells(self, monkeypatch, jobs,
                                                     workers):
-        # a stand-in pool that records its size and maps serially, so no
-        # process starts whatever jobs asks for
+        # a stand-in pool that records its size and runs each submit
+        # serially, so no process starts whatever jobs asks for; the calling
+        # process counts among the jobs, so 2 cells need 1 worker at most
         started = []
 
         class RecordingPool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer, initargs):
                 started.append(max_workers)
+                initializer(*initargs)
 
             def __enter__(self):
                 return self
@@ -129,10 +144,13 @@ class TestRunBenchmark:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, iterable, chunksize=1):
-                return map(fn, iterable)
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
 
         monkeypatch.setattr(bench, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(bench, "_shared_counter", None)
         grid = small_grid(seeds=(0,))  # 2 cells
         serial = run_benchmark(grid)
         assert started == []
@@ -182,6 +200,89 @@ class TestRunBenchmark:
         path = tmp_path / "r.csv"
         records_to_csv(res.records, path)
         assert len(path.read_text().splitlines()) == 1 + len(res.records)
+
+
+class TestProcessPool:
+    """``run_benchmark`` on a real ``jobs=2`` pool: one worker beside the
+    calling process. Each wrapper is installed before the pool starts, so
+    the worker runs it too."""
+
+    @staticmethod
+    def wrap_run_cell(monkeypatch, before):
+        # calls ``before(in_worker, seed, alpha_index)`` ahead of every cell
+        caller, original = os.getpid(), bench._run_cell
+
+        def run_cell(grid, seed, alpha_index):
+            before(os.getpid() != caller, seed, alpha_index)
+            return original(grid, seed, alpha_index)
+
+        monkeypatch.setattr(bench, "_run_cell", run_cell)
+
+    def test_every_cell_runs_once_and_the_caller_takes_some(self, monkeypatch,
+                                                            tmp_path):
+        log = tmp_path / "cells.log"
+
+        def record(in_worker, seed, alpha_index):
+            with open(log, "a", encoding="utf-8") as out:
+                out.write(f"{os.getpid()} {seed} {alpha_index}\n")
+            if in_worker:
+                time.sleep(0.02)  # a slow worker still leaves cells to the caller
+
+        self.wrap_run_cell(monkeypatch, record)
+        grid = small_grid()  # 6 cells
+        result = run_benchmark(grid, jobs=2)
+        runs = [tuple(map(int, line.split()))
+                for line in log.read_text().splitlines()]
+        assert sorted((seed, ai) for _, seed, ai in runs) == \
+            [(seed, ai) for seed in grid.seeds for ai in range(len(grid.alphas))]
+        pids = {pid for pid, _, _ in runs}
+        assert os.getpid() in pids and len(pids) == 2
+        assert [(r.seed, r.alpha, r.weighted) for r in result.records] == \
+            [(seed, alpha, w) for seed in grid.seeds for alpha in grid.alphas
+             for w in (True, False)]
+
+    def test_a_worker_that_dies_breaks_the_pool(self, monkeypatch):
+        by_caller = []
+
+        def die(in_worker, seed, alpha_index):
+            if in_worker:
+                os._exit(3)
+            by_caller.append((seed, alpha_index))
+            time.sleep(0.02)
+
+        self.wrap_run_cell(monkeypatch, die)
+        with pytest.raises(BrokenProcessPool):
+            run_benchmark(small_grid(), jobs=2)
+        # the broken pool stops the caller at its next cell, well before the
+        # 5 cells the dead worker left
+        assert len(by_caller) < 5
+
+    def test_an_exception_in_a_worker_cell_propagates(self, monkeypatch):
+        # perfbench's output check raises out of a worker's cell this way
+        def boom(in_worker, seed, alpha_index):
+            if in_worker:
+                raise RuntimeError(f"cell ({seed}, {alpha_index}) failed its check")
+
+        self.wrap_run_cell(monkeypatch, boom)
+        with pytest.raises(RuntimeError, match=r"cell \(\d, \d\) failed its check"):
+            run_benchmark(small_grid(), jobs=2)
+
+    def test_an_exception_in_the_callers_cell_stops_the_worker(self, monkeypatch,
+                                                               tmp_path):
+        log = tmp_path / "worker.log"
+
+        def boom(in_worker, seed, alpha_index):
+            if not in_worker:
+                raise RuntimeError("the caller's cell failed")
+            with open(log, "a", encoding="utf-8") as out:
+                out.write(f"{seed} {alpha_index}\n")
+            time.sleep(0.02)
+
+        self.wrap_run_cell(monkeypatch, boom)
+        with pytest.raises(RuntimeError, match="the caller's cell failed"):
+            run_benchmark(small_grid(), jobs=2)
+        # the worker finishes at most the cell it holds, not the 5 left
+        assert len(log.read_text().splitlines() if log.exists() else []) < 5
 
 
 class TestCsv:
