@@ -11,6 +11,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -186,6 +187,7 @@ def _cmd_benchmark(args) -> int:
     return 0 if result.ok else 1
 
 
+@functools.cache  # built once per process: parsing leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="shiftimpute",

@@ -4,9 +4,14 @@ and the JSON form of config and record dataclasses.
 A mask is always a separate boolean matrix (True = observed); missing cells are
 never encoded as sentinel values. CSV dialect: comma-separated, '.' decimal,
 optional header row, empty field = missing, UTF-8 with an optional
-byte-order mark. Floats are written by ``repr``, except that
-:func:`save_filled_csv` copies each observed field as it was read and
-formats only the imputed cells.
+byte-order mark. Lines without a quote character are split on their
+commas with ``str.split``, which reads them as the ``csv`` module does at a
+fraction of its cost; a file with a quoted field, or a line over the csv
+field-size limit, is read by ``csv.reader`` alone, so quoting and that
+limit's error have one implementation. Floats are written by ``repr``,
+except that :func:`save_filled_csv` copies each observed field as it was
+read and formats only the imputed cells; rows are written in blocks of
+``WRITE_BLOCK_ROWS``.
 
 Every config and record field is checked against its annotation by one
 function, ``_coerce``, whether the record is read from JSON or built in
@@ -38,6 +43,8 @@ __all__ = [
     "save_masked_csv",
     "save_filled_csv",
 ]
+
+WRITE_BLOCK_ROWS = 1024  # rows joined into one string per write
 
 
 class JsonRecord:
@@ -268,25 +275,50 @@ def _raise_first_error(body, names, allow_missing: bool):
     raise AssertionError("the parse failed but no cell or row is at fault")
 
 
+def _split_lines(handle) -> list[list[str]]:
+    """Every line of ``handle``, a file opened with ``newline=""``, split
+    into its fields as ``csv.reader`` splits it; a blank line may give
+    ``[]`` or ``[""]``. Lines are read one at a time, so the whole text is
+    never held beside its fields."""
+    limit = csv.field_size_limit()
+    rows = []
+    for line in handle:
+        if '"' in line or len(line) > limit:
+            handle.seek(0)  # the utf-8-sig decoder drops the mark again
+            reader = csv.reader(handle)
+            try:
+                return list(reader)
+            except csv.Error as exc:
+                raise ValueError(f"CSV line {reader.line_num}: {exc}") from None
+        rows.append(line.rstrip("\r\n").split(","))
+    return rows
+
+
 def _read_csv(path, has_header: bool, allow_missing: bool):
     """Parse a CSV into (names, values, observed, fields); missing cells read
     as 0.0.
 
-    ``fields`` is the stripped text of every data field in row-major order. A
-    cell is observed when its field is non-empty, and is parsed with Python's
-    ``float``; all cells go through one ``fromiter`` call, and only a failure
-    walks the rows again to name the first error. A line that is empty, or a
-    single field of only whitespace, is skipped. A line the ``csv`` module
-    cannot read, such as one with a field over its size limit, is a
+    Iterating a file opened with ``newline=""`` ends lines where
+    ``csv.reader`` does (``\\n``, ``\\r`` and ``\\r\\n``), and csv reads
+    a line with no quote character as the text between its commas, so such
+    lines are split with ``str.split``, without csv's per-character state
+    machine. The first line that holds a ``"``, or is longer than
+    ``csv.field_size_limit()``, sends the whole file back through
+    ``csv.reader`` from its start, so quoted fields are read by the csv
+    module alone, and a field over its limit is its error, as a
     ``ValueError`` naming the file line it stopped at.
+
+    Whichever tokenizer split the lines, the same rules follow. A line that
+    is empty, or a single field of only whitespace, is skipped, and every
+    other line must have as many fields as the first. ``fields`` is the
+    stripped text of every data field in row-major order. A cell is observed
+    when its field is non-empty, and is parsed with Python's ``float``; all
+    cells go through one ``fromiter`` call, and only a failure walks the
+    rows again to name the first error.
     """
     with open(path, newline="", encoding="utf-8-sig") as handle:
-        reader = csv.reader(handle)
-        try:
-            rows = [row for row in reader
-                    if len(row) > 1 or row and row[0].strip()]
-        except csv.Error as exc:
-            raise ValueError(f"CSV line {reader.line_num}: {exc}") from None
+        rows = [row for row in _split_lines(handle)
+                if len(row) > 1 or row and row[0].strip()]
     if not rows:
         raise ValueError("empty CSV file")
     width = len(rows[0])
@@ -335,18 +367,25 @@ def load_masked_csv(path, has_header: bool = True) -> MaskedDataset:
 
 
 def _write_rows(path, names, fields, header: bool) -> None:
-    """``fields``, row-major, as rows of ``len(names)`` joined by commas, with
-    ``\\r\\n`` after each row.
+    """``fields``, a row-major list, as rows of ``len(names)`` joined by
+    commas, with ``\\r\\n`` after each row.
 
     No field a caller passes needs quoting (a float's ``repr``, an empty
     field, or text that ``float`` parsed once stripped), so the bytes are
-    those ``csv.writer`` gives, which still writes the header.
+    those ``csv.writer`` gives, which still writes the header. Rows are
+    joined and written ``WRITE_BLOCK_ROWS`` at a time: one string per block
+    costs far less than one per row, and unlike one string for the whole
+    file it does not hold a second copy of the table's text.
     """
-    rows = zip(*[iter(fields)] * len(names))
+    width = len(names)
+    step = WRITE_BLOCK_ROWS * width
     with open(path, "w", newline="", encoding="utf-8") as handle:
         if header:
             csv.writer(handle).writerow(names)
-        handle.writelines(",".join(row) + "\r\n" for row in rows)
+        for start in range(0, len(fields), step):
+            block = fields[start:start + step]
+            handle.write("\r\n".join(map(",".join, zip(*[iter(block)] * width)))
+                         + "\r\n")
 
 
 def save_csv(matrix: DataMatrix, path, header: bool = True) -> None:

@@ -4,6 +4,7 @@ Each one restates, in the most direct numpy, a quantity the package computes
 by a faster or more incremental route.
 """
 
+import csv
 import math
 from dataclasses import dataclass
 
@@ -59,6 +60,17 @@ def cold_column_weights(completed: np.ndarray, observed: np.ndarray, i: int,
     design = with_intercept(standardize(np.delete(completed, i, axis=1)))
     return weights_for_column(design, observed[:, i], l2=l2,
                               clip_epsilon=clip_epsilon)
+
+
+def reference_read_rows(handle) -> list[list[str]]:
+    """Every line of ``handle`` (opened with ``newline=""``) as the csv
+    module tokenizes it: the reader's tokenizer before quote-free lines were
+    split with ``str.split``, and still the one it falls back on."""
+    reader = csv.reader(handle)
+    try:
+        return list(reader)
+    except csv.Error as exc:
+        raise ValueError(f"CSV line {reader.line_num}: {exc}") from None
 
 
 def oracle_imputer():

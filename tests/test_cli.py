@@ -506,3 +506,22 @@ def test_visitation_not_fitting_the_table_is_a_one_line_error(tmp_path, masked_c
         f"shiftimpute: {config}: visitation order {imputable[:1]} is not a "
         f"permutation of the imputable columns {imputable}")
     assert not (tmp_path / "out.csv").exists()
+
+
+def test_cached_parser_parses_each_call_afresh(tmp_path, truth_csv, masked_csv):
+    assert cli_mod.build_parser() is cli_mod.build_parser()
+    header, _, body = masked_csv.read_text(encoding="utf-8").partition("\n")
+    headerless = tmp_path / "headerless.csv"
+    headerless.write_text(body, encoding="utf-8")
+    bare, named = tmp_path / "bare.csv", tmp_path / "named.csv"
+    assert main(["impute", "--input", str(headerless), "--output", str(bare),
+                 "--no-header"]) == 0
+    # no --no-header now: the first line is read as the header, not as data
+    assert main(["impute", "--input", str(masked_csv), "--output", str(named)]) == 0
+    assert named.read_bytes() == header.encode() + b"\r\n" + bare.read_bytes()
+    # a different subcommand after impute takes only its own options
+    report = tmp_path / "report.json"
+    assert main(["metrics", "--truth", str(truth_csv), "--imputed", str(named),
+                 "--mask", str(masked_csv), "--out", str(report)]) == 0
+    assert json.loads(report.read_text())["masked_cell_count"] == \
+        int((~load_masked_csv(masked_csv).mask.observed).sum())

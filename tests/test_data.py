@@ -3,14 +3,18 @@ import json
 import re
 from dataclasses import fields
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import shiftimpute.data as data_mod
+from oracles import reference_read_rows
 from shiftimpute.benchmark import DatasetSource, ExperimentGrid
 from shiftimpute.data import (
+    WRITE_BLOCK_ROWS,
     DataMatrix,
     MaskMatrix,
     MaskedDataset,
@@ -215,6 +219,39 @@ def test_filling_a_saved_table_writes_what_save_csv_writes(tmp_path_factory, ds,
     assert (out / "filled.csv").read_bytes() == (out / "c.csv").read_bytes()
 
 
+@pytest.mark.parametrize("header", [True, False])
+@pytest.mark.parametrize("n", [1, WRITE_BLOCK_ROWS - 1, WRITE_BLOCK_ROWS,
+                               WRITE_BLOCK_ROWS + 1, 2 * WRITE_BLOCK_ROWS + 1])
+def test_writers_match_reference_across_blocks(tmp_path, n, header):
+    rng = np.random.default_rng(n)
+    names = ("a", "b", "c")
+    values = rng.normal(0, 100, (n, 3))
+    observed = rng.random((n, 3)) > 0.3
+    observed[:, 0] = observed[0] = True  # no empty row or column
+    ds = MaskedDataset(DataMatrix(values, names), MaskMatrix(observed))
+    every = np.ones_like(observed)
+    save_masked_csv(ds, tmp_path / "m.csv", header=header)
+    reference_write(tmp_path / "ref_m.csv", names, values, observed, header)
+    assert (tmp_path / "m.csv").read_bytes() == (tmp_path / "ref_m.csv").read_bytes()
+    save_csv(ds.data, tmp_path / "c.csv", header=header)
+    reference_write(tmp_path / "ref_c.csv", names, values, every, header)
+    assert (tmp_path / "c.csv").read_bytes() == (tmp_path / "ref_c.csv").read_bytes()
+    read, fields = load_masked_fields(tmp_path / "m.csv", has_header=header)
+    completed = np.where(observed, values, rng.normal(0, 100, (n, 3)))
+    save_filled_csv(read, fields, completed, tmp_path / "f.csv", header=header)
+    reference_write(tmp_path / "ref_f.csv", names, completed, every, header)
+    assert (tmp_path / "f.csv").read_bytes() == (tmp_path / "ref_f.csv").read_bytes()
+
+
+@pytest.mark.parametrize("header", [True, False])
+def test_zero_rows_write_what_the_reference_writes(tmp_path, header):
+    # no DataMatrix has zero rows, so only the row writer itself can be asked
+    data_mod._write_rows(tmp_path / "t.csv", ("a", "b"), [], header)
+    reference_write(tmp_path / "ref.csv", ("a", "b"), np.empty((0, 2)),
+                    np.empty((0, 2), bool), header)
+    assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
 def test_filling_keeps_observed_fields_as_written(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text('a,b,c\n1.50,1e3,\n 2 ,,"3.0"\n', encoding="utf-8")
@@ -347,6 +384,82 @@ class TestReaderEdges:
     def test_fully_missing_column_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="column 1 is entirely missing"):
             load_masked_csv(self.write(tmp_path, "a,b\n1,\n2,\n"))
+
+    def test_byte_order_mark_survives_the_fall_back_to_the_csv_module(self, tmp_path):
+        # a quote sends the file back to csv.reader from its start, where the
+        # mark must be dropped again rather than read into the first name
+        m = load_csv(self.write(tmp_path, '\ufeff"a",b\n1,2\n'))
+        assert m.column_names == ("a", "b")
+        m = load_csv(self.write(tmp_path, '\ufeffa,b\n1,2\n"3",4\n'))
+        assert m.column_names == ("a", "b")
+        assert m.values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    def test_line_over_the_csv_limit_with_fields_under_it(self, tmp_path):
+        zeros = "0" * 70_000
+        m = load_csv(self.write(tmp_path, f"a,b\n{zeros},{zeros}\n1,2\n"))
+        assert m.values.tolist() == [[0.0, 0.0], [1.0, 2.0]]
+
+
+# characters the csv module keeps as field text (vertical tab, form feed,
+# file separator, NEL, NUL, non-ASCII) among those numbers are made of
+_NOISE = "0123456789.e- \t\x0b\x0c\x1c\x85\x00\u00e9"
+
+
+@st.composite
+def csv_texts(draw):
+    """Rows of numbers and empty fields, maybe with noise, with now and then
+    a line of noise, a blank or whitespace line, mixed line endings and maybe a
+    byte-order mark; maybe one line, often a late one, gets the text's only
+    quote characters, as a quoted field or at any place."""
+    width = draw(st.integers(1, 4))
+    noise = st.text(st.sampled_from(_NOISE), max_size=8)
+    cell = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                     st.sampled_from(["", "", " 1 ", "\t-2.5", "1e3", "-0"]))
+    if draw(st.booleans()):  # else every row reads when its width is right
+        cell = st.one_of(cell, st.sampled_from(["x", "inf"]), noise)
+    kinds = draw(st.lists(st.sampled_from("rrrrrrnb"), max_size=12))
+    lines = [draw(st.lists(cell, min_size=width, max_size=width)) if kind == "r"
+             else [draw(noise if kind == "n" else st.sampled_from(["", " ", "\t"]))]
+             for kind in kinds]
+    if lines and draw(st.booleans()):
+        k = draw(st.integers(0, len(lines) - 1))
+        j = draw(st.integers(0, len(lines[k]) - 1))
+        if draw(st.booleans()):
+            lines[k][j] = '"' + lines[k][j] + '"'
+        else:
+            at = draw(st.integers(0, len(lines[k][j])))
+            quotes = draw(st.sampled_from(['"', '""', '" 2,3"', '"4\n5"']))
+            lines[k][j] = lines[k][j][:at] + quotes + lines[k][j][at:]
+    endings = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                            min_size=len(lines), max_size=len(lines)))
+    text = "".join(",".join(line) + end for line, end in zip(lines, endings))
+    if text and draw(st.booleans()):
+        text = text.rstrip("\r\n")  # the file ends without a line ending
+    return ("\ufeff" if draw(st.booleans()) else "") + text
+
+
+def _read_outcomes(path, has_header):
+    """What ``load_masked_fields`` and ``load_csv`` give for ``path``, or the
+    type and message each raises."""
+    def masked():
+        ds, fields = load_masked_fields(path, has_header)
+        return (ds.data.column_names, ds.data.values.shape, ds.data.values.tobytes(),
+                ds.mask.observed.tobytes(), fields)
+
+    def complete():
+        m = load_csv(path, has_header)
+        return m.column_names, m.values.shape, m.values.tobytes()
+    return outcome(masked), outcome(complete)
+
+
+@settings(max_examples=300, deadline=None)
+@given(csv_texts(), st.booleans())
+def test_reader_gives_what_the_csv_module_gives(tmp_path_factory, text, header):
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    path.write_bytes(text.encode("utf-8"))
+    got = _read_outcomes(path, header)
+    with mock.patch.object(data_mod, "_split_lines", reference_read_rows):
+        assert _read_outcomes(path, header) == got
 
 
 class TestMaskedDatasetInvariants:
