@@ -19,10 +19,12 @@ A column with no missing cell never changes during a run, so when the table
 has one, each target keeps its own buffer (within a byte budget) and, after
 its first step, regathers and restandardizes only the rows of the columns
 the run imputes; the only thing kept between steps is those fully observed
-rows, standardized. A run refills one set of step arrays allocated at its
-start; a weighted run's include the propensity fit's Newton scratch, a
-d x n buffer every IRLS step of every fit writes its scaled transpose into,
-and an unweighted run, which fits no propensity, allocates none. Every
+rows, standardized. A run builds each target's row sets, labels, training
+targets and, when unweighted, unit weights with their effective sample size
+once, and refills one set of step arrays allocated at its start; a weighted
+run's include the propensity fit's Newton scratch, a d x n buffer every
+IRLS step of every fit writes its scaled transpose into, and an unweighted
+run, which fits no propensity, allocates none. Every
 weighted step runs the propensity IRLS from the column's previous model
 (from zero in sweep 0) until its max-abs gradient is inside the gradient's
 sampling noise.
@@ -116,12 +118,14 @@ class ImputationResult:
 def initial_impute(ds: MaskedDataset) -> np.ndarray:
     """A column-major (Fortran-order) copy of the data matrix with every
     missing cell set to its column's observed mean, the layout the engine's
-    column steps read and write."""
+    column steps read and write. Each mean is the sum of the column's
+    observed cells, gathered by row index, over their count."""
     completed = np.array(ds.data.values, order="F")
-    observed = ds.mask.observed
-    for j in ds.missing_columns():
-        column, col_obs = completed[:, j], observed[:, j]
-        column[~col_obs] = column[col_obs].mean()
+    targets = ds.missing_columns()
+    for j, col_obs in zip(targets, ds.mask.observed.T[targets]):
+        column = completed[:, j]
+        obs = column.take(np.flatnonzero(col_obs))
+        column[np.flatnonzero(~col_obs)] = np.add.reduce(obs) / obs.shape[0]
     return completed
 
 
@@ -149,24 +153,29 @@ def visitation_order(ds: MaskedDataset, policy) -> list[int]:
 def _standardize(x: np.ndarray, n_stat: int) -> None:
     """Each row of ``x``, in place, less the mean and divided by the
     population std (1.0 where constant) of the row's first ``n_stat``
-    entries."""
+    entries. Each numpy call covers every row: the squared norms are one
+    stacked ``matmul``, with the bits of each row's ``r @ r``."""
+    head = x[:, :n_stat]
     # the bits of .mean(axis=1), without its wrapper
-    mean = np.add.reduce(x[:, :n_stat], axis=1)
+    mean = np.add.reduce(head, axis=1)
     mean /= n_stat
     x -= mean[:, None]
-    std = np.sqrt(np.array([r @ r for r in x[:, :n_stat]]) / n_stat)
+    std = np.sqrt(np.matmul(head[:, None], head[:, :, None]).ravel() / n_stat)
     std[~(std > 0)] = 1.0
     x /= std[:, None]
 
 
 class _Workspace:
-    """Row sets and the column step's arrays, for one :func:`impute` call.
+    """Row sets, per-target constants and the column step's arrays, built
+    once per :func:`impute` call.
 
     ``rows[i]`` lists target ``i``'s observed rows, then its missing rows
     ``miss_rows[i]``; ``y_train[i]`` holds the target's values at its
     observed rows and ``labels[i]`` its observedness in ``rows[i]`` order
     (the observed rows' ones, then zeros). The regression predictors of
-    target ``i`` are the columns ``others[i]``.
+    target ``i`` are the columns ``others[i]``. ``unit[i]``, the target's
+    read-only unit weights, and ``unit_ess[i]``, their effective sample
+    size, exist in an unweighted run only.
 
     A target's arrays are one (d, n) block, column-major like the
     completion: the d - 1 rows of its predictor buffer, which holds the
@@ -195,7 +204,8 @@ class _Workspace:
     def __init__(self, completed: np.ndarray, observed: np.ndarray, targets,
                  weighted: bool):
         n, d = completed.shape
-        imputed = np.isin(np.arange(d), targets)
+        columns, positions = np.arange(d), np.arange(n)
+        imputed = np.bincount(targets, minlength=d) > 0
         n_blocks, self.part = 1, None
         if not imputed.all():
             n_blocks += min(len(targets) - 1, BLOCK_BUDGET_BYTES // (8 * d * n))
@@ -206,17 +216,23 @@ class _Workspace:
         self.holder = [None] * n_blocks  # the target whose rows a block holds
         self.others, self.block, self.refills, self.views = {}, {}, {}, {}
         self.rows, self.miss_rows, self.y_train, self.labels = {}, {}, {}, {}
-        for k, i in enumerate(targets):
-            obs, miss = (np.flatnonzero(observed[:, i]),
-                         np.flatnonzero(~observed[:, i]))
+        self.unit, self.unit_ess = {}, {}
+        for k, (i, col_obs) in enumerate(zip(targets, observed.T[targets])):
+            obs, miss = np.flatnonzero(col_obs), np.flatnonzero(~col_obs)
             self.rows[i] = rows = np.concatenate([obs, miss])
             self.miss_rows[i] = rows[obs.shape[0]:]
             # observed cells of the completion are the data's own values
-            self.y_train[i] = completed[obs, i]
-            self.labels[i] = np.arange(n) < obs.shape[0]
-            self.others[i] = others = np.delete(np.arange(d), i)
+            self.y_train[i] = completed[:, i].take(obs)
+            self.labels[i] = positions < obs.shape[0]
+            if not weighted:
+                self.unit[i] = unit = np.ones(obs.shape[0])
+                unit.flags.writeable = False
+                self.unit_ess[i] = effective_sample_size(unit)
+            others = columns[columns != i]
+            self.others[i] = others.tolist()
             self.block[i] = b = min(k, n_blocks - 1)
-            self.refills[i] = np.flatnonzero(imputed[others])
+            refill = np.flatnonzero(imputed[others])
+            self.refills[i] = refill, others[refill].tolist()
             x = work[b]
             views = x[:-1, :obs.shape[0]].T, x[:-1, obs.shape[0]:].T, x.T
             for view in views:
@@ -231,16 +247,16 @@ class _Workspace:
         over its observed part. A block that holds ``i``'s last step refills
         only the rows of imputed columns."""
         b, rows = self.block[i], self.rows[i]
-        x, others = self.gathered[b], self.others[i]
+        x = self.gathered[b]
         if self.holder[b] == i:
-            refill = self.refills[i]
+            refill, columns = self.refills[i]
             part = self.part[:refill.size]
         else:
-            refill, part = slice(None), x
+            refill, columns, part = slice(None), self.others[i], x
             self.holder[b] = i
-        for j, row in zip(others[refill], part):
+        for j, row in zip(columns, part):
             # any mode but the default "raise" writes straight into ``out``
-            np.take(completed[:, j], rows, out=row, mode="clip")
+            completed[:, j].take(rows, out=row, mode="clip")
         _standardize(part, self.y_train[i].shape[0])
         if part is not x:
             x[refill] = part
@@ -264,8 +280,9 @@ def _column_step(completed, i, cfg, sweep, workspace, init=None):
                                 clip_epsilon=cfg.clip_epsilon, init=init,
                                 scratch=workspace.scratch)
         weights, propensity = wv.weights, wv.propensity
+        ess = effective_sample_size(weights)
     else:
-        weights = np.ones(y_train.shape[0])
+        weights, ess = workspace.unit[i], workspace.unit_ess[i]
     # ridge takes no seed, so none is derived for it
     seed = (None if cfg.regressor.kind == "ridge"
             else derive_seed(cfg.seed, sweep, i))
@@ -277,11 +294,13 @@ def _column_step(completed, i, cfg, sweep, workspace, init=None):
     finite = np.isfinite(preds)
     if not finite.all():
         raise ValueError(f"non-finite imputation at row {miss_rows[np.argmin(finite)]}")
+    update = np.abs(target.take(miss_rows) - preds)
     diag = ColumnDiagnostics(
         column=int(i),
         train_weighted_mse=train_mse,
-        mean_abs_update=float(np.mean(np.abs(target[miss_rows] - preds))),
-        effective_sample_size=effective_sample_size(weights),
+        # the bits of np.mean, without its wrapper
+        mean_abs_update=float(np.add.reduce(update) / update.shape[0]),
+        effective_sample_size=ess,
         propensity_n_iter=0 if propensity is None else propensity.n_iter,
         propensity_converged=None if propensity is None else propensity.converged,
         propensity_gradient=None if propensity is None else propensity.gradient,
@@ -295,12 +314,13 @@ def impute(ds: MaskedDataset, cfg: ImputationConfig) -> ImputationResult:
 
     Starts from a fresh mean imputation, visits the incomplete columns in the
     configured order, and is deterministic given (ds, cfg). With no missing
-    data the input comes back unchanged and no sweeps are recorded.
+    data a Fortran-order copy of the input comes back, as every completion
+    is, and no sweeps are recorded.
     """
-    if not ds.missing_columns():
-        return ImputationResult(ds.data.values.copy(), ())
-    order = visitation_order(ds, cfg.visitation)
     completed = initial_impute(ds)
+    if not ds.missing_columns():
+        return ImputationResult(completed, ())
+    order = visitation_order(ds, cfg.visitation)
     workspace = _Workspace(completed, ds.mask.observed, order, cfg.weighted)
     # each column's weights from the previous sweep, whose propensity model
     # warm-starts the next fit; local to this call so results never depend

@@ -59,6 +59,30 @@ class TestInitialImpute:
         ds = make_masked([[0.0, 1.0], [5.0, 2.0]], [[0, 1], [1, 1]])
         assert initial_impute(ds)[0, 0] == pytest.approx(5.0)
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3000),
+           d=st.integers(2, 5), rate=st.floats(0.0, 0.95),
+           kind=st.sampled_from(["normal", "offset", "tied"]))
+    def test_gives_the_bits_of_the_boolean_mask_fill(self, seed, n, d, rate,
+                                                     kind):
+        # each mean is the sum of the observed cells, gathered by row index,
+        # over their count: the bits of column[col_obs].mean(), with the
+        # missing cells set through the same mask
+        rng = np.random.default_rng(seed)
+        values = {"normal": lambda: rng.normal(size=(n, d)),
+                  "offset": lambda: 1e6 + rng.normal(size=(n, d)),
+                  "tied": lambda: rng.integers(0, 3, size=(n, d)) * 0.1}[kind]()
+        observed = rng.random((n, d)) >= rate
+        observed[:, 0] = observed[0] = True  # no empty row or column
+        ds = make_masked(values, observed)
+        expected = np.array(values, order="F")
+        for j in range(d):
+            column, col_obs = expected[:, j], observed[:, j]
+            column[~col_obs] = column[col_obs].mean()
+        out = initial_impute(ds)
+        assert out.flags.f_contiguous
+        assert out.tobytes() == expected.tobytes()
+
 
 class TestVisitationOrder:
     def test_sorted_by_missing_count(self):
@@ -106,6 +130,23 @@ class TestImpute:
         result = impute(ds, ridge_config())
         np.testing.assert_array_equal(result.completed, ds.data.values)
         assert result.per_sweep == ()
+
+    @pytest.mark.parametrize("n, missing", [(1, False), (3, False), (800, True)])
+    def test_every_completion_is_a_fortran_order_copy(self, n, missing):
+        # with or without a missing cell, the completion is column-major and
+        # the result's own array
+        if missing:
+            ds, _ = linear_pair_dataset(n=n, seed=7)
+        else:
+            ds = make_masked(np.arange(2.0 * n).reshape(n, 2), np.ones((n, 2)))
+        values, observed = ds.data.values, ds.mask.observed
+        completed = impute(ds, ridge_config(n_sweeps=2)).completed
+        assert completed.flags.f_contiguous
+        assert not np.shares_memory(completed, values)
+        assert completed[observed].tobytes() == values[observed].tobytes()
+        assert np.isfinite(completed).all()
+        if not missing:
+            assert completed.tobytes() == values.tobytes()
 
     @pytest.mark.parametrize("weighted", [True, False])
     def test_noiseless_linear_recovery(self, weighted):
@@ -383,6 +424,61 @@ class TestColumnStepState:
         assert all(weighted.scratch.shape == design.T.shape
                    for _, _, design in weighted.views.values())
         assert unweighted.scratch is None
+
+    @pytest.mark.parametrize("weighted", [True, False])
+    def test_engine_starts_from_initial_impute(self, monkeypatch, weighted):
+        # the first step sees the bytes of initial_impute: the engine has no
+        # mean fill of its own
+        ds, cfg = paper_cell(weighted=weighted)
+        original = engine_mod._column_step
+        starts = []
+
+        def recording(completed, *args):
+            if not starts:
+                starts.append(completed.copy(order="A"))
+            return original(completed, *args)
+
+        monkeypatch.setattr(engine_mod, "_column_step", recording)
+        impute(ds, replace(cfg, n_sweeps=1))
+        [start] = starts
+        assert start.flags.f_contiguous
+        assert start.tobytes() == initial_impute(ds).tobytes()
+
+    @pytest.mark.parametrize("weighted", [True, False])
+    def test_unit_weights_and_their_ess_are_built_once_per_target(
+            self, monkeypatch, weighted):
+        # an unweighted call takes each target's effective sample size once
+        # and fits every sweep with the same read-only unit weights; a
+        # weighted call takes one per step, of the weights that step fit
+        ds, cfg = paper_cell(weighted=weighted)
+        cfg = replace(cfg, n_sweeps=3)
+        original_ess, original_fit = (engine_mod.effective_sample_size,
+                                      engine_mod.fit_regressor)
+        ess_calls, fit_weights = [], {}
+
+        def counted_ess(w):
+            ess_calls.append(w)
+            return original_ess(w)
+
+        def recording_fit(spec, x, y, w, seed):
+            fit_weights.setdefault(id(y), []).append(w)  # a target's own y
+            return original_fit(spec, x, y, w, seed)
+
+        monkeypatch.setattr(engine_mod, "effective_sample_size", counted_ess)
+        monkeypatch.setattr(engine_mod, "fit_regressor", recording_fit)
+        result = impute(ds, cfg)
+        targets = ds.missing_columns()
+        n_steps = cfg.n_sweeps * len(targets)
+        assert len(ess_calls) == (n_steps if weighted else len(targets))
+        assert sum(map(len, fit_weights.values())) == n_steps
+        if not weighted:
+            n_obs = {i: int(ds.mask.observed[:, i].sum()) for i in targets}
+            assert all(col.effective_sample_size == n_obs[col.column]
+                       for sweep in result.per_sweep for col in sweep.columns)
+            for ws in fit_weights.values():
+                assert all(w is ws[0] for w in ws)
+                assert not ws[0].flags.writeable
+                assert (ws[0] == 1.0).all()
 
     def test_unweighted_steps_record_no_fit(self):
         ds, cfg = paper_cell(weighted=False)
@@ -786,6 +882,56 @@ class TestImputeProperties:
             assert model.converged is True
             assert model.gradient == last[i].propensity_gradient
             assert model.n_iter == last[i].propensity_n_iter
+
+
+def loop_standardize(x, n_stat):
+    """``_standardize`` with one ``r @ r`` call per row, the reference for
+    the bits of its one stacked ``matmul``."""
+    mean = np.add.reduce(x[:, :n_stat], axis=1)
+    mean /= n_stat
+    x -= mean[:, None]
+    std = np.sqrt(np.array([r @ r for r in x[:, :n_stat]]) / n_stat)
+    std[~(std > 0)] = 1.0
+    x /= std[:, None]
+
+
+class TestStandardize:
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 12),
+           m=st.integers(1, 6000), stat_frac=st.floats(0.0, 1.0),
+           kinds=st.lists(st.sampled_from(["normal", "zero", "constant",
+                                           "tied", "offset"]),
+                          min_size=12, max_size=12),
+           order=st.sampled_from("CF"), margin=st.integers(0, 3))
+    @example(seed=0, k=12, m=6000, stat_frac=0.7, kinds=["normal"] * 12,
+             order="F", margin=1)
+    @example(seed=1, k=3, m=1, stat_frac=1.0, kinds=["zero"] * 12,
+             order="C", margin=0)
+    def test_stacked_row_norms_give_the_bits_of_one_dot_per_row(
+            self, seed, k, m, stat_frac, kinds, order, margin):
+        # the rows are cut from a larger C- or F-ordered parent, so they are
+        # contiguous or strided as the engine's blocks and part buffers are
+        # or a caller's might be; n_stat runs from 1 to the row length
+        rng = np.random.default_rng(seed)
+        n_stat = max(1, round(stat_frac * m))
+        draw = {"normal": lambda: rng.normal(size=m),
+                "zero": lambda: np.zeros(m),
+                "constant": lambda: np.full(m, rng.normal()),
+                "tied": lambda: rng.integers(0, 3, size=m) * 0.1,
+                "offset": lambda: 1e6 + rng.normal(size=m)}
+        parent = np.array(rng.normal(size=(k + 2 * margin, m + 2 * margin)),
+                          order=order)
+        twin = parent.copy(order="K")
+        cut = np.s_[margin:margin + k, margin:margin + m]
+        rows, twin_rows = parent[cut], twin[cut]
+        for r, kind in enumerate(kinds[:k]):
+            rows[r] = twin_rows[r] = draw[kind]()
+        head = rows[:, :n_stat]
+        stacked = np.matmul(head[:, None], head[:, :, None]).ravel()
+        assert stacked.tobytes() == np.array([r @ r for r in head]).tobytes()
+        engine_mod._standardize(rows, n_stat)
+        loop_standardize(twin_rows, n_stat)
+        assert parent.tobytes() == twin.tobytes()
 
 
 class TestWorkspacePredictors:
