@@ -271,10 +271,9 @@ def run_benchmark(grid: ExperimentGrid, jobs: int = 1) -> BenchmarkResult:
 
     The calling process takes cells beside a pool of ``jobs - 1`` workers,
     every process taking the next cell from one shared counter until none
-    is left. A fresh worker's first cell builds the dataset and costs about
-    twice a later one, so only the pool's workers start cold. An exception
-    raised out of a cell, or a worker that dies (``BrokenProcessPool``),
-    stops every process at its next cell and propagates."""
+    is left. An exception raised out of a cell, or a worker that dies
+    (``BrokenProcessPool``), stops every process at its next cell and
+    propagates."""
     if isinstance(jobs, bool) or not isinstance(jobs, int):
         raise TypeError(f"jobs must be an int, got {jobs!r}")
     if jobs < 1:

@@ -5,10 +5,10 @@ A mask is always a separate boolean matrix (True = observed); missing cells are
 never encoded as sentinel values. CSV dialect: comma-separated, '.' decimal,
 optional header row, empty field = missing, UTF-8 with an optional
 byte-order mark. Lines without a quote character are split on their
-commas with ``str.split``, which reads them as the ``csv`` module does at a
-fraction of its cost; a file with a quoted field, or a line over the csv
-field-size limit, is read by ``csv.reader`` alone, so quoting and that
-limit's error have one implementation. Floats are written by ``repr``,
+commas with ``str.split``, which reads them as the ``csv`` module does; a
+file with a quoted field, or a line over the csv field-size limit, is read
+by ``csv.reader`` alone, so quoting and that limit's error have one
+implementation. Floats are written by ``repr``,
 except that :func:`save_filled_csv` copies each observed field as it was
 read and formats only the imputed cells; rows are written in blocks of
 ``WRITE_BLOCK_ROWS``.
@@ -373,9 +373,8 @@ def _write_rows(path, names, fields, header: bool) -> None:
     No field a caller passes needs quoting (a float's ``repr``, an empty
     field, or text that ``float`` parsed once stripped), so the bytes are
     those ``csv.writer`` gives, which still writes the header. Rows are
-    joined and written ``WRITE_BLOCK_ROWS`` at a time: one string per block
-    costs far less than one per row, and unlike one string for the whole
-    file it does not hold a second copy of the table's text.
+    joined and written ``WRITE_BLOCK_ROWS`` at a time, so no second copy of
+    the whole table's text is held.
     """
     width = len(names)
     step = WRITE_BLOCK_ROWS * width

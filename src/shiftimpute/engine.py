@@ -9,25 +9,10 @@ re-estimates the importance weights from them (unless the run is
 unweighted, which is the identical code path with unit weights), fits on
 those rows, and predicts the rest. Observed cells are never altered, and a
 step whose predictions are not all finite fails, so a completion is always
-finite.
-
-A step gathers every other column at its rows, observed rows first, into
-its target's buffer and standardizes it in place over the observed rows:
-the regression reads its two parts and a weighted step's propensity fit
-reads the whole buffer with its trailing ones row, all as read-only views.
-A column with no missing cell never changes during a run, so when the table
-has one, each target keeps its own buffer (within a byte budget) and, after
-its first step, regathers and restandardizes only the rows of the columns
-the run imputes; the only thing kept between steps is those fully observed
-rows, standardized. A run builds each target's row sets, labels, training
-targets and, when unweighted, unit weights with their effective sample size
-once, and refills one set of step arrays allocated at its start; a weighted
-run's include the propensity fit's Newton scratch, a d x n buffer every
-IRLS step of every fit writes its scaled transpose into, and an unweighted
-run, which fits no propensity, allocates none. Every
-weighted step runs the propensity IRLS from the column's previous model
-(from zero in sweep 0) until its max-abs gradient is inside the gradient's
-sampling noise.
+finite. Every weighted step runs the propensity IRLS from the column's
+previous model (from zero in sweep 0) until its max-abs gradient is inside
+the gradient's sampling noise. What a call builds once, and the buffers its
+steps refill in place, are described at ``_Workspace``.
 """
 
 from __future__ import annotations
@@ -56,9 +41,7 @@ __all__ = [
 ASCENDING_MISSING = "ascending_missing_count"
 
 # the bytes one impute call may spend on per-target blocks beyond the first
-# (see _Workspace): 4 targets of a 100,000 x 10 or a 20,000 x 30 table fit
-# in it, while a 100,000 x 40 table with 20 incomplete columns would
-# otherwise take 640 MB
+# (see _Workspace)
 BLOCK_BUDGET_BYTES = 64 * 2**20
 
 
@@ -115,18 +98,34 @@ class ImputationResult:
     weights: dict[int, WeightVector] = field(default_factory=dict)
 
 
+def _row_sets(observed: np.ndarray, targets) -> dict:
+    """Each target column's rows, its observed rows first, then its missing
+    rows, as one index array, with its count of observed rows."""
+    row_sets = {}
+    for j, col_obs in zip(targets, observed.T[targets]):
+        obs = np.flatnonzero(col_obs)
+        rows = np.concatenate([obs, np.flatnonzero(~col_obs)])
+        row_sets[j] = rows, obs.shape[0]
+    return row_sets
+
+
+def _mean_fill(completed: np.ndarray, row_sets) -> np.ndarray:
+    """Set, in place, each target's missing cells to the mean of its
+    observed cells: their sum, gathered by row index, over their count."""
+    for j, (rows, n_obs) in row_sets.items():
+        column = completed[:, j]
+        obs = column.take(rows[:n_obs])
+        column[rows[n_obs:]] = np.add.reduce(obs) / n_obs
+    return completed
+
+
 def initial_impute(ds: MaskedDataset) -> np.ndarray:
     """A column-major (Fortran-order) copy of the data matrix with every
     missing cell set to its column's observed mean, the layout the engine's
-    column steps read and write. Each mean is the sum of the column's
-    observed cells, gathered by row index, over their count."""
+    column steps read and write (see :func:`_mean_fill`)."""
     completed = np.array(ds.data.values, order="F")
-    targets = ds.missing_columns()
-    for j, col_obs in zip(targets, ds.mask.observed.T[targets]):
-        column = completed[:, j]
-        obs = column.take(np.flatnonzero(col_obs))
-        column[np.flatnonzero(~col_obs)] = np.add.reduce(obs) / obs.shape[0]
-    return completed
+    return _mean_fill(completed,
+                      _row_sets(ds.mask.observed, ds.missing_columns()))
 
 
 def visitation_order(ds: MaskedDataset, policy) -> list[int]:
@@ -169,8 +168,9 @@ class _Workspace:
     """Row sets, per-target constants and the column step's arrays, built
     once per :func:`impute` call.
 
-    ``rows[i]`` lists target ``i``'s observed rows, then its missing rows
-    ``miss_rows[i]``; ``y_train[i]`` holds the target's values at its
+    ``row_sets[i]`` is ``(rows[i], n_obs)``, which the call's mean fill also
+    reads. ``rows[i]`` lists target ``i``'s observed rows, then its missing
+    rows ``miss_rows[i]``; ``y_train[i]`` holds the target's values at its
     observed rows and ``labels[i]`` its observedness in ``rows[i]`` order
     (the observed rows' ones, then zeros). The regression predictors of
     target ``i`` are the columns ``others[i]``. ``unit[i]``, the target's
@@ -217,15 +217,15 @@ class _Workspace:
         self.others, self.block, self.refills, self.views = {}, {}, {}, {}
         self.rows, self.miss_rows, self.y_train, self.labels = {}, {}, {}, {}
         self.unit, self.unit_ess = {}, {}
-        for k, (i, col_obs) in enumerate(zip(targets, observed.T[targets])):
-            obs, miss = np.flatnonzero(col_obs), np.flatnonzero(~col_obs)
-            self.rows[i] = rows = np.concatenate([obs, miss])
-            self.miss_rows[i] = rows[obs.shape[0]:]
+        self.row_sets = _row_sets(observed, targets)
+        for k, i in enumerate(targets):
+            rows, n_obs = self.row_sets[i]
+            self.rows[i], self.miss_rows[i] = rows, rows[n_obs:]
             # observed cells of the completion are the data's own values
-            self.y_train[i] = completed[:, i].take(obs)
-            self.labels[i] = positions < obs.shape[0]
+            self.y_train[i] = completed[:, i].take(rows[:n_obs])
+            self.labels[i] = positions < n_obs
             if not weighted:
-                self.unit[i] = unit = np.ones(obs.shape[0])
+                self.unit[i] = unit = np.ones(n_obs)
                 unit.flags.writeable = False
                 self.unit_ess[i] = effective_sample_size(unit)
             others = columns[columns != i]
@@ -234,7 +234,7 @@ class _Workspace:
             refill = np.flatnonzero(imputed[others])
             self.refills[i] = refill, others[refill].tolist()
             x = work[b]
-            views = x[:-1, :obs.shape[0]].T, x[:-1, obs.shape[0]:].T, x.T
+            views = x[:-1, :n_obs].T, x[:-1, n_obs:].T, x.T
             for view in views:
                 view.flags.writeable = False
             self.views[i] = views
@@ -317,11 +317,13 @@ def impute(ds: MaskedDataset, cfg: ImputationConfig) -> ImputationResult:
     data a Fortran-order copy of the input comes back, as every completion
     is, and no sweeps are recorded.
     """
-    completed = initial_impute(ds)
+    completed = np.array(ds.data.values, order="F")
     if not ds.missing_columns():
         return ImputationResult(completed, ())
     order = visitation_order(ds, cfg.visitation)
     workspace = _Workspace(completed, ds.mask.observed, order, cfg.weighted)
+    # the start is initial_impute's, from the workspace's row sets
+    _mean_fill(completed, workspace.row_sets)
     # each column's weights from the previous sweep, whose propensity model
     # warm-starts the next fit; local to this call so results never depend
     # on what ran before

@@ -3,9 +3,8 @@
 A cell in a planted column goes missing with probability
 ``1 - sigmoid(alpha * sum of its standardized predictor columns + intercept)``,
 where the per-column intercept is calibrated so the expected missing rate
-hits a target: safeguarded Newton steps inside the bracket [-50, 50], about
-5.5 evaluations of the rate per column on the default grid, the bracket check
-included. ``alpha = 0`` reduces exactly to MCAR at the target rate.
+hits a target by safeguarded Newton steps inside the bracket [-50, 50].
+``alpha = 0`` reduces exactly to MCAR at the target rate.
 
 Predictor columns are standardized before the score is computed so that a
 given ``alpha`` means the same shift strength on any dataset.

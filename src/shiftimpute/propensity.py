@@ -98,13 +98,14 @@ def fit_propensity(design: np.ndarray, r: np.ndarray, l2: float = DEFAULT_L2,
     next check. The NLL is convex, so a trial gradient whose product with
     the step is nonnegative certifies that the full step does not raise it;
     only an uncertified step evaluates the NLL, at its start and at each
-    trial of a halving line search (at most 31 trials, the last kept if
-    none is accepted). An unconverged fit reads ``converged=False`` rather
-    than failing silently. With ``l2 > 0`` the objective is strictly convex
-    in the coefficients, so fewer rows than predictors is allowed; with
-    ``l2 = 0`` the intercept makes d + 1 parameters, so n must exceed d, and
-    a singular Newton system (a constant or duplicated predictor) raises a
-    ``LinAlgError`` that says so.
+    trial of a halving line search of at most 31 trials; if none of them
+    lowers the NLL, the fit stops at its current parameters. An unconverged
+    fit reads ``converged=False`` rather than failing silently. With
+    ``l2 > 0`` the objective is strictly convex in the coefficients, so
+    fewer rows than predictors is allowed; with ``l2 = 0`` the intercept
+    makes d + 1 parameters, so n must exceed d, and a singular Newton system
+    (a constant or duplicated predictor) raises a ``LinAlgError`` that says
+    so.
 
     ``out``, an n-vector, receives the fitted probabilities of every row at
     the returned parameters, ``sigmoid(design @ [coefficients, intercept])``,
@@ -114,9 +115,8 @@ def fit_propensity(design: np.ndarray, r: np.ndarray, l2: float = DEFAULT_L2,
     ``scratch``, an array of ``design.T``'s shape sharing no memory with
     ``design``, receives each Newton step's scaled transpose ``design.T * s``
     (what it held is ignored); without it, a fit that takes a step allocates
-    its own. The engine passes one per weighted ``impute`` call to every fit
-    of that call. In ``design.T``'s layout it leaves every result
-    bit-identical. Its shape and overlap are checked before any fitting.
+    its own. In ``design.T``'s layout it leaves every result bit-identical.
+    Its shape and overlap are checked before any fitting.
     """
     design = np.asarray(design, dtype=float)
     r = np.asarray(r, dtype=float).ravel()
@@ -191,13 +191,15 @@ def fit_propensity(design: np.ndarray, r: np.ndarray, l2: float = DEFAULT_L2,
         if not grad_trial @ step >= 0:
             nll = _penalized_nll(z, e, r, beta[:p], l2)
             halvings = 0
-            while (_penalized_nll(z_trial, e_trial, r, trial[:p], l2)
-                   > nll + 1e-12 and halvings < 30):
+            while ((raised := _penalized_nll(z_trial, e_trial, r, trial[:p], l2)
+                    > nll + 1e-12) and halvings < 30):
                 step *= 0.5
                 trial = beta - step
                 z_trial = design @ trial
                 e_trial = np.exp(-np.abs(z_trial))
                 halvings += 1
+            if raised:
+                break  # no trial lowers the NLL: keep beta, unconverged
             if halvings:
                 eta_trial, grad_trial = _probabilities_and_gradient(
                     design, z_trial, e_trial, r, penalty, trial)
@@ -244,9 +246,7 @@ def weights_for_column(design: np.ndarray, obs_col: np.ndarray,
     its ``out`` vector holds the propensities, so no row of the design is
     gathered again (with the observed rows first, as the engine orders them,
     they are a slice of it). ``scratch`` is the fit's Newton buffer, as
-    :func:`fit_propensity` takes it: the engine allocates one per weighted
-    ``impute`` call, and none for an unweighted call, which fits no
-    propensity. The weights carry the model.
+    :func:`fit_propensity` takes it. The weights carry the model.
     """
     obs_col = np.asarray(obs_col, dtype=bool)
     eta = np.empty(obs_col.shape[0])

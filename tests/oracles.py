@@ -155,7 +155,8 @@ def reference_gradient_tol(r) -> float:
 
 def reference_fit_propensity(design, r, l2=DEFAULT_L2, init=None, tol=None):
     """(coefficients, intercept, converged, n_iter) of the IRLS fit, stopped
-    at the first max-abs gradient below ``tol``, by default the package's."""
+    at the first max-abs gradient below ``tol``, by default the package's, or
+    unconverged at a step that no halving keeps from raising the NLL."""
     design = np.asarray(design, dtype=float)
     r = np.asarray(r, dtype=float).ravel()
     n, p = design.shape[0], design.shape[1] - 1
@@ -192,6 +193,8 @@ def reference_fit_propensity(design, r, l2=DEFAULT_L2, init=None, tol=None):
             z_trial = design @ trial
             trial_nll = _reference_penalized_nll(z_trial, r, trial[:p], l2)
             shrink += 1
+        if trial_nll > nll + 1e-12:
+            break  # every trial raises the NLL: stop at beta, unconverged
         beta, nll, z = trial, trial_nll, z_trial
     return beta[:p].copy(), float(beta[p]), converged, it
 

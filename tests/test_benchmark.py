@@ -1,5 +1,6 @@
 import hashlib
 import os
+import platform
 import re
 import time
 from concurrent.futures import Future
@@ -303,7 +304,24 @@ class TestCsv:
         path = tmp_path / "r.csv"
         records_to_csv(full_grid_result.records, path)
         digest = hashlib.md5(path.read_bytes()).hexdigest()
-        assert digest == "ecb1db75181ebd4066aab48f721ea2a6"
+        assert digest == "ecb1db75181ebd4066aab48f721ea2a6", build_report(digest)
+
+
+def build_report(digest):
+    """What a digest mismatch needs to be read: the digest, and the build
+    that gave it against the one the recorded digest came from."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return (f"results CSV md5 {digest}, on numpy {np.__version__}, BLAS "
+            f"{blas['name']} {blas['version']}, Python "
+            f"{platform.python_version()}; the recorded digest is from numpy "
+            f"2.4.6, OpenBLAS 0.3.31 and Python 3.11.7, and a BLAS that sums "
+            f"in another order can move the last bits")
+
+
+def test_digest_mismatch_names_the_build():
+    report = build_report("0" * 32)
+    for part in ("0" * 32, np.__version__, platform.python_version()):
+        assert part in report
 
 
 class TestSummaries:

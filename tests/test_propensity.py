@@ -271,6 +271,29 @@ class TestFitMatchesReferenceLoop:
             fit_propensity(design, r, l2, init=init)
         assert len(exps) > 1 + steps
 
+    def test_exhausted_line_search_keeps_the_current_fit(self):
+        # almost every IRLS weight sits at its clip, so check 2's Newton step
+        # is huge and each of its 31 trials raises the NLL: the fit stops
+        # where it is, unconverged, with out and gradient of those parameters
+        design, r, init = _propensity_case(60, 3, 0.05, "near_separable", "far",
+                                           "C", 1)
+        eta = np.empty(r.shape[0])
+        model = fit_propensity(design, r, 0.05, init=init, out=eta)
+        beta = np.append(model.coefficients, model.intercept)
+
+        def nll(beta):
+            z = design @ beta
+            return _penalized_nll(z, np.exp(-np.abs(z)), r, beta[:-1], 0.05)
+
+        assert not model.converged
+        assert model.n_iter == 2
+        assert nll(beta) <= nll(np.append(init.coefficients, init.intercept))
+        z = design @ beta
+        fitted, grad = propensity._probabilities_and_gradient(
+            design, z, np.exp(-np.abs(z)), r, np.array([0.05] * 3 + [0.0]), beta)
+        assert np.array_equal(eta, fitted)
+        assert model.gradient == np.max(np.abs(grad)) > FULL_CONVERGENCE
+
 
 class TestConvexityCertificate:
     # a Newton step whose trial gradient g satisfies g @ step >= 0 is taken
