@@ -34,6 +34,7 @@ __all__ = [
     "FailureRecord",
     "BenchmarkResult",
     "make_benchmark_dataset",
+    "check_grid_dataset",
     "run_benchmark",
     "summarize_alpha_profile",
     "records_to_csv",
@@ -139,21 +140,19 @@ class ExperimentGrid(JsonRecord):
                 raise ValueError(f"{name} must be nonempty")
             if len(set(values)) != len(values):
                 raise ValueError(f"duplicate {name} in {list(values)}")
-        for kind in self.models:
-            if kind not in ("ridge", "forest", "mlp"):
-                raise ValueError(f"unknown model kind {kind!r}")
         # the masking's and the runs' own checks, before any cell runs
         low, high = MISSING_RATE_RANGE
         if not low < self.missing_rate < high:
             raise ValueError(f"missing_rate must be in ({low}, {high}), "
                              f"got {self.missing_rate!r}")
-        # a CSV's width is known only once the file is read
+        # a CSV's width is checked once the file is read: check_grid_dataset
         check_layout(self.n_missing_cols, self.n_predictors,
                      self.dataset.d if self.dataset.kind == "synthetic" else None)
         for alpha in self.alphas:
             if not math.isfinite(alpha):
                 raise ValueError(f"alphas must be finite, got {alpha!r}")
-        self.imputation_config(self.models[0], True, 0)
+        for kind in self.models:
+            self.imputation_config(kind, True, 0)
 
     def imputation_config(self, kind: str, weighted: bool,
                           seed: int) -> ImputationConfig:
@@ -264,6 +263,13 @@ def _claim_cells(cells, counter=None):
         claimed.append((index, _run_cell(*cells[index])))
 
 
+def check_grid_dataset(grid: ExperimentGrid) -> None:
+    """Read the grid's dataset, once per process, and check that the grid's
+    layout fits its width; ``run_benchmark`` calls it before any cell."""
+    check_layout(grid.n_missing_cols, grid.n_predictors,
+                 _materialize(grid.dataset).n_cols)
+
+
 def run_benchmark(grid: ExperimentGrid, jobs: int = 1) -> BenchmarkResult:
     """Run the whole grid in at most ``jobs`` (an int >= 1) processes, this one
     included, and in at most one per cell; cell order and results are
@@ -278,6 +284,7 @@ def run_benchmark(grid: ExperimentGrid, jobs: int = 1) -> BenchmarkResult:
         raise TypeError(f"jobs must be an int, got {jobs!r}")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
+    check_grid_dataset(grid)
     cells = [(grid, seed, ai) for seed in grid.seeds
              for ai in range(len(grid.alphas))]
     workers = min(jobs, len(cells))
@@ -342,14 +349,13 @@ def _ratio_mean(pairs, metric: str):
     return float(np.mean(ratios)) if ratios else None
 
 
-def summarize_alpha_profile(records, pairs=None) -> list[dict]:
-    """Per-alpha mean weighted/unweighted RMSE ratio table, ordered by alpha;
-    ``pairs`` is ``_pairs(records)`` when the caller has it."""
+def summarize_alpha_profile(records) -> list[dict]:
+    """Per-alpha mean weighted/unweighted RMSE ratio table, ordered by alpha."""
     alphas = sorted({r.alpha for r in records})
     if len(alphas) < 2:
         raise ValueError("alpha profile needs records for at least 2 alphas")
     by_alpha = {alpha: [] for alpha in alphas}
-    for w, u in _pairs(records) if pairs is None else pairs:
+    for w, u in _pairs(records):
         by_alpha[w.alpha].append((w, u))
     return [{"alpha": alpha,
              "rmse_ratio_mean": _ratio_mean(group, "rmse"),
@@ -384,7 +390,7 @@ def _model_summary(records):
             except ValueError:
                 pass
     try:
-        summary["alpha_profile"] = summarize_alpha_profile(records, pairs)
+        summary["alpha_profile"] = summarize_alpha_profile(records)
     except ValueError:
         summary["alpha_profile"] = None
     return summary

@@ -22,6 +22,7 @@ import numpy as np
 from .benchmark import (
     ExperimentGrid,
     build_summary,
+    check_grid_dataset,
     records_to_csv,
     run_benchmark,
 )
@@ -59,9 +60,18 @@ def _check_writable(*paths):
             os.remove(path)
 
 
+def _write_json(path, payload) -> None:
+    """Write ``payload`` to ``path`` as indented JSON, ending the command with
+    a one-line message naming ``path`` if it cannot be written."""
+    with _input_errors(path), open(path, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle, indent=2)
+
+
 def _cmd_simulate_mask(args) -> int:
     if args.seed < 0:  # numpy's generators take none; blame the option, not the CSV
         raise SystemExit(f"shiftimpute: --seed must be nonnegative, got {args.seed}")
+    if not np.isfinite(args.alpha):  # else the scores, not the option, get the blame
+        raise SystemExit(f"shiftimpute: --alpha must be finite, got {args.alpha}")
     _check_writable(args.output, args.mechanism)
     # errors name the input: the file itself, or a layout or rate it cannot take
     with _input_errors(args.input):
@@ -77,8 +87,7 @@ def _cmd_simulate_mask(args) -> int:
         masked, mechanism = apply_mar_mask(data, spec)
     with _input_errors(args.output):
         save_masked_csv(masked, args.output, header=not args.no_header)
-    with _input_errors(args.mechanism):
-        mechanism.save_json(args.mechanism)
+    _write_json(args.mechanism, mechanism.to_dict())
     achieved = float((~masked.mask.observed[:, list(spec.missing_cols)]).mean())
     print(f"masked {args.output}: columns {list(spec.missing_cols)}, "
           f"achieved missing rate {achieved:.4f}")
@@ -121,9 +130,7 @@ def _cmd_impute(args) -> int:
                        "per_sweep": [s.to_dict() for s in result.per_sweep]}
         if result.weights:
             diagnostics["propensity"] = weight_diagnostics(result.weights)
-        with _input_errors(args.diagnostics), \
-                open(args.diagnostics, "w", encoding="utf-8") as handle:
-            json.dump(diagnostics, handle, indent=2)
+        _write_json(args.diagnostics, diagnostics)
     print(f"imputed {len(ds.missing_columns())} columns -> {args.output}")
     return 0
 
@@ -171,13 +178,13 @@ def _cmd_benchmark(args) -> int:
         raise SystemExit(f"shiftimpute: --jobs must be at least 1, got {args.jobs}")
     grid = _load_config(ExperimentGrid, args.grid)
     _check_writable(args.out, args.summary)  # before the grid, not after it
+    with _input_errors(grid.dataset.path):  # a CSV that no cell could take
+        check_grid_dataset(grid)
     result = run_benchmark(grid, jobs=args.jobs)
     with _input_errors(args.out):
         records_to_csv(result.records, args.out)
     if args.summary:
-        with _input_errors(args.summary), \
-                open(args.summary, "w", encoding="utf-8") as handle:
-            json.dump(build_summary(result), handle, indent=2)
+        _write_json(args.summary, build_summary(result))
     print(f"{len(result.records)} records -> {args.out}; "
           f"{len(result.failures)} failures")
     for failure in result.failures:

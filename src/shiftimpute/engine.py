@@ -186,19 +186,22 @@ class _Workspace:
     with the trailing intercept column. Every view handed out is read-only,
     since only :meth:`predictors` writes a block.
 
-    A row standardized alone keeps its bits, so a block that still holds
-    its target's last step needs only its rows of the columns the run
-    imputes refilled: the rows of the never-imputed columns hold the same
-    values. Those T - 1 rows (T targets) are gathered into ``part`` and
-    standardized there in one call, then copied into the block. With a
-    fully observed column in the table and B = ``BLOCK_BUDGET_BYTES``, the
-    call takes 1 + min(T - 1, B // (8 d n)) blocks of 8 d n bytes, one per
-    target while the budget lasts, then one that the remaining targets
-    share and refill in full at every step, and 8 (T - 1) n bytes for
-    ``part``. With no fully observed column there is nothing to keep: every
-    target shares one block, and ``part`` is None. ``scratch``, in a
-    weighted run, is one more (d, n) block in that layout: the Newton
-    buffer of every propensity fit (None when unweighted).
+    A row standardized alone keeps its bits, so a target that owns its
+    block needs, from sweep 1 on, only its rows of the columns the run
+    imputes refilled: the rows of the never-imputed columns still hold the
+    same values. ``refills[i]`` lists those rows of its block and their
+    columns (None for a target on a shared block); they are gathered into
+    ``part`` and standardized there in one call, then copied into the block.
+    With a fully observed column in the table and B =
+    ``BLOCK_BUDGET_BYTES``, the call takes n_blocks = 1 + min(T - 1,
+    B // (8 d n)) blocks of 8 d n bytes (T targets) and 8 (T - 1) n bytes
+    for ``part``. Target k owns block k when k < n_blocks - 1, or when
+    n_blocks = T; the remaining targets share the last block and refill it
+    in full at every step. With no fully observed column there is nothing
+    to keep: every target shares one block, and ``part`` is None.
+    ``scratch``, in a weighted run, is one more (d, n) block in that
+    layout: the Newton buffer of every propensity fit (None when
+    unweighted).
     """
 
     def __init__(self, completed: np.ndarray, observed: np.ndarray, targets,
@@ -213,7 +216,6 @@ class _Workspace:
         work = np.empty((n_blocks, d, n))
         work[:, -1] = 1.0  # the intercept column
         self.gathered = work[:, :-1]
-        self.holder = [None] * n_blocks  # the target whose rows a block holds
         self.others, self.block, self.refills, self.views = {}, {}, {}, {}
         self.rows, self.miss_rows, self.y_train, self.labels = {}, {}, {}, {}
         self.unit, self.unit_ess = {}, {}
@@ -231,8 +233,9 @@ class _Workspace:
             others = columns[columns != i]
             self.others[i] = others.tolist()
             self.block[i] = b = min(k, n_blocks - 1)
+            own = k < n_blocks - 1 or n_blocks == len(targets)
             refill = np.flatnonzero(imputed[others])
-            self.refills[i] = refill, others[refill].tolist()
+            self.refills[i] = (refill, others[refill].tolist()) if own else None
             x = work[b]
             views = x[:-1, :n_obs].T, x[:-1, n_obs:].T, x.T
             for view in views:
@@ -240,20 +243,18 @@ class _Workspace:
             self.views[i] = views
         self.scratch = np.empty((d, n)) if weighted else None
 
-    def predictors(self, completed: np.ndarray, i: int):
+    def predictors(self, completed: np.ndarray, i: int, sweep: int):
         """Target ``i``'s training predictors, prediction predictors and
-        propensity design, read-only views of its block after refilling it
-        from the completion: every other column at ``rows[i]``, standardized
-        over its observed part. A block that holds ``i``'s last step refills
-        only the rows of imputed columns."""
-        b, rows = self.block[i], self.rows[i]
-        x = self.gathered[b]
-        if self.holder[b] == i:
+        propensity design at ``sweep``, read-only views of its block after
+        refilling it from the completion: every other column at ``rows[i]``,
+        standardized over its observed part. A target that owns its block
+        refills only the rows of imputed columns from sweep 1 on."""
+        rows, x = self.rows[i], self.gathered[self.block[i]]
+        if sweep and self.refills[i] is not None:
             refill, columns = self.refills[i]
             part = self.part[:refill.size]
         else:
             refill, columns, part = slice(None), self.others[i], x
-            self.holder[b] = i
         for j, row in zip(columns, part):
             # any mode but the default "raise" writes straight into ``out``
             completed[:, j].take(rows, out=row, mode="clip")
@@ -272,7 +273,7 @@ def _column_step(completed, i, cfg, sweep, workspace, init=None):
     """
     miss_rows, y_train = workspace.miss_rows[i], workspace.y_train[i]
     target = completed[:, i]  # a 1-D view: the column is contiguous
-    x_train, x_miss, design = workspace.predictors(completed, i)
+    x_train, x_miss, design = workspace.predictors(completed, i, sweep)
     wv = propensity = None
     if cfg.weighted:
         wv = weights_for_column(design, workspace.labels[i],

@@ -12,7 +12,6 @@ given ``alpha`` means the same shift strength on any dataset.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -107,10 +106,6 @@ class CalibratedMechanism:
     def to_dict(self) -> dict:
         return {"spec": self.spec.to_dict(), "intercepts": list(self.intercepts)}
 
-    def save_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_dict(), handle, indent=2)
-
 
 def sigmoid(z, *, e=None):
     """Numerically stable logistic function, elementwise.
@@ -129,8 +124,7 @@ def sigmoid(z, *, e=None):
     return out
 
 
-def calibrate_intercept(scores: np.ndarray, target_rate: float,
-                        out: np.ndarray | None = None) -> float:
+def calibrate_intercept(scores: np.ndarray, target_rate: float) -> float:
     """Find the intercept making mean(1 - sigmoid(scores + b)) hit target_rate.
 
     The rate gap falls strictly in the intercept, with slope -mean(p(1 - p)).
@@ -139,8 +133,7 @@ def calibrate_intercept(scores: np.ndarray, target_rate: float,
     is exact for constant scores; a step that would leave the bracket of the
     evaluated intercepts bisects it instead. Returns the first intercept whose
     gap is within ``CALIBRATION_TOL``, or the next iterate after
-    ``CALIBRATION_MAX_ITER`` evaluations. ``out``, when given, receives
-    ``sigmoid(scores + b)`` at the returned ``b``.
+    ``CALIBRATION_MAX_ITER`` evaluations.
     """
     scores = np.asarray(scores, dtype=float)
     if not np.all(np.isfinite(scores)):
@@ -175,10 +168,6 @@ def calibrate_intercept(scores: np.ndarray, target_rate: float,
         slope = float(np.mean(p * (1.0 - p)))
         step = b + g / slope if slope > 0 else math.nan
         b = step if lo < step < hi else 0.5 * (lo + hi)
-    else:  # out of iterations: the next iterate, not evaluated
-        p = None
-    if out is not None:
-        out[:] = sigmoid(scores + b) if p is None else p
     return b
 
 
@@ -219,10 +208,12 @@ def _draw_mask(probabilities: np.ndarray, spec: MarSpec, n_rows: int, d: int,
 def apply_mar_mask(data: DataMatrix, spec: MarSpec):
     """Plant missingness per a MarSpec; returns (MaskedDataset, CalibratedMechanism).
 
-    Cells are masked by independent Bernoulli draws, deterministic given
-    ``spec.seed``. If a planted column comes out fully missing or fully
-    observed, the mask is redrawn once with seed+1 before giving up with a
-    ValueError.
+    A planted column's probabilities are ``sigmoid(scores + b)`` at its
+    calibrated intercept ``b``, kept inside [``PROB_FLOOR``,
+    1 - ``PROB_FLOOR``]. Cells are masked by independent Bernoulli draws,
+    deterministic given ``spec.seed``. If a planted column comes out fully
+    missing or fully observed, the mask is redrawn once with seed+1 before
+    giving up with a ValueError.
     """
     for col in spec.missing_cols:
         if not 0 <= col < data.n_cols:
@@ -235,9 +226,10 @@ def apply_mar_mask(data: DataMatrix, spec: MarSpec):
     scores = _column_scores(data, spec)
     intercepts = []
     probabilities = np.empty_like(scores)
-    for k in range(scores.shape[1]):
-        intercepts.append(calibrate_intercept(
-            scores[:, k], spec.target_missing_rate, out=probabilities[:, k]))
+    # one column at a time: a broadcast over every column holds more at once
+    for k, column in enumerate(scores.T):
+        intercepts.append(calibrate_intercept(column, spec.target_missing_rate))
+        probabilities[:, k] = sigmoid(column + intercepts[k])
     probabilities = np.clip(probabilities, PROB_FLOOR, 1.0 - PROB_FLOOR)
     mechanism = CalibratedMechanism(spec, tuple(intercepts), probabilities)
 

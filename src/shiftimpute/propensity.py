@@ -244,17 +244,16 @@ def weights_for_column(design: np.ndarray, obs_col: np.ndarray,
     trained on all rows; weights are evaluated at the observed rows only.
     ``init`` warm-starts the fit, which stops at its statistical tolerance;
     its ``out`` vector holds the propensities, so no row of the design is
-    gathered again (with the observed rows first, as the engine orders them,
-    they are a slice of it). ``scratch`` is the fit's Newton buffer, as
+    gathered again: the observed rows' entries are taken from it by
+    ``obs_col``. ``scratch`` is the fit's Newton buffer, as
     :func:`fit_propensity` takes it. The weights carry the model.
     """
     obs_col = np.asarray(obs_col, dtype=bool)
     eta = np.empty(obs_col.shape[0])
     model = fit_propensity(design, obs_col.astype(float), l2, init=init,
                            out=eta, scratch=scratch)
-    n_obs = np.count_nonzero(obs_col)
-    observed = eta[:n_obs] if obs_col[:n_obs].all() else eta[obs_col]
-    return WeightVector(weights_from_propensity(observed, clip_epsilon), model)
+    return WeightVector(weights_from_propensity(eta[obs_col], clip_epsilon),
+                        model)
 
 
 def effective_sample_size(weights: np.ndarray) -> float:

@@ -92,7 +92,7 @@ class RegressorSpec(JsonRecord):
     def __post_init__(self):
         self._coerce_fields()
         if self.kind not in ("ridge", "forest", "mlp"):
-            raise ValueError(f"unknown regressor kind {self.kind!r}")
+            raise ValueError(f"unknown model kind {self.kind!r}")
         require_finite("ridge_lambda", self.ridge_lambda, positive=False)
 
 

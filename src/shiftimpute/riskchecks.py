@@ -185,8 +185,9 @@ def check_weighting_identity(spec: SyntheticSpec, g, use_oracle_weights: bool = 
 
 
 def indicator_regression(y: np.ndarray, x_obs: np.ndarray,
-                         indicators: np.ndarray, ridge_lambda: float = 1e-6):
-    """Linear fit of y on [x_obs, indicators]; returns the indicator coefficients.
+                         indicators: np.ndarray):
+    """Linear fit of y on [x_obs, indicators] with a 1e-6 ridge; returns the
+    indicator coefficients.
 
     Raises on (near-)collinear indicators: each must vary and the centered
     indicator block must have full column rank.
@@ -200,7 +201,7 @@ def indicator_regression(y: np.ndarray, x_obs: np.ndarray,
     if np.linalg.matrix_rank(centered) < indicators.shape[1]:
         raise ValueError("indicators are collinear on the fitted rows")
     design = np.hstack([x_obs, indicators])
-    model = fit_weighted_ridge(design, y, np.ones(len(y)), ridge_lambda)
+    model = fit_weighted_ridge(design, y, np.ones(len(y)), 1e-6)
     return model.coefficients[x_obs.shape[1]:]
 
 

@@ -472,5 +472,6 @@ class TestGridConfig:
         assert sorted(r.weighted for r in res.records) == [False, True]
 
     def test_unknown_model_rejected(self):
-        with pytest.raises(ValueError, match="model kind"):
-            ExperimentGrid(models=("boosting",))
+        for models in [("boosting",), ("ridge", "boosting")]:
+            with pytest.raises(ValueError, match="model kind"):
+                ExperimentGrid(models=models)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import shiftimpute
+import shiftimpute.benchmark as bench_mod
 import shiftimpute.cli as cli_mod
 import shiftimpute.engine as engine_mod
 from shiftimpute.benchmark import make_benchmark_dataset
@@ -459,6 +460,20 @@ def test_negative_seed_names_the_option(tmp_path, monkeypatch, truth_csv, masked
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
+def test_non_finite_alpha_names_the_option(tmp_path, monkeypatch, truth_csv,
+                                           masked_csv, alpha):
+    # the masking would reject the scores it gives, and the message would
+    # then name the CSV
+    monkeypatch.chdir(tmp_path)
+    argv = _good_argv("simulate-mask", str(truth_csv), str(masked_csv))
+    with pytest.raises(SystemExit) as info:
+        main(argv + [f"--alpha={alpha}"])
+    assert str(info.value) == (
+        f"shiftimpute: --alpha must be finite, got {float(alpha)}")
+    assert not (tmp_path / "out.csv").exists()
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_jobs_below_one_names_the_option(tmp_path, jobs):
     # no cell runs, and no results file is left behind
@@ -467,6 +482,49 @@ def test_jobs_below_one_names_the_option(tmp_path, jobs):
         main(["benchmark", "--out", str(out), "--jobs", jobs])
     assert str(info.value) == f"shiftimpute: --jobs must be at least 1, got {jobs}"
     assert not out.exists()
+
+
+def _csv_grid(tmp_path, dataset_path, **settings):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"dataset": {"kind": "csv",
+                                            "path": str(dataset_path)},
+                                **settings}))
+    return str(grid)
+
+
+@pytest.mark.parametrize("text, message", [
+    (None, "[Errno 2] No such file or directory"),
+    ("a,b\n1,x\n", "cannot parse 'x' as a number at row 0, column b"),
+    # the default layout plants 4 missing columns
+    ("a,b,c\n1,2,3\n4,5,6\n", "d=3 too small for 4 missing columns"),
+])
+def test_benchmark_csv_is_checked_before_any_cell(tmp_path, monkeypatch, text,
+                                                  message):
+    # one line naming the CSV, no cell run and no results file written
+    def no_cell(*args):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(bench_mod, "_run_cell", no_cell)
+    path = tmp_path / "data.csv"
+    if text is not None:
+        path.write_text(text)
+    out = tmp_path / "results.csv"
+    with pytest.raises(SystemExit) as info:
+        main(["benchmark", "--grid", _csv_grid(tmp_path, path), "--out", str(out)])
+    assert str(info.value).startswith(f"shiftimpute: {path}: {message}")
+    assert "\n" not in str(info.value)
+    assert not out.exists()
+
+
+def test_benchmark_cell_error_is_not_blamed_on_the_csv(tmp_path, monkeypatch,
+                                                       truth_csv):
+    def failing_cell(*args):
+        raise ValueError("a cell failed")
+
+    monkeypatch.setattr(bench_mod, "_run_cell", failing_cell)
+    grid = _csv_grid(tmp_path, truth_csv, n_missing_cols=2, n_predictors=2)
+    with pytest.raises(ValueError, match="a cell failed"):
+        main(["benchmark", "--grid", grid, "--out", str(tmp_path / "r.csv")])
 
 
 def test_degenerate_mask_is_a_one_line_error(tmp_path):

@@ -793,7 +793,7 @@ class TestImputeProperties:
         assert run(extra_blocks * block_bytes) == kept
         assert run(0) == kept
         n_targets = len(ds.missing_columns())
-        blocks = [len(work.holder) for work in built]
+        blocks = [len(work.gathered) for work in built]
         if n_targets == d:
             assert blocks == [1, 1, 1]
         else:
@@ -963,7 +963,7 @@ class TestWorkspacePredictors:
         rows = np.concatenate([obs, miss])
         assert np.array_equal(work.rows[0], rows)
         assert np.array_equal(work.labels[0], observed[rows, 0])
-        x_train, x_miss, design = work.predictors(completed, 0)
+        x_train, x_miss, design = work.predictors(completed, 0, 0)
         z = reference_standardize(completed[:, 1:], obs)
         assert np.array_equal(x_train, z[obs])
         assert np.array_equal(x_miss, z[miss])
